@@ -1,21 +1,23 @@
 """Bag-of-words aggregation of token vectors into sentence vectors.
 
 Three strategies: plain mean, frequency-weighted mean with common-component
-removal, and mean concatenated with componentwise max.
+removal (SIF), and mean concatenated with componentwise max. ``embed_corpus``
+runs all three on one path: a (V, d) vocabulary matrix, normalised and
+SIF-weighted per row once, whose rows each sentence pools. The per-sentence
+functions (``mean_pool``, ``mean_max_concat``, ``sif_weighted_mean``) are the
+reference definitions it is tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .lexicon import FrequencyTable, WordVectorTable, sentence_token_vectors, unigram_probability
+from .lexicon import FrequencyTable, WordVectorTable, unigram_probability
 
 DEFAULT_SIF_A = 1e-3
-POWER_ITER_MAX = 100
-POWER_ITER_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -121,35 +123,16 @@ def sif_weighted_mean(
     return result
 
 
-def fit_common_component(
-    M: np.ndarray, max_iter: int = POWER_ITER_MAX, tol: float = POWER_ITER_TOL, seed: int = 0
-) -> np.ndarray:
-    """First right singular direction of the uncentred matrix M (n x d), by
-    power iteration on M^T M. The sign is fixed so the first nonzero coordinate
-    is positive; the result is unit length."""
+def fit_common_component(M: np.ndarray) -> np.ndarray:
+    """First right singular direction of the uncentred matrix M (n x d): the
+    top eigenvector of M^T M. The sign is fixed so the first nonzero
+    coordinate is positive; the result is unit length."""
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] < 1:
         raise ValueError("need a matrix with at least one row")
     if not np.any(M):
         raise ValueError("all-zero matrix has no principal direction")
-    B = M.T @ M
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(M.shape[1])
-    x /= np.linalg.norm(x)
-    for _ in range(max_iter):
-        y = B @ x
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            # start vector landed in the null space; restart
-            x = rng.standard_normal(M.shape[1])
-            x /= np.linalg.norm(x)
-            continue
-        y /= norm
-        # B is PSD so no sign flipping between iterations
-        if np.linalg.norm(y - x) < tol:
-            x = y
-            break
-        x = y
+    x = np.linalg.eigh(M.T @ M)[1][:, -1]
     nonzero = np.nonzero(np.abs(x) > 1e-12)[0]
     if nonzero.size and x[nonzero[0]] < 0:
         x = -x
@@ -176,36 +159,31 @@ def embed_corpus(
 ) -> np.ndarray:
     """One sentence vector per token sequence, stacked as rows.
 
-    For the weighted-mean strategy the common component is fitted on
+    The table becomes a (V, d) matrix whose rows are normalised once (and,
+    for SIF, scaled by their word weights); each sentence pools the rows of
+    its in-vocabulary tokens. For SIF the common component is fitted on
     ``fit_rows`` only (typically the training split) and removed from every
     row, so held-out rows never influence the fit.
     """
+    if not isinstance(strat, (Mean, Sif, MeanMaxConcat)):
+        raise TypeError(f"unknown strategy {strat!r}")
+    if isinstance(strat, Sif) and (fit_rows is None or len(fit_rows) == 0):
+        raise ValueError("SIF aggregation needs non-empty fit_rows")
     d = table.dim
-    out = np.zeros((len(sentences), output_dim(strat, d)))
-    if isinstance(strat, Mean):
-        for i, toks in enumerate(sentences):
-            out[i] = mean_pool(sentence_token_vectors(table, toks, normalize_tokens), d)
-        return out
-    if isinstance(strat, MeanMaxConcat):
-        for i, toks in enumerate(sentences):
-            out[i] = mean_max_concat(sentence_token_vectors(table, toks, normalize_tokens), d)
-        return out
+    row = {word: i for i, word in enumerate(table.entries)}
+    E = np.array(list(table.entries.values()), dtype=np.float64).reshape(len(row), d)
+    if normalize_tokens:
+        with np.errstate(invalid="ignore"):
+            E /= np.linalg.norm(E, axis=1, keepdims=True)  # a zero row becomes NaN
     if isinstance(strat, Sif):
-        if fit_rows is None or len(fit_rows) == 0:
-            raise ValueError("SIF aggregation needs non-empty fit_rows")
-        unfitted = replace(strat, component=None)
-        for i, toks in enumerate(sentences):
-            iv_tokens, vecs = [], []
-            for tok in toks:
-                vec = table.entries.get(tok)
-                if vec is None:
-                    continue
-                iv_tokens.append(tok)
-                vecs.append(vec / np.linalg.norm(vec) if normalize_tokens else vec)
-            if vecs:
-                out[i] = sif_weighted_mean(iv_tokens, vecs, unfitted)
-        component = fit_common_component(out[np.asarray(fit_rows, dtype=int)])
-        for i in range(len(sentences)):
-            out[i] = remove_common_component(out[i], component)
-        return out
-    raise TypeError(f"unknown strategy {strat!r}")
+        E *= np.array([[sif_weight(strat.a, unigram_probability(strat.freq, w))] for w in row])
+    pool = mean_max_concat if isinstance(strat, MeanMaxConcat) else mean_pool
+    out = np.zeros((len(sentences), output_dim(strat, d)))
+    for i, toks in enumerate(sentences):
+        out[i] = pool(E[[row[t] for t in toks if t in row]], d)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("cannot normalize the zero vector")
+    if isinstance(strat, Sif):
+        c = fit_common_component(out[np.asarray(fit_rows, dtype=int)])
+        out -= np.outer(out @ c, c)
+    return out

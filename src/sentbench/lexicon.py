@@ -85,7 +85,16 @@ class SentenceVectorTable:
         return len(self.entries)
 
 
+def _fields(raw: str) -> list[str]:
+    """Space-separated fields of a line. Trailing whitespace and runs of
+    spaces, as in word2vec text files, yield no empty fields."""
+    parts = raw.rstrip().split(" ")
+    return [p for p in parts if p] if "" in parts else parts
+
+
 def _parse_floats(parts: Sequence[str], lineno: int) -> np.ndarray:
+    if not parts:
+        raise ParseError("missing vector components", lineno)
     try:
         vec = np.array([float(p) for p in parts], dtype=np.float64)
     except ValueError:
@@ -104,7 +113,8 @@ def _is_int(tok: str) -> bool:
 
 
 def load_word_vectors(stream: IO[str], expected_dim: int | None = None) -> WordVectorTable:
-    """Parse word2vec-style text vectors.
+    """Parse word2vec-style text vectors. Fields are separated by one or more
+    spaces; trailing whitespace is ignored.
 
     A first line consisting of exactly two integer tokens is treated as a
     ``count dim`` header. Otherwise the dimensionality is ``expected_dim`` or
@@ -116,10 +126,9 @@ def load_word_vectors(stream: IO[str], expected_dim: int | None = None) -> WordV
     duplicates = 0
     first_data_seen = False
     for lineno, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\r\n")
-        if not line:
+        parts = _fields(raw)
+        if not parts:
             continue
-        parts = line.split(" ")
         if lineno == 1 and len(parts) == 2 and all(_is_int(p) for p in parts):
             header_dim = int(parts[1])
             if header_dim <= 0:
@@ -131,8 +140,6 @@ def load_word_vectors(stream: IO[str], expected_dim: int | None = None) -> WordV
             dim = header_dim
             continue
         word, comps = parts[0], parts[1:]
-        if not comps:
-            raise ParseError("missing vector components", lineno)
         if dim is None:
             dim = len(comps)
         if len(comps) != dim:
@@ -245,7 +252,7 @@ def load_sentence_vector_table(stream: IO[str]) -> SentenceVectorTable:
         if "\t" not in line:
             raise ParseError("expected `id<TAB>components`", lineno)
         sid, rest = line.split("\t", 1)
-        vec = _parse_floats(rest.split(" "), lineno)
+        vec = _parse_floats(_fields(rest), lineno)
         if dim is None:
             dim = len(vec)
         elif len(vec) != dim:

@@ -60,12 +60,12 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 def pair_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Symmetric sentence-pair features: |u-v| concatenated with u*v
-    (componentwise), length 2d."""
+    (componentwise), length 2d. Rows of two (n, d) matrices give (n, 2d)."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError("dimension mismatch")
-    return np.concatenate([np.abs(u - v), u * v])
+    return np.concatenate([np.abs(u - v), u * v], axis=-1)
 
 
 def score_to_distribution(y: float, K: int) -> np.ndarray:

@@ -1,42 +1,15 @@
 """Evaluation orchestration: run method x task matrices and dimensionality
 sweeps from a declarative JSON config, writing tables, plots and metadata.
 
-Config schema (JSON):
-
-    {
-      "seed": 42,
-      "probe": {"hidden_units": 50, "epochs": 10, "learning_rate": 0.01,
-                "batch_size": 64},
-      "tasks": [
-        {"name": "...", "kind": "classification|entailment|relatedness",
-         "path": "file.tsv"}                       # or
-        {"name": "...", "kind": "classification",
-         "synthetic": {"classes": 2, "items": 200, "vocab_per_class": 20,
-                       "seed": 3, "dim": 16}}      # or, for pair kinds,
-        {"name": "...", "kind": "relatedness",
-         "synthetic": {"pairs": 300, "dim": 16, "seed": 5}}
-      ],
-      "methods": [
-        {"name": "...", "strategy": "mean|sif|mean_max",
-         "lexicon": "random" | "vectors.txt" | "vectors-{dim}.txt",
-         "dim": 16,                 # random lexicon dimensionality
-         "sif_a": 0.001,            # sif only
-         "frequencies": "freq.txt", # sif only; omitted = estimate from task
-         "normalize": true}         # or, for precomputed sentence vectors:
-        {"name": "...", "sentence_vectors": "vectors.tsv"}
-      ],
-      "output": {"dir": "out", "formats": ["csv", "json", "md", "svg"]}
-    }
-
-Sentence-vector files are keyed by row index for single-sentence tasks and by
-``<pair_id>_A`` / ``<pair_id>_B`` for pair tasks (the `embed` command exports
-exactly this format).
+The config schema and the sentence-vector TSV keying are documented in
+README.md, sections "Run configuration" and "File formats".
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -54,6 +27,7 @@ from .lexicon import (
     load_sentence_vector_table,
     load_word_vectors,
     random_table,
+    save_sentence_vector_table,
 )
 from .metrics import EvalResult, accuracy, pearson
 from .report import ResultMatrix, line_plot_svg, matrix_to_csv, matrix_to_json, matrix_to_markdown
@@ -219,8 +193,13 @@ def load_task(spec: TaskSpec, cfg: RunConfig, dim: int | None = None):
     return task, None
 
 
+def _read_word_vectors(path: str) -> WordVectorTable:
+    with open(path, encoding="utf-8") as fh:
+        return load_word_vectors(fh)
+
+
 def _resolve_lexicon(
-    method: MethodSpec, task, synthetic_table: WordVectorTable | None, cfg: RunConfig, dim: int | None
+    method: MethodSpec, task, synthetic_table, cfg: RunConfig, dim: int | None, read_vectors
 ) -> WordVectorTable:
     if method.lexicon == "random":
         d = dim if dim is not None else method.dim
@@ -242,8 +221,7 @@ def _resolve_lexicon(
         if dim is not None:
             raise ConfigError(f"method {method.name!r}: no lexicon for dim {dim}: {path}")
         raise ConfigError(f"method {method.name!r}: lexicon file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        return load_word_vectors(fh)
+    return read_vectors(path)
 
 
 def _frequencies_for(method: MethodSpec, task):
@@ -288,9 +266,11 @@ def sentence_matrix(
     cfg: RunConfig,
     synthetic_table: WordVectorTable | None = None,
     dim: int | None = None,
+    read_vectors=_read_word_vectors,
 ) -> np.ndarray:
     """Sentence vectors for every sentence of the task, in corpus order (for
-    pair tasks: all A sentences then all B sentences)."""
+    pair tasks: all A sentences then all B sentences). ``read_vectors`` maps
+    a word-vector file path to its table."""
     sentences = _corpus_sentences(task)
     if method.sentence_vectors is not None:
         with open(method.sentence_vectors, encoding="utf-8") as fh:
@@ -304,7 +284,7 @@ def sentence_matrix(
                 )
             rows.append(vec)
         return np.stack(rows)
-    lex = _resolve_lexicon(method, task, synthetic_table, cfg, dim)
+    lex = _resolve_lexicon(method, task, synthetic_table, cfg, dim, read_vectors)
     strat = _strategy_for(method, task)
     fit_rows = None
     if isinstance(strat, aggregate.Sif):
@@ -328,6 +308,7 @@ def run_task(
     kind: str,
     synthetic_table: WordVectorTable | None = None,
     dim: int | None = None,
+    read_vectors=_read_word_vectors,
 ) -> EvalResult:
     """Embed, train the probe on the train split and evaluate on the test
     split. Classification and entailment report accuracy; relatedness reports
@@ -338,11 +319,11 @@ def run_task(
         raise ValueError(f"task {task.name!r} has an empty train split")
     if not test_idx:
         raise ValueError(f"task {task.name!r} has an empty test split")
-    S = sentence_matrix(task, method, cfg, synthetic_table, dim)
+    S = sentence_matrix(task, method, cfg, synthetic_table, dim, read_vectors)
     probe_cfg = replace(cfg.probe, seed=stable_seed(cfg.seed, method.name, task.name))
     if isinstance(task, tasks_mod.PairTask):
         n = len(task.items)
-        X = np.stack([probe.pair_features(S[i], S[i + n]) for i in range(n)])
+        X = probe.pair_features(S[:n], S[n:])
     else:
         X = S
     if kind == "relatedness":
@@ -374,9 +355,18 @@ def _measure_for(kind: str) -> str:
 
 def run_matrix(cfg: RunConfig, workers: int = 1, dim: int | None = None) -> ResultMatrix:
     """Evaluate every method on every task. Cells are independent and may run
-    in parallel; results do not depend on the worker count. Any cell failure
+    in parallel; results do not depend on the worker count. Each word-vector
+    file is parsed once, by the first cell that needs it. Any cell failure
     aborts the whole run with an error naming the cell."""
     loaded = [(spec, *load_task(spec, cfg, dim)) for spec in cfg.tasks]
+    lock, lexicons = threading.Lock(), {}
+
+    def read_vectors(path):
+        with lock:  # held while parsing, so a file is never parsed twice
+            if path not in lexicons:
+                lexicons[path] = _read_word_vectors(path)
+            return lexicons[path]
+
     cells_in = [
         (method, spec, task, table)
         for method in cfg.methods
@@ -386,7 +376,7 @@ def run_matrix(cfg: RunConfig, workers: int = 1, dim: int | None = None) -> Resu
     def compute(args):
         method, spec, task, table = args
         try:
-            return run_task(task, method, cfg, spec.kind, table, dim)
+            return run_task(task, method, cfg, spec.kind, table, dim, read_vectors)
         except Exception as exc:
             raise RuntimeError(
                 f"cell (method={method.name!r}, task={spec.name!r}) failed: {exc}"
@@ -516,9 +506,8 @@ def export_sentence_vectors(
         raise ConfigError(f"no method named {method_name!r}")
     task, table = load_task(spec, cfg)
     S = sentence_matrix(task, method, cfg, table)
-    for sid, row in zip(_sentence_ids(task), S):
-        comps = " ".join(format(x, ".17g") for x in row)
-        stream.write(f"{sid}\t{comps}\n")
+    entries = dict(zip(_sentence_ids(task), S))
+    save_sentence_vector_table(SentenceVectorTable(dim=S.shape[1], entries=entries), stream)
     return S.shape[0]
 
 
@@ -540,7 +529,4 @@ def validate_config(cfg: RunConfig) -> list[str]:
             and not os.path.exists(m.lexicon)
         ):
             problems.append(f"method {m.name!r}: lexicon file not found: {m.lexicon}")
-    for t in cfg.tasks:
-        if t.path is None and t.synthetic is None:
-            problems.append(f"task {t.name!r}: nothing to load")
     return problems

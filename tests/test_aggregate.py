@@ -15,7 +15,7 @@ from sentbench.aggregate import (
     sif_weight,
     sif_weighted_mean,
 )
-from sentbench.lexicon import FrequencyTable, WordVectorTable
+from sentbench.lexicon import FrequencyTable, WordVectorTable, sentence_token_vectors
 
 
 def top_eig_oracle(M):
@@ -157,6 +157,12 @@ class TestFitCommonComponent:
         with pytest.raises(ValueError):
             fit_common_component(np.zeros((3, 2)))
 
+    def test_matches_dense_oracle_at_scale(self):
+        # a small eigengap, as in real sentence matrices, where an iterative
+        # method stops short of the true direction
+        M = np.random.default_rng(0).standard_normal((4000, 300))
+        assert abs(fit_common_component(M) @ top_eig_oracle(M)) >= 1 - 1e-9
+
     def test_oracle_agreement_small_matrices(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -222,6 +228,13 @@ class TestEmbedCorpus:
         out = embed_corpus([("x",), ("x", "x"), ("x",)], table, strat, fit_rows=[0, 1, 2])
         assert np.abs(out).max() < 1e-9
 
+    def test_zero_vector_rejected_only_when_used(self):
+        table = WordVectorTable(dim=2, entries={"a": np.array([1.0, 0.0]), "z": np.zeros(2)})
+        assert np.allclose(embed_corpus([("a",)], table, Mean()), [[1, 0]])
+        assert np.array_equal(embed_corpus([("z",)], table, Mean(), normalize_tokens=False), [[0, 0]])
+        with pytest.raises(ValueError, match="zero vector"):
+            embed_corpus([("a", "z")], table, MeanMaxConcat())
+
     def test_sif_requires_fit_rows(self):
         strat = Sif(freq=FrequencyTable(counts={"a": 1}, total=2))
         with pytest.raises(ValueError):
@@ -237,3 +250,54 @@ class TestEmbedCorpus:
         out_b = embed_corpus(sents[:4] + [("w0", "w1")], table, strat, fit_rows=[0, 1, 2, 3])
         # changing a held-out row must not change the fitted rows
         assert np.allclose(out_a[:4], out_b[:4], atol=1e-12)
+
+
+VOCAB = ("a", "b", "c", "d", "e")
+vectors = st.lists(
+    st.floats(-10, 10).filter(lambda x: abs(x) > 1e-3), min_size=3, max_size=3
+).map(np.array)
+# OOV words ("x", "y") make empty and all-OOV sentences likely
+sentences = st.lists(
+    st.lists(st.sampled_from(VOCAB + ("x", "y")), max_size=6).map(tuple), min_size=1, max_size=8
+)
+
+
+class TestEmbedCorpusMatchesOracles:
+    @given(st.lists(vectors, min_size=len(VOCAB), max_size=len(VOCAB)), sentences,
+           st.sampled_from([(Mean(), mean_pool), (MeanMaxConcat(), mean_max_concat)]),
+           st.booleans())
+    def test_pooling_strategies(self, vecs, sents, strat_and_oracle, normalize):
+        strat, oracle = strat_and_oracle
+        table = WordVectorTable(dim=3, entries=dict(zip(VOCAB, vecs)))
+        out = embed_corpus(sents, table, strat, normalize_tokens=normalize)
+        expected = [oracle(sentence_token_vectors(table, s, normalize), 3) for s in sents]
+        assert out.shape == (len(sents), len(expected[0]))
+        assert np.abs(out - np.array(expected)).max() <= 1e-12
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_sif_matches_weighted_mean_and_removal(self, normalize):
+        rng = np.random.default_rng(8)
+        shared = 3.0 * rng.standard_normal(6)  # a dominant common direction
+        words = {f"w{i}": shared + rng.standard_normal(6) for i in range(30)}
+        table = WordVectorTable(dim=6, entries=words)
+        freq = FrequencyTable(counts={f"w{i}": i for i in range(30)}, total=500)
+        sents = [tuple(rng.choice(list(words), int(rng.integers(1, 8)))) for _ in range(60)]
+        sents[5] = ()
+        sents[9] = ("oov", "oov")
+        strat = Sif(freq=freq, a=0.01)
+        fit_rows = list(range(40))
+        out = embed_corpus(sents, table, strat, fit_rows=fit_rows, normalize_tokens=normalize)
+
+        unfitted = np.array([
+            sif_weighted_mean(
+                [t for t in s if t in table],
+                sentence_token_vectors(table, s, normalize),
+                strat,
+            ) if any(t in table for t in s) else np.zeros(6)
+            for s in sents
+        ])
+        w, _ = np.linalg.eigh(unfitted[fit_rows].T @ unfitted[fit_rows])
+        assert w[-1] > 2 * w[-2]  # a clear eigengap, so the direction is well defined
+        c = top_eig_oracle(unfitted[fit_rows])
+        expected = np.array([remove_common_component(v, c) for v in unfitted])
+        assert np.abs(out - expected).max() <= 1e-12

@@ -56,6 +56,16 @@ class TestLoadWordVectors:
         table = load_word_vectors(io.StringIO("kot 1 0\r\npies 0 1\r\n"))
         assert len(table) == 2
 
+    def test_word2vec_trailing_space_and_space_runs(self):
+        table = load_word_vectors(io.StringIO("2 3 \nkot 1 0 0 \npies  0 1   0\t\r\n"))
+        assert table.dim == 3 and len(table) == 2
+        assert np.array_equal(table.get("kot"), [1, 0, 0])
+        assert np.array_equal(table.get("pies"), [0, 1, 0])
+
+    def test_header_with_trailing_space_still_checked(self):
+        with pytest.raises(ParseError, match="header dim 3"):
+            load_word_vectors(io.StringIO("2 3 \nkot 1 0 0 \n"), expected_dim=2)
+
     def test_serialize_roundtrip_identity(self):
         rng = np.random.default_rng(4)
         table = WordVectorTable(dim=5, entries={f"w{i}": rng.standard_normal(5) for i in range(7)})
@@ -158,6 +168,15 @@ class TestSentenceVectorTable:
     def test_load(self):
         table = load_sentence_vector_table(io.StringIO("s1\t1 0\ns2\t0 1"))
         assert table.dim == 2 and len(table) == 2
+
+    def test_trailing_space_and_space_runs(self):
+        table = load_sentence_vector_table(io.StringIO("s1\t1  0 \ns2\t0 1\t\n"))
+        assert table.dim == 2
+        assert np.array_equal(table.entries["s1"], [1, 0])
+
+    def test_missing_components(self):
+        with pytest.raises(ParseError, match="line 1"):
+            load_sentence_vector_table(io.StringIO("s1\t \n"))
 
     def test_duplicate_id(self):
         with pytest.raises(ParseError, match="duplicate"):

@@ -68,6 +68,12 @@ class TestPairFeatures:
         with pytest.raises(ValueError):
             pair_features(np.array([1.0]), np.array([1.0, 2.0]))
 
+    def test_matrices_give_one_row_per_pair(self):
+        rng = np.random.default_rng(5)
+        U, V = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+        expected = np.stack([pair_features(u, v) for u, v in zip(U, V)])
+        assert np.array_equal(pair_features(U, V), expected)
+
 
 class TestScoreDistribution:
     def test_derived_example(self):

@@ -4,9 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from sentbench import cli
+from sentbench import cli, runner
 from sentbench.errors import ConfigError
-from sentbench.lexicon import load_sentence_vector_table
+from sentbench.lexicon import load_sentence_vector_table, load_word_vectors, serialize_word_vectors
 from sentbench.metrics import majority_baseline
 from sentbench.runner import (
     MethodSpec,
@@ -178,6 +178,33 @@ class TestRunMatrix:
         assert len(m1.cells) == 4
         for key in m1.cells:
             assert m1.cells[key].value == m4.cells[key].value
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_vector_file_parsed_once(self, tmp_path, monkeypatch, workers):
+        lex = tmp_path / "vectors.txt"
+        cfg = base_config(
+            tasks=[
+                {"name": "cls", "kind": "classification", "synthetic": dict(SYN_CLS)},
+                {"name": "rel", "kind": "relatedness", "synthetic": dict(SYN_REL)},
+            ],
+            methods=[
+                {"name": "file-mean", "lexicon": str(lex)},
+                {"name": "file-sif", "strategy": "sif", "lexicon": str(lex)},
+            ],
+        )
+        with open(lex, "w", encoding="utf-8") as fh:
+            for spec in cfg.tasks:
+                serialize_word_vectors(load_task(spec, cfg)[1], fh, header=False)
+        calls = []
+
+        def counting_load(stream, *args, **kwargs):
+            calls.append(stream.name)
+            return load_word_vectors(stream, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "load_word_vectors", counting_load)
+        matrix = run_matrix(cfg, workers=workers)
+        assert len(matrix.cells) == 4
+        assert calls == [str(lex)]
 
     def test_cell_failure_names_cell(self, tmp_path):
         missing = str(tmp_path / "nope.txt")
