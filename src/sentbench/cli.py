@@ -65,22 +65,17 @@ def _load(args) -> runner.RunConfig:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = runner.load_config(args.config) if args.command == "validate" else _load(args)
+        cfg = _load(args)
+        problems = runner.validate_config(cfg) if args.command in ("validate", "eval") else []
+        for p in problems:
+            print(f"error: {p}", file=sys.stderr)
+        if problems:
+            return 1
         if args.command == "validate":
-            problems = runner.validate_config(cfg)
-            for p in problems:
-                print(f"error: {p}", file=sys.stderr)
-            if problems:
-                return 1
             print("config ok")
             return 0
         if args.command == "eval":
-            problems = runner.validate_config(cfg)
-            if problems:
-                for p in problems:
-                    print(f"error: {p}", file=sys.stderr)
-                return 1
-            matrix = runner.run_eval(cfg, workers=args.workers)
+            (matrix,) = runner.run_and_write(cfg, workers=args.workers)
             for m in matrix.methods:
                 for t in matrix.tasks:
                     print(f"{m}\t{t}\t{format_value(matrix.get(m, t))}")
@@ -93,12 +88,10 @@ def main(argv: list[str] | None = None) -> int:
             runner.dim_sweep(cfg, dims, workers=args.workers)
             print(f"wrote {len(dims)} matrices to {cfg.output_dir}")
             return 0
-        if args.command == "embed":
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                n = runner.export_sentence_vectors(cfg, args.task, args.method, fh)
-            print(f"wrote {n} sentence vectors to {args.out}")
-            return 0
-        return 2
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:  # embed
+            n = runner.export_sentence_vectors(cfg, args.task, args.method, fh)
+        print(f"wrote {n} sentence vectors to {args.out}")
+        return 0
     except (ConfigError, ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

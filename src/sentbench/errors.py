@@ -17,3 +17,7 @@ class DegenerateInputError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid run configuration."""
+
+
+class ProbeDivergedError(ArithmeticError):
+    """Probe training drove the parameters to inf or NaN."""

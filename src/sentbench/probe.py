@@ -13,6 +13,8 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from .errors import ProbeDivergedError
+
 PROBE_FORMAT_VERSION = 1
 
 
@@ -103,19 +105,20 @@ def predict_proba(probe: Probe, X: np.ndarray) -> np.ndarray:
     return _forward(probe, X)[1]
 
 
+def _mean_target_log(targets: np.ndarray, p: np.ndarray) -> float:
+    """Row mean of sum_k targets_k * log p_k, with 0 * log 0 = 0."""
+    return float((targets * np.log(p + 1e-300)).sum(axis=1).mean())
+
+
 def cross_entropy_loss(probe: Probe, X: np.ndarray, targets: np.ndarray) -> float:
     """Mean cross-entropy -E[log p(target)] against one-hot or soft targets."""
-    probs = predict_proba(probe, X)
-    return float(-(targets * np.log(probs + 1e-300)).sum(axis=1).mean())
+    return -_mean_target_log(targets, predict_proba(probe, X))
 
 
 def kl_loss(probe: Probe, X: np.ndarray, targets: np.ndarray) -> float:
-    """Mean KL(target || predicted). Differs from cross-entropy by the target
-    entropy, a constant in the parameters."""
-    probs = predict_proba(probe, X)
-    t = targets
-    entropy = np.where(t > 0, t * np.log(t + 1e-300), 0.0).sum(axis=1)
-    return float((entropy - (t * np.log(probs + 1e-300)).sum(axis=1)).mean())
+    """Mean KL(target || predicted): the cross-entropy plus the mean target
+    negative entropy, a constant in the parameters."""
+    return cross_entropy_loss(probe, X, targets) + _mean_target_log(targets, targets)
 
 
 def loss_gradients(probe: Probe, X: np.ndarray, targets: np.ndarray):
@@ -153,15 +156,18 @@ def _train(X: np.ndarray, targets: np.ndarray, out_kind: str, cfg: ProbeConfig) 
     probe = _init_probe(X.shape[1], cfg.hidden_units, targets.shape[1], out_kind, cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
     n = X.shape[0]
-    for _ in range(cfg.epochs):
+    params = (probe.W1, probe.b1, probe.W2, probe.b2)
+    for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            gW1, gb1, gW2, gb2 = loss_gradients(probe, X[idx], targets[idx])
-            probe.W1 -= cfg.learning_rate * gW1
-            probe.b1 -= cfg.learning_rate * gb1
-            probe.W2 -= cfg.learning_rate * gW2
-            probe.b2 -= cfg.learning_rate * gb2
+            for p, g in zip(params, loss_gradients(probe, X[idx], targets[idx])):
+                p -= cfg.learning_rate * g
+        if not all(np.isfinite(p).all() for p in params):
+            raise ProbeDivergedError(
+                f"probe parameters became non-finite in epoch {epoch + 1}; "
+                f"lower the learning rate (now {cfg.learning_rate})"
+            )
     return probe
 
 

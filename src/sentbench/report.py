@@ -3,6 +3,8 @@ line plots. All output is deterministic (no timestamps, fixed float formats)."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -37,12 +39,14 @@ def format_value(res: EvalResult) -> str:
 
 
 def matrix_to_csv(matrix: ResultMatrix) -> str:
-    lines = ["method,task,measure,value,n"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["method", "task", "measure", "value", "n"])
     for m in matrix.methods:
         for t in matrix.tasks:
             res = matrix.get(m, t)
-            lines.append(f"{m},{t},{res.measure},{res.value:.6f},{res.n}")
-    return "\n".join(lines) + "\n"
+            writer.writerow([m, t, res.measure, f"{res.value:.6f}", res.n])
+    return out.getvalue()
 
 
 def matrix_to_json(matrix: ResultMatrix) -> str:
@@ -61,12 +65,15 @@ def matrix_to_json(matrix: ResultMatrix) -> str:
 
 
 def matrix_to_markdown(matrix: ResultMatrix) -> str:
-    header = "| Method | " + " | ".join(matrix.tasks) + " |"
+    def cell(name: str) -> str:
+        return name.replace("|", "\\|")
+
+    header = "| Method | " + " | ".join(map(cell, matrix.tasks)) + " |"
     sep = "|" + "---|" * (len(matrix.tasks) + 1)
     rows = [header, sep]
     for m in matrix.methods:
         cells = [format_value(matrix.get(m, t)) for t in matrix.tasks]
-        rows.append("| " + m + " | " + " | ".join(cells) + " |")
+        rows.append("| " + cell(m) + " | " + " | ".join(cells) + " |")
     return "\n".join(rows) + "\n"
 
 
@@ -74,6 +81,13 @@ def _scale(v, lo, hi, out_lo, out_hi):
     if hi == lo:
         return (out_lo + out_hi) / 2.0
     return out_lo + (v - lo) * (out_hi - out_lo) / (hi - lo)
+
+
+def _xml_text(text: str) -> str:
+    # str.replace, not xml.sax.saxutils, whose import pulls in urllib.request
+    for char, entity in (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;")):
+        text = text.replace(char, entity)
+    return text
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -87,7 +101,9 @@ def line_plot_svg(
     ylabel: str = "score",
 ) -> str:
     """Minimal self-contained SVG line chart, one polyline per series with an
-    inline legend. No external assets or stylesheets."""
+    inline legend. No external assets or stylesheets. Title, axis labels and
+    series names are escaped."""
+    title, xlabel, ylabel = map(_xml_text, (title, xlabel, ylabel))
     width, height = 640, 420
     left, right, top, bottom = 70, 200, 50, 50
     plot_w = width - left - right
@@ -152,6 +168,6 @@ def line_plot_svg(
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(f'<text x="{lx + 28}" y="{ly}">{name}</text>')
+        parts.append(f'<text x="{lx + 28}" y="{ly}">{_xml_text(name)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -12,13 +12,13 @@ import os
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import IO, Sequence
 
 import numpy as np
 
 from . import aggregate, probe, tasks as tasks_mod
-from .errors import ConfigError, ParseError
+from .errors import ConfigError
 from .lexicon import (
     FrequencyTable,
     SentenceVectorTable,
@@ -41,10 +41,10 @@ RELATEDNESS_BINS = 5
 @dataclass(frozen=True)
 class TaskSpec:
     name: str
-    kind: str
+    kind: str = "classification"
     path: str | None = None
     synthetic: dict | None = None
-    label_set: tuple[str, ...] | None = None
+    label_set: Sequence[str] | None = None
 
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
@@ -86,6 +86,8 @@ class RunConfig:
     split_ratios: tuple[float, float, float] = tasks_mod.DEFAULT_RATIOS
 
     def __post_init__(self):
+        object.__setattr__(self, "formats", tuple(self.formats))
+        object.__setattr__(self, "split_ratios", tuple(self.split_ratios))
         if not self.tasks:
             raise ConfigError("config needs at least one task")
         if not self.methods:
@@ -101,46 +103,29 @@ class RunConfig:
                 raise ConfigError(f"unknown output format {f!r}")
 
 
+_OUTPUT_FIELDS = {"dir": "output_dir", "formats": "formats"}  # "output" key -> RunConfig field
+
+
 def parse_config(data: dict) -> RunConfig:
-    """Build a validated RunConfig from a decoded JSON document."""
+    """Build a validated RunConfig from a decoded JSON document. An omitted
+    key takes its dataclass default; an unknown key is an error."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
     try:
-        task_specs = tuple(
-            TaskSpec(
-                name=t["name"],
-                kind=t.get("kind", "classification"),
-                path=t.get("path"),
-                synthetic=t.get("synthetic"),
-                label_set=tuple(t["label_set"]) if "label_set" in t else None,
-            )
-            for t in data.get("tasks", [])
-        )
-        method_specs = tuple(
-            MethodSpec(
-                name=m["name"],
-                strategy=m.get("strategy", "mean"),
-                lexicon=m.get("lexicon"),
-                sentence_vectors=m.get("sentence_vectors"),
-                dim=m.get("dim"),
-                sif_a=m.get("sif_a", aggregate.DEFAULT_SIF_A),
-                frequencies=m.get("frequencies"),
-                normalize=m.get("normalize", True),
-            )
-            for m in data.get("methods", [])
-        )
-        probe_cfg = probe.ProbeConfig(**data.get("probe", {}))
         output = data.get("output", {})
+        known = {"tasks", "methods", "probe", "output", "seed", "split_ratios"}
+        unknown = sorted(set(data) - known)
+        unknown += sorted(f"output.{k}" for k in set(output) - set(_OUTPUT_FIELDS))
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
         return RunConfig(
-            tasks=task_specs,
-            methods=method_specs,
-            probe=probe_cfg,
-            output_dir=output.get("dir", "out"),
-            formats=tuple(output.get("formats", ["csv", "json", "md"])),
-            seed=data.get("seed", 0),
-            split_ratios=tuple(data.get("split_ratios", tasks_mod.DEFAULT_RATIOS)),
+            tasks=tuple(TaskSpec(**t) for t in data.get("tasks", ())),
+            methods=tuple(MethodSpec(**m) for m in data.get("methods", ())),
+            probe=probe.ProbeConfig(**data.get("probe", {})),
+            **{k: data[k] for k in ("seed", "split_ratios") if k in data},
+            **{_OUTPUT_FIELDS[k]: v for k, v in output.items()},
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError, AttributeError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"malformed config: {exc}") from exc
@@ -193,13 +178,15 @@ def load_task(spec: TaskSpec, cfg: RunConfig, dim: int | None = None):
     return task, None
 
 
-def _read_word_vectors(path: str) -> WordVectorTable:
+def _read(path: str, loader):
+    """Parse one input file with ``loader``. ``run_matrix`` passes cells a
+    cached version of this, so each file is parsed once per run."""
     with open(path, encoding="utf-8") as fh:
-        return load_word_vectors(fh)
+        return loader(fh)
 
 
 def _resolve_lexicon(
-    method: MethodSpec, task, synthetic_table, cfg: RunConfig, dim: int | None, read_vectors
+    method: MethodSpec, task, synthetic_table, cfg: RunConfig, dim: int | None, read
 ) -> WordVectorTable:
     if method.lexicon == "random":
         d = dim if dim is not None else method.dim
@@ -221,15 +208,14 @@ def _resolve_lexicon(
         if dim is not None:
             raise ConfigError(f"method {method.name!r}: no lexicon for dim {dim}: {path}")
         raise ConfigError(f"method {method.name!r}: lexicon file not found: {path}")
-    return read_vectors(path)
+    return read(path, load_word_vectors)
 
 
-def _frequencies_for(method: MethodSpec, task):
+def _frequencies_for(method: MethodSpec, task, read):
     """SIF word probabilities: from the configured file, else estimated from
     the task's training-split tokens."""
     if method.frequencies is not None:
-        with open(method.frequencies, encoding="utf-8") as fh:
-            return load_frequency_table(fh)
+        return read(method.frequencies, load_frequency_table)
     counts: dict[str, int] = {}
     train = task.splits.get("train", range(len(task.items)))
     for i in train:
@@ -240,12 +226,12 @@ def _frequencies_for(method: MethodSpec, task):
     return FrequencyTable(counts=counts, total=max(1, sum(counts.values())))
 
 
-def _strategy_for(method: MethodSpec, task) -> aggregate.AggregationStrategy:
+def _strategy_for(method: MethodSpec, task, read) -> aggregate.AggregationStrategy:
     if method.strategy == "mean":
         return aggregate.Mean()
     if method.strategy == "mean_max":
         return aggregate.MeanMaxConcat()
-    return aggregate.Sif(freq=_frequencies_for(method, task), a=method.sif_a)
+    return aggregate.Sif(freq=_frequencies_for(method, task, read), a=method.sif_a)
 
 
 def _sentence_ids(task) -> list[str]:
@@ -266,15 +252,14 @@ def sentence_matrix(
     cfg: RunConfig,
     synthetic_table: WordVectorTable | None = None,
     dim: int | None = None,
-    read_vectors=_read_word_vectors,
+    read=_read,
 ) -> np.ndarray:
     """Sentence vectors for every sentence of the task, in corpus order (for
-    pair tasks: all A sentences then all B sentences). ``read_vectors`` maps
-    a word-vector file path to its table."""
+    pair tasks: all A sentences then all B sentences). ``read(path, loader)``
+    parses an input file."""
     sentences = _corpus_sentences(task)
     if method.sentence_vectors is not None:
-        with open(method.sentence_vectors, encoding="utf-8") as fh:
-            table = load_sentence_vector_table(fh)
+        table = read(method.sentence_vectors, load_sentence_vector_table)
         rows = []
         for sid in _sentence_ids(task):
             vec = table.entries.get(sid)
@@ -284,8 +269,8 @@ def sentence_matrix(
                 )
             rows.append(vec)
         return np.stack(rows)
-    lex = _resolve_lexicon(method, task, synthetic_table, cfg, dim, read_vectors)
-    strat = _strategy_for(method, task)
+    lex = _resolve_lexicon(method, task, synthetic_table, cfg, dim, read)
+    strat = _strategy_for(method, task, read)
     fit_rows = None
     if isinstance(strat, aggregate.Sif):
         train = list(task.splits.get("train", []))
@@ -308,7 +293,7 @@ def run_task(
     kind: str,
     synthetic_table: WordVectorTable | None = None,
     dim: int | None = None,
-    read_vectors=_read_word_vectors,
+    read=_read,
 ) -> EvalResult:
     """Embed, train the probe on the train split and evaluate on the test
     split. Classification and entailment report accuracy; relatedness reports
@@ -319,7 +304,7 @@ def run_task(
         raise ValueError(f"task {task.name!r} has an empty train split")
     if not test_idx:
         raise ValueError(f"task {task.name!r} has an empty test split")
-    S = sentence_matrix(task, method, cfg, synthetic_table, dim, read_vectors)
+    S = sentence_matrix(task, method, cfg, synthetic_table, dim, read)
     probe_cfg = replace(cfg.probe, seed=stable_seed(cfg.seed, method.name, task.name))
     if isinstance(task, tasks_mod.PairTask):
         n = len(task.items)
@@ -355,17 +340,17 @@ def _measure_for(kind: str) -> str:
 
 def run_matrix(cfg: RunConfig, workers: int = 1, dim: int | None = None) -> ResultMatrix:
     """Evaluate every method on every task. Cells are independent and may run
-    in parallel; results do not depend on the worker count. Each word-vector
-    file is parsed once, by the first cell that needs it. Any cell failure
-    aborts the whole run with an error naming the cell."""
+    in parallel; results do not depend on the worker count. Each input file
+    is parsed once, by the first cell that needs it. Any cell failure aborts
+    the whole run with an error naming the cell."""
     loaded = [(spec, *load_task(spec, cfg, dim)) for spec in cfg.tasks]
-    lock, lexicons = threading.Lock(), {}
+    lock, parsed = threading.Lock(), {}
 
-    def read_vectors(path):
+    def read(path, loader):
         with lock:  # held while parsing, so a file is never parsed twice
-            if path not in lexicons:
-                lexicons[path] = _read_word_vectors(path)
-            return lexicons[path]
+            if (path, loader) not in parsed:
+                parsed[path, loader] = _read(path, loader)
+            return parsed[path, loader]
 
     cells_in = [
         (method, spec, task, table)
@@ -376,7 +361,7 @@ def run_matrix(cfg: RunConfig, workers: int = 1, dim: int | None = None) -> Resu
     def compute(args):
         method, spec, task, table = args
         try:
-            return run_task(task, method, cfg, spec.kind, table, dim, read_vectors)
+            return run_task(task, method, cfg, spec.kind, table, dim, read)
         except Exception as exc:
             raise RuntimeError(
                 f"cell (method={method.name!r}, task={spec.name!r}) failed: {exc}"
@@ -399,12 +384,7 @@ def run_metadata(cfg: RunConfig, dims: Sequence[int] | None = None) -> dict:
     meta = {
         "seed": cfg.seed,
         "split_ratios": list(cfg.split_ratios),
-        "probe": {
-            "hidden_units": cfg.probe.hidden_units,
-            "epochs": cfg.probe.epochs,
-            "learning_rate": cfg.probe.learning_rate,
-            "batch_size": cfg.probe.batch_size,
-        },
+        "probe": {k: v for k, v in asdict(cfg.probe).items() if k != "seed"},
         "methods": [
             {
                 "name": m.name,
@@ -424,45 +404,42 @@ def run_metadata(cfg: RunConfig, dims: Sequence[int] | None = None) -> dict:
     return meta
 
 
-def write_matrix_outputs(matrix: ResultMatrix, cfg: RunConfig, suffix: str = "") -> list[str]:
+def run_and_write(
+    cfg: RunConfig, dims: Sequence[int] | None = None, workers: int = 1
+) -> list[ResultMatrix]:
+    """Run the matrix once per dim, or once with no dim for `eval`, then write
+    ``results{suffix}.{csv,json,md}`` (suffix ``-dim<d>``, empty for `eval`),
+    a per-task SVG plot of score vs dim when dims are given, and
+    ``run-metadata.json``."""
+    runs = list(dims) if dims else [None]
+    matrices = [run_matrix(cfg, workers=workers, dim=d) for d in runs]
+    renderers = {"csv": matrix_to_csv, "json": matrix_to_json, "md": matrix_to_markdown}
     os.makedirs(cfg.output_dir, exist_ok=True)
-    written = []
 
     def emit(name: str, content: str):
-        path = os.path.join(cfg.output_dir, name)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(os.path.join(cfg.output_dir, name), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(content)
-        written.append(path)
 
-    if "csv" in cfg.formats:
-        emit(f"results{suffix}.csv", matrix_to_csv(matrix))
-    if "json" in cfg.formats:
-        emit(f"results{suffix}.json", matrix_to_json(matrix))
-    if "md" in cfg.formats:
-        emit(f"results{suffix}.md", matrix_to_markdown(matrix))
-    return written
-
-
-def run_eval(cfg: RunConfig, workers: int = 1) -> ResultMatrix:
-    """The `eval` verb: one matrix plus rendered outputs and metadata."""
-    matrix = run_matrix(cfg, workers=workers)
-    write_matrix_outputs(matrix, cfg)
-    _write_metadata(cfg)
-    return matrix
-
-
-def _write_metadata(cfg: RunConfig, dims: Sequence[int] | None = None) -> None:
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    path = os.path.join(cfg.output_dir, "run-metadata.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(run_metadata(cfg, dims), fh, indent=2)
-        fh.write("\n")
+    for matrix, d in zip(matrices, runs):
+        suffix = "" if d is None else f"-dim{d}"
+        for fmt, render in renderers.items():
+            if fmt in cfg.formats:
+                emit(f"results{suffix}.{fmt}", render(matrix))
+    if dims and "svg" in cfg.formats:
+        for spec in cfg.tasks:
+            series = {
+                m.name: [mx.get(m.name, spec.name).value for mx in matrices] for m in cfg.methods
+            }
+            emit(f"{spec.name}.svg", line_plot_svg(
+                list(dims), series, title=spec.name, ylabel=_measure_for(spec.kind)))
+    emit("run-metadata.json", json.dumps(run_metadata(cfg, dims), indent=2) + "\n")
+    return matrices
 
 
 def dim_sweep(cfg: RunConfig, dims: Sequence[int], workers: int = 1) -> list[ResultMatrix]:
-    """One matrix per dimensionality, plus a per-task SVG line plot of score vs
-    dim with one series per method. Methods must be parametric in the dim:
-    random lexicons or lexicon path templates containing ``{dim}``."""
+    """The `sweep` verb: `run_and_write` over ``dims``. Methods must be
+    parametric in the dim: random lexicons or lexicon path templates
+    containing ``{dim}``."""
     if not dims:
         raise ConfigError("sweep needs at least one dim")
     for m in cfg.methods:
@@ -473,24 +450,7 @@ def dim_sweep(cfg: RunConfig, dims: Sequence[int], workers: int = 1) -> list[Res
                 f"method {m.name!r}: sweep needs a parametric lexicon "
                 "(random, synthetic, or a path template with {dim})"
             )
-    matrices = [run_matrix(cfg, workers=workers, dim=d) for d in dims]
-    for matrix, d in zip(matrices, dims):
-        write_matrix_outputs(matrix, cfg, suffix=f"-dim{d}")
-    if "svg" in cfg.formats:
-        os.makedirs(cfg.output_dir, exist_ok=True)
-        for spec in cfg.tasks:
-            series = {
-                m.name: [mx.get(m.name, spec.name).value for mx in matrices]
-                for m in cfg.methods
-            }
-            svg = line_plot_svg(
-                list(dims), series, title=spec.name, ylabel=_measure_for(spec.kind)
-            )
-            path = os.path.join(cfg.output_dir, f"{spec.name}.svg")
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(svg)
-    _write_metadata(cfg, dims)
-    return matrices
+    return run_and_write(cfg, dims, workers)
 
 
 def export_sentence_vectors(

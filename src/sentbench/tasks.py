@@ -205,10 +205,12 @@ def split(task, ratios: tuple[float, float, float] = DEFAULT_RATIOS, seed: int =
     n = len(task.items)
     if n < 3:
         raise ValueError("need at least 3 items to split")
-    order = np.random.default_rng(seed).permutation(n)
     n_dev = round(n * ratios[1])
     n_test = round(n * ratios[2])
     n_train = n - n_dev - n_test
+    if n_train < 1:
+        raise ValueError(f"ratios {tuple(ratios)} leave the train split empty for {n} items")
+    order = np.random.default_rng(seed).permutation(n)
     splits = {
         "train": [int(i) for i in order[:n_train]],
         "dev": [int(i) for i in order[n_train : n_train + n_dev]],

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from sentbench.errors import ProbeDivergedError
 from sentbench.probe import (
     Probe,
     ProbeConfig,
@@ -110,6 +111,17 @@ class TestScoreDistribution:
 
 
 class TestGradients:
+    def test_kl_is_cross_entropy_minus_target_entropy(self):
+        rng = np.random.default_rng(3)
+        model = random_probe(rng, 4, 5, 3, "distribution")
+        X = rng.standard_normal((7, 4))
+        targets = rng.dirichlet(np.ones(3), size=7)
+        targets[0] = [0.0, 1.0, 0.0]
+        entropy = -np.mean([sum(t * np.log(t) for t in row if t > 0) for row in targets])
+        assert kl_loss(model, X, targets) == pytest.approx(
+            cross_entropy_loss(model, X, targets) - entropy, abs=1e-12)
+        assert kl_loss(model, X, targets) >= 0.0
+
     @pytest.mark.parametrize("loss_fn", [cross_entropy_loss, kl_loss])
     def test_matches_finite_differences(self, loss_fn):
         rng = np.random.default_rng(123)
@@ -178,6 +190,13 @@ class TestClassifier:
         X[0, 0] = np.nan
         with pytest.raises(ValueError):
             train_classifier(X, [0, 1, 0], 2, ProbeConfig())
+
+    def test_diverged_training_raises(self):
+        rng = np.random.default_rng(0)
+        X = 1e3 * rng.standard_normal((64, 4))
+        y = np.array([0, 1] * 32)
+        with np.errstate(all="ignore"), pytest.raises(ProbeDivergedError, match="non-finite"):
+            train_classifier(X, y, 2, ProbeConfig(learning_rate=1e308))
 
     def test_softmax_rows_are_distributions(self):
         rng = np.random.default_rng(8)

@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -50,6 +53,13 @@ class TestCsv:
     def test_deterministic(self):
         assert matrix_to_csv(small_matrix()) == matrix_to_csv(small_matrix())
 
+    def test_names_with_commas_and_quotes_are_quoted(self):
+        cells = {("a,b", 't"x'): EvalResult('t"x', "a,b", "accuracy", 0.5, 4)}
+        text = matrix_to_csv(ResultMatrix(methods=("a,b",), tasks=('t"x',), cells=cells))
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[1] == ["a,b", 't"x', "accuracy", "0.500000", "4"]
+        assert all(len(r) == 5 for r in rows)
+
 
 class TestJson:
     def test_roundtrip_values(self):
@@ -72,6 +82,15 @@ class TestMarkdown:
         assert float(row[1]) == pytest.approx(78.90)
         assert float(row[2]) == pytest.approx(0.693)
 
+    def test_pipes_in_names_are_escaped(self):
+        cells = {("m|1", "t|x"): EvalResult("t|x", "m|1", "accuracy", 0.5, 4)}
+        md = matrix_to_markdown(ResultMatrix(methods=("m|1",), tasks=("t|x",), cells=cells))
+        header, sep, row = md.splitlines()
+        assert header == r"| Method | t\|x |"
+        assert row == r"| m\|1 | 50.00 |"
+        unescaped = lambda line: len(line.replace(r"\|", "").split("|")) - 2
+        assert unescaped(header) == unescaped(sep) == unescaped(row) == 2
+
 
 class TestSvg:
     SERIES = {"m1": [0.5, 0.7, 0.9], "m2": [0.4, 0.4, 0.5]}
@@ -91,6 +110,13 @@ class TestSvg:
         a = line_plot_svg([4, 16], {"m": [0.1, 0.2]}, title="x")
         b = line_plot_svg([4, 16], {"m": [0.1, 0.2]}, title="x")
         assert a == b
+
+    def test_markup_in_labels_is_escaped(self):
+        svg = line_plot_svg([4, 16], {'m<1> & "q"': [0.1, 0.2]}, title='a<b & "c"',
+                            xlabel="x<y", ylabel="&score")
+        texts = [el.text for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+        for label in ('a<b & "c"', "x<y", "&score", 'm<1> & "q"'):
+            assert label in texts
 
     def test_flat_series_does_not_crash(self):
         svg = line_plot_svg([1, 2], {"m": [0.5, 0.5]}, title="flat")

@@ -1,12 +1,18 @@
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
 from sentbench import cli, runner
 from sentbench.errors import ConfigError
-from sentbench.lexicon import load_sentence_vector_table, load_word_vectors, serialize_word_vectors
+from sentbench.lexicon import (
+    load_frequency_table,
+    load_sentence_vector_table,
+    load_word_vectors,
+    serialize_word_vectors,
+)
 from sentbench.metrics import majority_baseline
 from sentbench.runner import (
     MethodSpec,
@@ -80,6 +86,31 @@ class TestParseConfig:
     def test_bad_probe_field(self):
         with pytest.raises(ConfigError):
             base_config(probe={"bogus_field": 1})
+
+    def test_unknown_method_key(self):
+        with pytest.raises(ConfigError, match="stratgey"):
+            base_config(methods=[{"name": "m", "lexicon": "synthetic", "stratgey": "sif"}])
+
+    def test_unknown_task_key(self):
+        with pytest.raises(ConfigError, match="synthetc"):
+            base_config(tasks=[{"name": "t", "synthetic": SYN_CLS, "synthetc": SYN_CLS}])
+
+    @pytest.mark.parametrize("overrides", [
+        {"sed": 3},
+        {"output": {"dir": "out", "format": ["csv"]}},
+    ])
+    def test_unknown_top_level_and_output_keys(self, overrides):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            base_config(**overrides)
+
+    def test_omitted_keys_take_dataclass_defaults(self):
+        cfg = parse_config({
+            "tasks": [{"name": "t", "synthetic": SYN_CLS}],
+            "methods": [{"name": "m", "lexicon": "synthetic"}],
+        })
+        assert cfg.tasks[0] == TaskSpec(name="t", synthetic=SYN_CLS)
+        assert cfg.methods[0] == MethodSpec(name="m", lexicon="synthetic")
+        assert cfg == RunConfig(tasks=cfg.tasks, methods=cfg.methods)
 
 
 class TestStableSeed:
@@ -205,6 +236,68 @@ class TestRunMatrix:
         matrix = run_matrix(cfg, workers=workers)
         assert len(matrix.cells) == 4
         assert calls == [str(lex)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shared_frequency_and_sentence_vector_files_parsed_once(
+        self, tmp_path, monkeypatch, workers
+    ):
+        cfg = base_config()
+        vecs, freqs = tmp_path / "vecs.tsv", tmp_path / "freq.txt"
+        with open(vecs, "w", encoding="utf-8") as fh:
+            export_sentence_vectors(cfg, "cls", "clustered-mean", fh)
+        freqs.write_text("w0_0 5\nw1_0 3\n#total 100\n", encoding="utf-8")
+        sif = {"strategy": "sif", "lexicon": "synthetic", "frequencies": str(freqs)}
+        cfg = base_config(
+            tasks=[
+                {"name": "cls", "synthetic": dict(SYN_CLS)},
+                {"name": "cls-again", "synthetic": dict(SYN_CLS, seed=4)},
+            ],
+            methods=[
+                {"name": "sif-a", **sif},
+                {"name": "sif-b", **sif, "sif_a": 0.01},
+                {"name": "pre", "sentence_vectors": str(vecs)},
+            ],
+        )
+        calls = []
+
+        def counting(loader):
+            def load(stream, *args, **kwargs):
+                calls.append((loader.__name__, stream.name))
+                return loader(stream, *args, **kwargs)
+            return load
+
+        for loader in (load_frequency_table, load_sentence_vector_table):
+            monkeypatch.setattr(runner, loader.__name__, counting(loader))
+        matrix = run_matrix(cfg, workers=workers)
+        assert len(matrix.cells) == 6
+        assert sorted(calls) == [
+            ("load_frequency_table", str(freqs)),
+            ("load_sentence_vector_table", str(vecs)),
+        ]
+
+    def test_parse_cache_under_thread_contention(self, tmp_path, monkeypatch):
+        freqs = tmp_path / "freq.txt"
+        freqs.write_text("w0_0 5\nw1_0 3\n", encoding="utf-8")
+        cfg = base_config(methods=[
+            {"name": f"sif-{i}", "strategy": "sif", "lexicon": "synthetic",
+             "frequencies": str(freqs), "sif_a": 10.0 ** -i}
+            for i in range(1, 9)
+        ])
+        calls = []
+
+        def counting_load(stream):
+            calls.append(stream.name)
+            return load_frequency_table(stream)
+
+        monkeypatch.setattr(runner, "load_frequency_table", counting_load)
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            matrix = run_matrix(cfg, workers=8)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert len(matrix.cells) == 8
+        assert calls == [str(freqs)]
 
     def test_cell_failure_names_cell(self, tmp_path):
         missing = str(tmp_path / "nope.txt")

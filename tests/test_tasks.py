@@ -182,6 +182,11 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(self._task(2))
 
+    @pytest.mark.parametrize("n, ratios", [(3, (0.0, 0.5, 0.5)), (10, (0.0, 0.5, 0.5))])
+    def test_ratios_leaving_train_empty(self, n, ratios):
+        with pytest.raises(ValueError, match="train split empty"):
+            split(self._task(n), ratios=ratios)
+
 
 class TestSyntheticClassification:
     def test_shapes_and_labels(self):
