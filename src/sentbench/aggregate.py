@@ -15,7 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .lexicon import FrequencyTable, WordVectorTable, unigram_probability
+from .lexicon import FrequencyTable, VectorTable, unigram_probability
 
 DEFAULT_SIF_A = 1e-3
 
@@ -152,14 +152,14 @@ def remove_common_component(v: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def embed_corpus(
     sentences: Sequence[Sequence[str]],
-    table: WordVectorTable,
+    table: VectorTable,
     strat: AggregationStrategy,
     fit_rows: Sequence[int] | None = None,
     normalize_tokens: bool = True,
 ) -> np.ndarray:
     """One sentence vector per token sequence, stacked as rows.
 
-    The table becomes a (V, d) matrix whose rows are normalised once (and,
+    A copy of the table's (V, d) matrix has its rows normalised once (and,
     for SIF, scaled by their word weights); each sentence pools the rows of
     its in-vocabulary tokens. For SIF the common component is fitted on
     ``fit_rows`` only (typically the training split) and removed from every
@@ -169,16 +169,24 @@ def embed_corpus(
         raise TypeError(f"unknown strategy {strat!r}")
     if isinstance(strat, Sif) and (fit_rows is None or len(fit_rows) == 0):
         raise ValueError("SIF aggregation needs non-empty fit_rows")
-    d = table.dim
-    row = {word: i for i, word in enumerate(table.entries)}
-    E = np.array(list(table.entries.values()), dtype=np.float64).reshape(len(row), d)
+    d, row = table.dim, table.row
+    # Allocate the result before the per-call copy, so freeing the copy leaves
+    # free memory above the result rather than a hole below it that the
+    # allocator keeps resident (about 10 MB of peak RSS at 5k x 300).
+    out = np.zeros((len(sentences), output_dim(strat, d)))
+    E = table.vectors.copy()
     if normalize_tokens:
-        with np.errstate(invalid="ignore"):
-            E /= np.linalg.norm(E, axis=1, keepdims=True)  # a zero row becomes NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.linalg.norm(E, axis=1, keepdims=True)
+            extreme = (norms[:, 0] < 1e-150) | (norms[:, 0] == np.inf)
+            if extreme.any():  # squares under- or overflow: scale by an exact power of two first
+                peak = np.abs(E[extreme]).max(axis=1, keepdims=True)
+                E[extreme] = np.ldexp(E[extreme], -np.frexp(peak)[1])
+                norms[extreme] = np.linalg.norm(E[extreme], axis=1, keepdims=True)
+            E /= norms  # a zero row becomes NaN
     if isinstance(strat, Sif):
         E *= np.array([[sif_weight(strat.a, unigram_probability(strat.freq, w))] for w in row])
     pool = mean_max_concat if isinstance(strat, MeanMaxConcat) else mean_pool
-    out = np.zeros((len(sentences), output_dim(strat, d)))
     for i, toks in enumerate(sentences):
         out[i] = pool(E[[row[t] for t in toks if t in row]], d)
     if not np.all(np.isfinite(out)):

@@ -1,4 +1,5 @@
-"""Word vector, word frequency and sentence vector tables.
+"""Word vector, word frequency and sentence vector tables. Word vectors and
+sentence vectors share one in-memory type, ``VectorTable``.
 
 File formats (all UTF-8, LF or CRLF):
   word vectors     ``word v1 v2 ... vd`` per line, optional ``count dim`` header
@@ -9,6 +10,7 @@ File formats (all UTF-8, LF or CRLF):
 from __future__ import annotations
 
 import unicodedata
+from array import array
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
@@ -19,31 +21,36 @@ from .errors import ParseError
 _PUNCT_CATEGORIES = ("P", "S")
 
 
-@dataclass(frozen=True)
-class WordVectorTable:
-    """Immutable word -> d-dimensional vector lookup."""
+@dataclass(frozen=True, eq=False)
+class VectorTable:
+    """Word or sentence-id vectors: ``keys[i]`` owns row i of ``vectors``, one
+    read-only (n, d) float64 matrix, and ``row`` maps each key to its row."""
 
-    dim: int
-    entries: dict[str, np.ndarray]
+    keys: tuple[str, ...]
+    vectors: np.ndarray
     duplicates: int = 0  # duplicate lines dropped during load (first wins)
+    row: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.dim <= 0:
+        keys = tuple(self.keys)
+        vectors = np.asarray(self.vectors, dtype=np.float64).view()
+        if vectors.ndim != 2 or len(vectors) != len(keys):
+            raise ValueError("vectors must be a matrix with one row per key")
+        if vectors.shape[1] <= 0:
             raise ValueError("dim must be positive")
-        for word, vec in self.entries.items():
-            if vec.shape != (self.dim,):
-                raise ValueError(f"vector for {word!r} has wrong length")
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"vector for {word!r} is not finite")
+        if not np.isfinite(vectors).all():
+            raise ValueError("vectors must be finite")
+        row = {key: i for i, key in enumerate(keys)}
+        if len(row) != len(keys):
+            raise ValueError("keys must be unique")
+        vectors.flags.writeable = False
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "row", row)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def get(self, word: str) -> np.ndarray | None:
-        return self.entries.get(word)
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
 
 
 @dataclass(frozen=True)
@@ -67,24 +74,6 @@ class FrequencyTable:
                 raise ValueError(f"count for {word!r} exceeds total")
 
 
-@dataclass(frozen=True)
-class SentenceVectorTable:
-    """Precomputed sentence vectors keyed by sentence id."""
-
-    dim: int
-    entries: dict[str, np.ndarray]
-
-    def __post_init__(self):
-        for sid, vec in self.entries.items():
-            if vec.shape != (self.dim,):
-                raise ValueError(f"vector for id {sid!r} has wrong length")
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"vector for id {sid!r} is not finite")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def _fields(raw: str) -> list[str]:
     """Space-separated fields of a line. Trailing whitespace and runs of
     spaces, as in word2vec text files, yield no empty fields."""
@@ -92,16 +81,29 @@ def _fields(raw: str) -> list[str]:
     return [p for p in parts if p] if "" in parts else parts
 
 
-def _parse_floats(parts: Sequence[str], lineno: int) -> np.ndarray:
+def _append_floats(flat: array, parts: Sequence[str], lineno: int) -> None:
     if not parts:
         raise ParseError("missing vector components", lineno)
     try:
-        vec = np.array([float(p) for p in parts], dtype=np.float64)
+        flat.extend(map(float, parts))
     except ValueError:
         raise ParseError("non-numeric vector component", lineno) from None
-    if not np.all(np.isfinite(vec)):
-        raise ParseError("non-finite vector component", lineno)
-    return vec
+
+
+def _parsed_table(
+    keys: list[str], flat: array, dim: int, lines: list[int], duplicates: int = 0
+) -> VectorTable:
+    """The parsed components viewed as one (n, d) matrix, without a copy. A
+    non-finite component is an error naming its line."""
+    vectors = np.frombuffer(flat, dtype=np.float64).reshape(len(keys), dim)
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        raise ParseError("non-finite vector component", lines[int(finite.argmin())])
+    return VectorTable(keys, vectors, duplicates)
+
+
+def _components(vec: np.ndarray) -> str:
+    return " ".join(format(x, ".17g") for x in vec)  # 17 significant digits: lossless
 
 
 def _is_int(tok: str) -> bool:
@@ -112,7 +114,7 @@ def _is_int(tok: str) -> bool:
         return False
 
 
-def load_word_vectors(stream: IO[str], expected_dim: int | None = None) -> WordVectorTable:
+def load_word_vectors(stream: IO[str], expected_dim: int | None = None) -> VectorTable:
     """Parse word2vec-style text vectors. Fields are separated by one or more
     spaces; trailing whitespace is ignored.
 
@@ -122,9 +124,10 @@ def load_word_vectors(stream: IO[str], expected_dim: int | None = None) -> WordV
     occurrence; the number of dropped duplicates is recorded on the table.
     """
     dim = expected_dim
-    entries: dict[str, np.ndarray] = {}
+    words: list[str] = []
+    seen: set[str] = set()
+    flat, lines = array("d"), []
     duplicates = 0
-    first_data_seen = False
     for lineno, raw in enumerate(stream, start=1):
         parts = _fields(raw)
         if not parts:
@@ -144,23 +147,24 @@ def load_word_vectors(stream: IO[str], expected_dim: int | None = None) -> WordV
             dim = len(comps)
         if len(comps) != dim:
             raise ParseError(f"expected {dim} components, found {len(comps)}", lineno)
-        if word in entries:
+        if word in seen:
             duplicates += 1
             continue
-        entries[word] = _parse_floats(comps, lineno)
-        first_data_seen = True
-    if not first_data_seen:
+        _append_floats(flat, comps, lineno)
+        seen.add(word)
+        words.append(word)
+        lines.append(lineno)
+    if not words:
         raise ParseError("no word vectors found in input")
-    return WordVectorTable(dim=dim, entries=entries, duplicates=duplicates)
+    return _parsed_table(words, flat, dim, lines, duplicates)
 
 
-def serialize_word_vectors(table: WordVectorTable, stream: IO[str], header: bool = True) -> None:
-    """Write the table in the same text format (17 significant digits, lossless)."""
+def serialize_word_vectors(table: VectorTable, stream: IO[str], header: bool = True) -> None:
+    """Write the table in the same text format."""
     if header:
-        stream.write(f"{len(table.entries)} {table.dim}\n")
-    for word, vec in table.entries.items():
-        comps = " ".join(format(x, ".17g") for x in vec)
-        stream.write(f"{word} {comps}\n")
+        stream.write(f"{len(table.keys)} {table.dim}\n")
+    for word, vec in zip(table.keys, table.vectors):
+        stream.write(f"{word} {_components(vec)}\n")
 
 
 def load_frequency_table(stream: IO[str]) -> FrequencyTable:
@@ -198,32 +202,29 @@ def unigram_probability(ft: FrequencyTable, word: str) -> float:
     return ft.counts.get(word, 0) / ft.total
 
 
-def random_table(vocab: Iterable[str], dim: int, seed: int) -> WordVectorTable:
+def random_table(vocab: Iterable[str], dim: int, seed: int) -> VectorTable:
     """Baseline lexicon: one standard Gaussian vector per word, deterministic in
     (vocab, dim, seed)."""
-    words = list(vocab)
+    words = tuple(vocab)
     if not words:
         raise ValueError("vocab must be non-empty")
-    if len(set(words)) != len(words):
-        raise ValueError("vocab words must be unique")
-    if dim <= 0:
-        raise ValueError("dim must be positive")
-    rng = np.random.default_rng(seed)
-    entries = {w: rng.standard_normal(dim) for w in words}
-    return WordVectorTable(dim=dim, entries=entries)
+    return VectorTable(words, np.random.default_rng(seed).standard_normal((len(words), dim)))
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
-    """Scale to unit Euclidean length; rejects the zero vector."""
+    """Scale to unit Euclidean length; rejects the zero vector. The vector is
+    first scaled by an exact power of two so its norm neither overflows nor
+    underflows."""
     v = np.asarray(v, dtype=np.float64)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
+    peak = np.abs(v).max(initial=0.0)
+    if peak == 0.0:
         raise ValueError("cannot normalize the zero vector")
-    return v / norm
+    v = np.ldexp(v, -np.frexp(peak)[1])
+    return v / np.linalg.norm(v)
 
 
 def sentence_token_vectors(
-    table: WordVectorTable, tokens: Sequence[str], do_normalize: bool = True
+    table: VectorTable, tokens: Sequence[str], do_normalize: bool = True
 ) -> list[np.ndarray]:
     """In-order vectors for the in-vocabulary tokens of a sentence.
 
@@ -231,19 +232,16 @@ def sentence_token_vectors(
     list. With ``do_normalize`` each vector is scaled to unit length so every
     word contributes equally to a mean.
     """
-    out = []
-    for tok in tokens:
-        vec = table.entries.get(tok)
-        if vec is None:
-            continue
-        out.append(normalize(vec) if do_normalize else vec)
-    return out
+    vecs = [table.vectors[table.row[tok]] for tok in tokens if tok in table.row]
+    return [normalize(v) for v in vecs] if do_normalize else vecs
 
 
-def load_sentence_vector_table(stream: IO[str]) -> SentenceVectorTable:
+def load_sentence_vector_table(stream: IO[str]) -> VectorTable:
     """Parse ``id<TAB>v1 v2 ... vd`` lines. Duplicate ids and inconsistent
     dimensions are errors."""
-    entries: dict[str, np.ndarray] = {}
+    ids: list[str] = []
+    seen: set[str] = set()
+    flat, lines = array("d"), []
     dim: int | None = None
     for lineno, raw in enumerate(stream, start=1):
         line = raw.rstrip("\r\n")
@@ -252,23 +250,25 @@ def load_sentence_vector_table(stream: IO[str]) -> SentenceVectorTable:
         if "\t" not in line:
             raise ParseError("expected `id<TAB>components`", lineno)
         sid, rest = line.split("\t", 1)
-        vec = _parse_floats(_fields(rest), lineno)
+        comps = _fields(rest)
         if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
-            raise ParseError(f"expected {dim} components, found {len(vec)}", lineno)
-        if sid in entries:
+            dim = len(comps)
+        elif len(comps) != dim:
+            raise ParseError(f"expected {dim} components, found {len(comps)}", lineno)
+        if sid in seen:
             raise ParseError(f"duplicate sentence id {sid!r}", lineno)
-        entries[sid] = vec
+        _append_floats(flat, comps, lineno)
+        seen.add(sid)
+        ids.append(sid)
+        lines.append(lineno)
     if dim is None:
         raise ParseError("no sentence vectors found in input")
-    return SentenceVectorTable(dim=dim, entries=entries)
+    return _parsed_table(ids, flat, dim, lines)
 
 
-def save_sentence_vector_table(table: SentenceVectorTable, stream: IO[str]) -> None:
-    for sid, vec in table.entries.items():
-        comps = " ".join(format(x, ".17g") for x in vec)
-        stream.write(f"{sid}\t{comps}\n")
+def save_sentence_vector_table(table: VectorTable, stream: IO[str]) -> None:
+    for sid, vec in zip(table.keys, table.vectors):
+        stream.write(f"{sid}\t{_components(vec)}\n")
 
 
 def _is_punct_only(token: str) -> bool:

@@ -21,8 +21,7 @@ from . import aggregate, probe, tasks as tasks_mod
 from .errors import ConfigError
 from .lexicon import (
     FrequencyTable,
-    SentenceVectorTable,
-    WordVectorTable,
+    VectorTable,
     load_frequency_table,
     load_sentence_vector_table,
     load_word_vectors,
@@ -33,6 +32,11 @@ from .metrics import EvalResult, accuracy, pearson
 from .report import ResultMatrix, line_plot_svg, matrix_to_csv, matrix_to_json, matrix_to_markdown
 
 TASK_KINDS = ("classification", "entailment", "relatedness")
+SYNTHETIC_KEYS = {  # task kind -> keys its synthetic generator takes
+    "classification": {"classes", "items", "vocab_per_class", "seed", "dim"},
+    "entailment": {"pairs", "dim", "seed"},
+    "relatedness": {"pairs", "dim", "seed"},
+}
 STRATEGY_NAMES = ("mean", "sif", "mean_max")
 FORMATS = ("csv", "json", "md", "svg")
 RELATEDNESS_BINS = 5
@@ -51,6 +55,11 @@ class TaskSpec:
             raise ConfigError(f"task {self.name!r}: unknown kind {self.kind!r}")
         if (self.path is None) == (self.synthetic is None):
             raise ConfigError(f"task {self.name!r}: exactly one of path/synthetic required")
+        unknown = sorted(set(self.synthetic or ()) - SYNTHETIC_KEYS[self.kind])
+        if unknown:
+            raise ConfigError(
+                f"task {self.name!r}: unknown synthetic key(s): {', '.join(unknown)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -141,8 +150,11 @@ def load_config(path: str) -> RunConfig:
 
 
 def stable_seed(base: int, *labels: str) -> int:
-    """Deterministic per-cell seed derived from the run seed and string labels."""
-    h = zlib.crc32("|".join(labels).encode("utf-8"))
+    """Deterministic per-cell seed derived from the run seed and string labels.
+    Labels are joined with ``|`` after escaping ``\\`` and ``|``, so distinct
+    label tuples hash distinct strings."""
+    escaped = (label.replace("\\", "\\\\").replace("|", "\\|") for label in labels)
+    h = zlib.crc32("|".join(escaped).encode("utf-8"))
     return (base * 1_000_003 + h) % (2**31)
 
 
@@ -187,7 +199,7 @@ def _read(path: str, loader):
 
 def _resolve_lexicon(
     method: MethodSpec, task, synthetic_table, cfg: RunConfig, dim: int | None, read
-) -> WordVectorTable:
+) -> VectorTable:
     if method.lexicon == "random":
         d = dim if dim is not None else method.dim
         return random_table(
@@ -250,7 +262,7 @@ def sentence_matrix(
     task,
     method: MethodSpec,
     cfg: RunConfig,
-    synthetic_table: WordVectorTable | None = None,
+    synthetic_table: VectorTable | None = None,
     dim: int | None = None,
     read=_read,
 ) -> np.ndarray:
@@ -260,15 +272,13 @@ def sentence_matrix(
     sentences = _corpus_sentences(task)
     if method.sentence_vectors is not None:
         table = read(method.sentence_vectors, load_sentence_vector_table)
-        rows = []
-        for sid in _sentence_ids(task):
-            vec = table.entries.get(sid)
-            if vec is None:
-                raise ConfigError(
-                    f"method {method.name!r}: sentence id {sid!r} missing from {method.sentence_vectors}"
-                )
-            rows.append(vec)
-        return np.stack(rows)
+        try:
+            return table.vectors[[table.row[sid] for sid in _sentence_ids(task)]]
+        except KeyError as exc:
+            raise ConfigError(
+                f"method {method.name!r}: sentence id {exc.args[0]!r} missing from "
+                f"{method.sentence_vectors}"
+            ) from None
     lex = _resolve_lexicon(method, task, synthetic_table, cfg, dim, read)
     strat = _strategy_for(method, task, read)
     fit_rows = None
@@ -291,7 +301,7 @@ def run_task(
     method: MethodSpec,
     cfg: RunConfig,
     kind: str,
-    synthetic_table: WordVectorTable | None = None,
+    synthetic_table: VectorTable | None = None,
     dim: int | None = None,
     read=_read,
 ) -> EvalResult:
@@ -338,12 +348,17 @@ def _measure_for(kind: str) -> str:
     return "pearson" if kind == "relatedness" else "accuracy"
 
 
-def run_matrix(cfg: RunConfig, workers: int = 1, dim: int | None = None) -> ResultMatrix:
+def run_matrix(
+    cfg: RunConfig, workers: int = 1, dim: int | None = None, file_tasks: dict | None = None
+) -> ResultMatrix:
     """Evaluate every method on every task. Cells are independent and may run
     in parallel; results do not depend on the worker count. Each input file
-    is parsed once, by the first cell that needs it. Any cell failure aborts
-    the whole run with an error naming the cell."""
-    loaded = [(spec, *load_task(spec, cfg, dim)) for spec in cfg.tasks]
+    is parsed once, by the first cell that needs it. ``file_tasks`` maps task
+    names to ``load_task`` results that a sweep shares across dims; other
+    tasks are loaded here. Any cell failure aborts the whole run with an error
+    naming the cell."""
+    preloaded = file_tasks or {}
+    loaded = [(spec, *(preloaded.get(spec.name) or load_task(spec, cfg, dim))) for spec in cfg.tasks]
     lock, parsed = threading.Lock(), {}
 
     def read(path, loader):
@@ -407,12 +422,14 @@ def run_metadata(cfg: RunConfig, dims: Sequence[int] | None = None) -> dict:
 def run_and_write(
     cfg: RunConfig, dims: Sequence[int] | None = None, workers: int = 1
 ) -> list[ResultMatrix]:
-    """Run the matrix once per dim, or once with no dim for `eval`, then write
+    """Run the matrix once per dim, or once with no dim for `eval`, loading
+    each task file once for all dims, then write
     ``results{suffix}.{csv,json,md}`` (suffix ``-dim<d>``, empty for `eval`),
     a per-task SVG plot of score vs dim when dims are given, and
     ``run-metadata.json``."""
     runs = list(dims) if dims else [None]
-    matrices = [run_matrix(cfg, workers=workers, dim=d) for d in runs]
+    file_tasks = {s.name: load_task(s, cfg) for s in cfg.tasks if s.path is not None}
+    matrices = [run_matrix(cfg, workers, d, file_tasks) for d in runs]
     renderers = {"csv": matrix_to_csv, "json": matrix_to_json, "md": matrix_to_markdown}
     os.makedirs(cfg.output_dir, exist_ok=True)
 
@@ -466,8 +483,7 @@ def export_sentence_vectors(
         raise ConfigError(f"no method named {method_name!r}")
     task, table = load_task(spec, cfg)
     S = sentence_matrix(task, method, cfg, table)
-    entries = dict(zip(_sentence_ids(task), S))
-    save_sentence_vector_table(SentenceVectorTable(dim=S.shape[1], entries=entries), stream)
+    save_sentence_vector_table(VectorTable(_sentence_ids(task), S), stream)
     return S.shape[0]
 
 

@@ -16,7 +16,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import ParseError
-from .lexicon import WordVectorTable, tokenize
+from .lexicon import VectorTable, tokenize
 
 SPLIT_NAMES = ("train", "dev", "test")
 ENTAILMENT_LABELS = ("entailment", "neutral", "contradiction")
@@ -221,7 +221,7 @@ def split(task, ratios: tuple[float, float, float] = DEFAULT_RATIOS, seed: int =
 
 def synthetic_classification(
     K: int, n: int, vocab_per_class: int, seed: int, dim: int = 16
-) -> tuple[ClassificationTask, WordVectorTable]:
+) -> tuple[ClassificationTask, VectorTable]:
     """Desk-scale classification oracle: each class owns a disjoint word set
     clustered tightly around its own centroid, so mean pooling separates the
     classes by construction. Splits use the default ratios and the same seed."""
@@ -230,13 +230,9 @@ def synthetic_classification(
     rng = np.random.default_rng(seed)
     centroids = rng.standard_normal((K, dim))
     centroids = 3.0 * centroids / np.linalg.norm(centroids, axis=1, keepdims=True)
-    entries: dict[str, np.ndarray] = {}
-    class_words: list[list[str]] = []
-    for k in range(K):
-        words = [f"w{k}_{j}" for j in range(vocab_per_class)]
-        class_words.append(words)
-        for w in words:
-            entries[w] = centroids[k] + 0.3 * rng.standard_normal(dim)
+    class_words = [[f"w{k}_{j}" for j in range(vocab_per_class)] for k in range(K)]
+    vectors = np.repeat(centroids, vocab_per_class, axis=0)
+    vectors += 0.3 * rng.standard_normal(vectors.shape)
     items = []
     for i in range(n):
         k = i % K
@@ -248,10 +244,11 @@ def synthetic_classification(
         label_set=tuple(f"c{k}" for k in range(K)),
         items=tuple(items),
     )
-    return split(task, seed=seed), WordVectorTable(dim=dim, entries=entries)
+    table = VectorTable([w for words in class_words for w in words], vectors)
+    return split(task, seed=seed), table
 
 
-def synthetic_relatedness(n: int, d: int, seed: int) -> tuple[PairTask, WordVectorTable]:
+def synthetic_relatedness(n: int, d: int, seed: int) -> tuple[PairTask, VectorTable]:
     """Desk-scale relatedness oracle over a shared random lexicon. Gold
     relatedness is 1 + 4 * (token Jaccard overlap), rounded to 0.1; entailment
     labels come from overlap thresholds (>= 0.7 entailment, <= 0.1
@@ -266,10 +263,7 @@ def synthetic_relatedness(n: int, d: int, seed: int) -> tuple[PairTask, WordVect
     half = len(vocab) // 2
     axis = rng.standard_normal(d)
     axis /= np.linalg.norm(axis)
-    entries = {
-        w: (1.0 if j < half else -1.0) * axis + 0.05 * rng.standard_normal(d)
-        for j, w in enumerate(vocab)
-    }
+    vectors = np.repeat([axis, -axis], half, axis=0) + 0.05 * rng.standard_normal((len(vocab), d))
     clusters = (vocab[:half], vocab[half:])
     k = 8  # tokens per sentence
     items = []
@@ -298,4 +292,4 @@ def synthetic_relatedness(n: int, d: int, seed: int) -> tuple[PairTask, WordVect
             )
         )
     task = PairTask(name="synthetic-relatedness", items=tuple(items))
-    return split(task, seed=seed), WordVectorTable(dim=d, entries=entries)
+    return split(task, seed=seed), VectorTable(vocab, vectors)

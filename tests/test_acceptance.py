@@ -27,7 +27,7 @@ from sentbench.aggregate import (
     sif_weighted_mean,
 )
 from sentbench.errors import DegenerateInputError
-from sentbench.lexicon import FrequencyTable, WordVectorTable, random_table
+from sentbench.lexicon import FrequencyTable, VectorTable, random_table
 from sentbench.metrics import accuracy, majority_baseline, pearson
 from sentbench.runner import dim_sweep, load_config, load_task, sentence_matrix
 from sentbench.tasks import synthetic_classification, synthetic_relatedness
@@ -89,8 +89,8 @@ def test_2_sif_formulas(criterion):
 
     rng = np.random.default_rng(7)
     direction = rng.standard_normal(5)
-    table = WordVectorTable(
-        dim=5, entries={f"w{i}": float(i + 1) * direction for i in range(4)}
+    table = VectorTable(
+        [f"w{i}" for i in range(4)], [float(i + 1) * direction for i in range(4)]
     )
     corpus = [("w0", "w1"), ("w2",), ("w1", "w3"), ("w0",)]
     strat = Sif(freq=FrequencyTable(counts={f"w{i}": 1 for i in range(4)}, total=8))

@@ -15,7 +15,12 @@ from sentbench.aggregate import (
     sif_weight,
     sif_weighted_mean,
 )
-from sentbench.lexicon import FrequencyTable, WordVectorTable, sentence_token_vectors
+from sentbench.lexicon import FrequencyTable, VectorTable, random_table, sentence_token_vectors
+
+
+def table_of(entries):
+    """A VectorTable from a word -> vector dict."""
+    return VectorTable(list(entries), list(entries.values()))
 
 
 def top_eig_oracle(M):
@@ -206,9 +211,7 @@ class TestRemoveCommonComponent:
 
 
 class TestEmbedCorpus:
-    TABLE = WordVectorTable(
-        dim=2, entries={"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
-    )
+    TABLE = table_of({"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
 
     def test_mean_composition(self):
         out = embed_corpus([("a", "b"), ("a",)], self.TABLE, Mean())
@@ -223,17 +226,43 @@ class TestEmbedCorpus:
         assert np.array_equal(out[0], [0, 0])
 
     def test_sif_rank_one_corpus_collapses(self):
-        table = WordVectorTable(dim=3, entries={"x": np.array([1.0, 2.0, 2.0])})
+        table = table_of({"x": np.array([1.0, 2.0, 2.0])})
         strat = Sif(freq=FrequencyTable(counts={"x": 1}, total=2))
         out = embed_corpus([("x",), ("x", "x"), ("x",)], table, strat, fit_rows=[0, 1, 2])
         assert np.abs(out).max() < 1e-9
 
     def test_zero_vector_rejected_only_when_used(self):
-        table = WordVectorTable(dim=2, entries={"a": np.array([1.0, 0.0]), "z": np.zeros(2)})
+        table = table_of({"a": np.array([1.0, 0.0]), "z": np.zeros(2)})
         assert np.allclose(embed_corpus([("a",)], table, Mean()), [[1, 0]])
         assert np.array_equal(embed_corpus([("z",)], table, Mean(), normalize_tokens=False), [[0, 0]])
         with pytest.raises(ValueError, match="zero vector"):
             embed_corpus([("a", "z")], table, MeanMaxConcat())
+
+    def test_rows_whose_squares_under_or_overflow(self):
+        table = table_of({
+            "huge": np.array([3e200, 4e200]),
+            "small": np.array([3e-170, 4e-170]),
+            "least": np.array([5e-324, 0.0]),
+            "mixed": np.array([1e200, 5e-324]),
+        })
+        out = embed_corpus([("huge",), ("small",), ("least",), ("mixed",)], table, Mean())
+        assert np.allclose(out, [[0.6, 0.8], [0.6, 0.8], [1, 0], [1, 0]], rtol=0, atol=1e-15)
+        with pytest.raises(ValueError, match="zero vector"):
+            embed_corpus([("huge", "z")], table_of({"huge": np.ones(2), "z": np.zeros(2)}), Mean())
+
+    def test_table_matrix_left_unchanged(self):
+        table = random_table([f"w{i}" for i in range(12)], 5, seed=2)
+        before = table.vectors.copy()
+        sents = [("w0", "w3", "w3"), ("w1", "oov"), (), ("w2", "w5", "w7", "w11")]
+        freq = FrequencyTable(counts={f"w{i}": i for i in range(12)}, total=100)
+        for strat in (Mean(), MeanMaxConcat(), Sif(freq=freq, a=0.01)):
+            for normalize in (True, False):
+                first = embed_corpus(sents, table, strat, [0, 1, 3], normalize_tokens=normalize)
+                again = embed_corpus(sents, table, strat, [0, 1, 3], normalize_tokens=normalize)
+                assert np.array_equal(first, again)
+        assert np.array_equal(table.vectors, before)
+        with pytest.raises(ValueError, match="read-only"):
+            table.vectors[0, 0] = 1.0
 
     def test_sif_requires_fit_rows(self):
         strat = Sif(freq=FrequencyTable(counts={"a": 1}, total=2))
@@ -243,7 +272,7 @@ class TestEmbedCorpus:
     def test_sif_component_fitted_on_train_only(self):
         rng = np.random.default_rng(3)
         words = {f"w{i}": rng.standard_normal(4) for i in range(10)}
-        table = WordVectorTable(dim=4, entries=words)
+        table = table_of(words)
         sents = [tuple(rng.choice(list(words), 3)) for _ in range(8)]
         strat = Sif(freq=FrequencyTable(counts={w: 1 for w in words}, total=20))
         out_a = embed_corpus(sents, table, strat, fit_rows=[0, 1, 2, 3])
@@ -268,7 +297,7 @@ class TestEmbedCorpusMatchesOracles:
            st.booleans())
     def test_pooling_strategies(self, vecs, sents, strat_and_oracle, normalize):
         strat, oracle = strat_and_oracle
-        table = WordVectorTable(dim=3, entries=dict(zip(VOCAB, vecs)))
+        table = VectorTable(VOCAB, vecs)
         out = embed_corpus(sents, table, strat, normalize_tokens=normalize)
         expected = [oracle(sentence_token_vectors(table, s, normalize), 3) for s in sents]
         assert out.shape == (len(sents), len(expected[0]))
@@ -279,7 +308,7 @@ class TestEmbedCorpusMatchesOracles:
         rng = np.random.default_rng(8)
         shared = 3.0 * rng.standard_normal(6)  # a dominant common direction
         words = {f"w{i}": shared + rng.standard_normal(6) for i in range(30)}
-        table = WordVectorTable(dim=6, entries=words)
+        table = table_of(words)
         freq = FrequencyTable(counts={f"w{i}": i for i in range(30)}, total=500)
         sents = [tuple(rng.choice(list(words), int(rng.integers(1, 8)))) for _ in range(60)]
         sents[5] = ()
@@ -290,10 +319,10 @@ class TestEmbedCorpusMatchesOracles:
 
         unfitted = np.array([
             sif_weighted_mean(
-                [t for t in s if t in table],
+                [t for t in s if t in table.row],
                 sentence_token_vectors(table, s, normalize),
                 strat,
-            ) if any(t in table for t in s) else np.zeros(6)
+            ) if any(t in table.row for t in s) else np.zeros(6)
             for s in sents
         ])
         w, _ = np.linalg.eigh(unfitted[fit_rows].T @ unfitted[fit_rows])

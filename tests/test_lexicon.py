@@ -1,4 +1,6 @@
 import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -7,12 +9,13 @@ from hypothesis import given, strategies as st
 from sentbench.errors import ParseError
 from sentbench.lexicon import (
     FrequencyTable,
-    WordVectorTable,
+    VectorTable,
     load_frequency_table,
     load_sentence_vector_table,
     load_word_vectors,
     normalize,
     random_table,
+    save_sentence_vector_table,
     sentence_token_vectors,
     serialize_word_vectors,
     tokenize,
@@ -20,16 +23,36 @@ from sentbench.lexicon import (
 )
 
 
+class TestVectorTable:
+    def test_rows_follow_keys(self):
+        table = VectorTable(["b", "a"], [[1.0, 2.0], [3.0, 4.0]])
+        assert table.keys == ("b", "a") and table.dim == 2
+        assert table.row == {"b": 0, "a": 1}
+        assert np.array_equal(table.vectors[table.row["a"]], [3, 4])
+
+    @pytest.mark.parametrize("keys, vectors, message", [
+        (["a", "b"], [[1.0]], "one row per key"),
+        (["a"], [1.0], "one row per key"),
+        (["a"], np.zeros((1, 0)), "dim must be positive"),
+        (["a", "a"], [[1.0], [2.0]], "unique"),
+        (["a"], [[np.nan]], "finite"),
+        (["a"], [[np.inf]], "finite"),
+    ])
+    def test_rejects_malformed_input(self, keys, vectors, message):
+        with pytest.raises(ValueError, match=message):
+            VectorTable(keys, vectors)
+
+
 class TestLoadWordVectors:
     def test_header_file(self):
         table = load_word_vectors(io.StringIO("2 3\nkot 1 0 0\npies 0 1 0"))
         assert table.dim == 3
-        assert len(table) == 2
-        assert np.allclose(table.get("kot"), [1, 0, 0])
+        assert table.keys == ("kot", "pies")
+        assert np.allclose(table.vectors[table.row["kot"]], [1, 0, 0])
 
     def test_headerless_glove_style(self):
         table = load_word_vectors(io.StringIO("kot 1 0 0\npies 0 1 0"))
-        assert table.dim == 3 and len(table) == 2
+        assert table.dim == 3 and len(table.keys) == 2
 
     def test_dimension_mismatch_names_line(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -45,7 +68,8 @@ class TestLoadWordVectors:
 
     def test_duplicates_keep_first(self):
         table = load_word_vectors(io.StringIO("kot 1 0\nkot 0 1"))
-        assert np.allclose(table.get("kot"), [1, 0])
+        assert table.keys == ("kot",)
+        assert np.allclose(table.vectors, [[1, 0]])
         assert table.duplicates == 1
 
     def test_expected_dim_enforced(self):
@@ -54,13 +78,17 @@ class TestLoadWordVectors:
 
     def test_crlf_accepted(self):
         table = load_word_vectors(io.StringIO("kot 1 0\r\npies 0 1\r\n"))
-        assert len(table) == 2
+        assert len(table.keys) == 2
 
     def test_word2vec_trailing_space_and_space_runs(self):
         table = load_word_vectors(io.StringIO("2 3 \nkot 1 0 0 \npies  0 1   0\t\r\n"))
-        assert table.dim == 3 and len(table) == 2
-        assert np.array_equal(table.get("kot"), [1, 0, 0])
-        assert np.array_equal(table.get("pies"), [0, 1, 0])
+        assert table.keys == ("kot", "pies")
+        assert np.array_equal(table.vectors, [[1, 0, 0], [0, 1, 0]])
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_component_names_line(self, bad):
+        with pytest.raises(ParseError, match="line 3: non-finite"):
+            load_word_vectors(io.StringIO(f"2 2\nkot 1 0\npies 0 {bad}\n"))
 
     def test_header_with_trailing_space_still_checked(self):
         with pytest.raises(ParseError, match="header dim 3"):
@@ -68,14 +96,12 @@ class TestLoadWordVectors:
 
     def test_serialize_roundtrip_identity(self):
         rng = np.random.default_rng(4)
-        table = WordVectorTable(dim=5, entries={f"w{i}": rng.standard_normal(5) for i in range(7)})
+        table = VectorTable([f"w{i}" for i in range(7)], rng.standard_normal((7, 5)))
         buf = io.StringIO()
         serialize_word_vectors(table, buf)
         back = load_word_vectors(io.StringIO(buf.getvalue()))
-        assert back.dim == table.dim
-        assert set(back.entries) == set(table.entries)
-        for w in table.entries:
-            assert np.array_equal(back.get(w), table.get(w))
+        assert back.keys == table.keys
+        assert np.array_equal(back.vectors, table.vectors)
 
 
 class TestFrequencyTable:
@@ -110,13 +136,13 @@ class TestRandomTable:
     def test_deterministic(self):
         t1 = random_table(["a", "b"], 4, seed=7)
         t2 = random_table(["a", "b"], 4, seed=7)
-        for w in ("a", "b"):
-            assert np.array_equal(t1.get(w), t2.get(w))
+        assert t1.keys == t2.keys == ("a", "b")
+        assert np.array_equal(t1.vectors, t2.vectors)
 
     def test_seed_changes_vectors(self):
         t1 = random_table(["a"], 4, seed=7)
         t2 = random_table(["a"], 4, seed=8)
-        assert not np.array_equal(t1.get("a"), t2.get("a"))
+        assert not np.array_equal(t1.vectors, t2.vectors)
 
     def test_empty_vocab_rejected(self):
         with pytest.raises(ValueError):
@@ -138,10 +164,19 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize(np.zeros(2))
 
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
+    @pytest.mark.parametrize("x", [1e200, 1.7e308, 1e-170, 5.465066115431133e-160, 5e-324])
+    def test_norm_outside_the_squarable_range(self, x):
+        assert np.array_equal(normalize(np.array([x, -0.0])), [1.0, 0.0])
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-170])
+    def test_three_four_five_at_extreme_scales(self, scale):
+        out = normalize(np.array([3.0, 4.0]) * scale)
+        assert np.allclose(out, [0.6, 0.8], rtol=0, atol=1e-15)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
     def test_idempotent(self, comps):
         v = np.array(comps)
-        if np.linalg.norm(v) == 0:
+        if not np.any(v):
             return
         once = normalize(v)
         assert np.linalg.norm(once) == pytest.approx(1.0, abs=1e-9)
@@ -149,7 +184,7 @@ class TestNormalize:
 
 
 class TestSentenceTokenVectors:
-    TABLE = WordVectorTable(dim=2, entries={"kot": np.array([3.0, 4.0])})
+    TABLE = VectorTable(["kot"], [[3.0, 4.0]])
 
     def test_normalized_lookup(self):
         vs = sentence_token_vectors(self.TABLE, ["kot"], do_normalize=True)
@@ -167,16 +202,20 @@ class TestSentenceTokenVectors:
 class TestSentenceVectorTable:
     def test_load(self):
         table = load_sentence_vector_table(io.StringIO("s1\t1 0\ns2\t0 1"))
-        assert table.dim == 2 and len(table) == 2
+        assert table.dim == 2 and table.keys == ("s1", "s2")
 
     def test_trailing_space_and_space_runs(self):
         table = load_sentence_vector_table(io.StringIO("s1\t1  0 \ns2\t0 1\t\n"))
         assert table.dim == 2
-        assert np.array_equal(table.entries["s1"], [1, 0])
+        assert np.array_equal(table.vectors, [[1, 0], [0, 1]])
 
     def test_missing_components(self):
         with pytest.raises(ParseError, match="line 1"):
             load_sentence_vector_table(io.StringIO("s1\t \n"))
+
+    def test_non_finite_component_names_line(self):
+        with pytest.raises(ParseError, match="line 2: non-finite"):
+            load_sentence_vector_table(io.StringIO("s1\t1 0\ns2\tnan 1\n"))
 
     def test_duplicate_id(self):
         with pytest.raises(ParseError, match="duplicate"):
@@ -185,6 +224,48 @@ class TestSentenceVectorTable:
     def test_dim_error_names_line(self):
         with pytest.raises(ParseError, match="line 2"):
             load_sentence_vector_table(io.StringIO("s1\t1 0\ns2\t1"))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)  # subnormals included
+# The documented key formats: words hold no whitespace; ids hold no TAB, CR or LF.
+# Lone surrogates cannot be written as UTF-8.
+WORDS = st.text(st.characters(blacklist_categories=("Cs",)).filter(lambda c: not c.isspace()),
+                min_size=1)
+IDS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\r\n"))
+
+
+@st.composite
+def tables(draw, keys):
+    names = draw(st.lists(keys, min_size=1, max_size=6, unique=True))
+    d = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(FINITE, min_size=d, max_size=d),
+                         min_size=len(names), max_size=len(names)))
+    return VectorTable(names, rows)
+
+
+def file_roundtrip(table, save, load):
+    """Write with ``save`` and read back with ``load`` through a UTF-8 file,
+    opened as the CLI opens its files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "vectors.txt")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            save(table, fh)
+        with open(path, encoding="utf-8") as fh:
+            return load(fh)
+
+
+class TestVectorFileRoundTrip:
+    @given(tables(WORDS))
+    def test_word_vectors_with_header(self, table):
+        back = file_roundtrip(table, serialize_word_vectors, load_word_vectors)
+        assert back.keys == table.keys
+        assert np.array_equal(back.vectors, table.vectors)
+
+    @given(tables(IDS))
+    def test_sentence_vectors(self, table):
+        back = file_roundtrip(table, save_sentence_vector_table, load_sentence_vector_table)
+        assert back.keys == table.keys
+        assert np.array_equal(back.vectors, table.vectors)
 
 
 class TestTokenize:

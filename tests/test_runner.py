@@ -1,11 +1,12 @@
 import json
 import os
 import sys
+import zlib
 
 import numpy as np
 import pytest
 
-from sentbench import cli, runner
+from sentbench import cli, runner, tasks
 from sentbench.errors import ConfigError
 from sentbench.lexicon import (
     load_frequency_table,
@@ -95,6 +96,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="synthetc"):
             base_config(tasks=[{"name": "t", "synthetic": SYN_CLS, "synthetc": SYN_CLS}])
 
+    @pytest.mark.parametrize("kind, synthetic, bad", [
+        ("relatedness", {"items": 50, "itmes": 7}, "items, itmes"),
+        ("entailment", {"pairs": 50, "classes": 3}, "classes"),
+        ("classification", {"classes": 2, "pairs": 50}, "pairs"),
+    ])
+    def test_unknown_synthetic_key(self, kind, synthetic, bad):
+        with pytest.raises(ConfigError, match=f"unknown synthetic key\\(s\\): {bad}$"):
+            base_config(tasks=[{"name": "t", "kind": kind, "synthetic": synthetic}])
+
+    def test_every_documented_synthetic_key_accepted(self):
+        cfg = base_config(tasks=[
+            {"name": "c", "synthetic": dict(SYN_CLS)},
+            {"name": "r", "kind": "relatedness", "synthetic": dict(SYN_REL)},
+            {"name": "e", "kind": "entailment", "synthetic": dict(SYN_REL)},
+        ])
+        assert len(cfg.tasks) == 3
+
     @pytest.mark.parametrize("overrides", [
         {"sed": 3},
         {"output": {"dir": "out", "format": ["csv"]}},
@@ -122,6 +140,18 @@ class TestStableSeed:
     def test_range(self):
         for base in (0, 1, 2**20):
             assert 0 <= stable_seed(base, "x") < 2**31
+
+    def test_separator_in_a_label_does_not_collide(self):
+        tuples = [
+            ("a|b", "c"), ("a", "b|c"), ("a", "b", "c"), ("a|b|c",),
+            ("a\\", "b"), ("a\\|b",), ("a", "\\b"), ("a\\\\", "b"), ("a\\", "|b"),
+        ]
+        assert len({stable_seed(0, *labels) for labels in tuples}) == len(tuples)
+
+    def test_plain_labels_hash_their_joined_text(self):
+        # names without a backslash or `|` keep the seeds, and so the results, they always had
+        expected = (7 * 1_000_003 + zlib.crc32(b"clustered-mean|synthetic-relatedness")) % 2**31
+        assert stable_seed(7, "clustered-mean", "synthetic-relatedness") == expected
 
 
 class TestLoadTask:
@@ -352,7 +382,7 @@ class TestSifAndSentenceVectors:
             n = export_sentence_vectors(cfg, "rel", "clustered-mean", fh)
         assert n == 240
         table = load_sentence_vector_table(open(out, encoding="utf-8"))
-        assert "p0000_A" in table.entries and "p0000_B" in table.entries
+        assert "p0000_A" in table.row and "p0000_B" in table.row
 
 
 class TestSweep:
@@ -366,6 +396,27 @@ class TestSweep:
     def test_sweep_rejects_empty_dims(self):
         with pytest.raises(ConfigError):
             dim_sweep(base_config(), [])
+
+    def test_file_task_loaded_once_per_sweep(self, tmp_path, monkeypatch):
+        p = tmp_path / "cls.tsv"
+        p.write_text("\n".join(f"{'ab'[i % 2]}\tw{i % 7} w{i % 5}" for i in range(40)),
+                     encoding="utf-8")
+        cfg = base_config(
+            tasks=[{"name": "file-cls", "path": str(p)}],
+            methods=[{"name": "rand", "lexicon": "random", "dim": 4}],
+            output={"dir": str(tmp_path / "out"), "formats": ["csv"]},
+        )
+        calls = []
+
+        def counting_load(stream, *args, **kwargs):
+            calls.append(stream.name)
+            return load_classification_tsv(stream, *args, **kwargs)
+
+        load_classification_tsv = tasks.load_classification_tsv
+        monkeypatch.setattr(tasks, "load_classification_tsv", counting_load)
+        matrices = dim_sweep(cfg, [4, 8, 16])
+        assert len(matrices) == 3
+        assert calls == [str(p)]
 
     def test_sweep_writes_per_dim_outputs_and_svg(self, tmp_path):
         cfg = base_config(
@@ -434,6 +485,16 @@ class TestCli:
         p.write_text(json.dumps(doc), encoding="utf-8")
         assert cli.main(["validate", "--config", str(p)]) == 1
         assert "file not found" in capsys.readouterr().err
+
+    def test_validate_reports_unknown_synthetic_key(self, tmp_path, capsys):
+        doc = {
+            "tasks": [{"name": "t", "kind": "relatedness", "synthetic": {"itmes": 7}}],
+            "methods": [{"name": "m", "lexicon": "synthetic"}],
+        }
+        p = tmp_path / "typo.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["validate", "--config", str(p)]) == 1
+        assert "unknown synthetic key(s): itmes" in capsys.readouterr().err
 
     def test_malformed_json_exit_1(self, tmp_path, capsys):
         p = tmp_path / "broken.json"

@@ -194,7 +194,7 @@ class TestSyntheticClassification:
         assert task.label_set == ("c0", "c1", "c2")
         assert len(task.items) == 30
         assert table.dim == 8
-        assert len(table) == 15
+        assert len(table.keys) == 15
 
     def test_class_word_sets_disjoint(self):
         task, table = synthetic_classification(2, 20, 4, seed=1)
@@ -211,8 +211,8 @@ class TestSyntheticClassification:
         t1, tab1 = synthetic_classification(2, 20, 4, seed=5)
         t2, tab2 = synthetic_classification(2, 20, 4, seed=5)
         assert t1.items == t2.items and t1.splits == t2.splits
-        for w in tab1.entries:
-            assert np.array_equal(tab1.get(w), tab2.get(w))
+        assert tab1.keys == tab2.keys
+        assert np.array_equal(tab1.vectors, tab2.vectors)
 
     def test_splits_assigned(self):
         task, _ = synthetic_classification(2, 100, 4, seed=5)
@@ -230,7 +230,7 @@ class TestSyntheticRelatedness:
         task, table = synthetic_relatedness(50, 12, seed=2)
         assert len(task.items) == 50
         assert table.dim == 12
-        assert len(table) == 60
+        assert len(table.keys) == 60
 
     def test_scores_consistent_with_overlap(self):
         task, _ = synthetic_relatedness(200, 8, seed=4)
