@@ -6,7 +6,8 @@ Verbs:
   embed     export sentence vectors for one task/method pair as TSV
   validate  dry-run a config: schema plus referenced-file checks
 
-Exit codes: 0 success, 1 validation/config error, 2 runtime error.
+Exit codes: 0 success, 1 validation/config error, 2 runtime error. A
+failed cell counts by its cause: a bad config or input file exits 1.
 """
 
 from __future__ import annotations
@@ -92,10 +93,11 @@ def main(argv: list[str] | None = None) -> int:
             n = runner.export_sentence_vectors(cfg, args.task, args.method, fh)
         print(f"wrote {n} sentence vectors to {args.out}")
         return 0
-    except (ConfigError, ParseError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
+        cause = exc.__cause__ if isinstance(exc, RuntimeError) else exc  # a cell's failure
+        if isinstance(cause, (ConfigError, ParseError, FileNotFoundError)):
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

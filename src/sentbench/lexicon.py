@@ -119,11 +119,13 @@ def load_word_vectors(stream: IO[str], expected_dim: int | None = None) -> Vecto
     spaces; trailing whitespace is ignored.
 
     A first line consisting of exactly two integer tokens is treated as a
-    ``count dim`` header. Otherwise the dimensionality is ``expected_dim`` or
-    the token count of the first data line. Duplicate words keep the first
-    occurrence; the number of dropped duplicates is recorded on the table.
+    ``count dim`` header, and the file must then hold ``count`` vector lines
+    (dropped duplicates included), so a truncated file is an error. Otherwise
+    the dimensionality is ``expected_dim`` or the token count of the first
+    data line. Duplicate words keep the first occurrence; the number of
+    dropped duplicates is recorded on the table.
     """
-    dim = expected_dim
+    dim, count = expected_dim, None
     words: list[str] = []
     seen: set[str] = set()
     flat, lines = array("d"), []
@@ -140,7 +142,7 @@ def load_word_vectors(stream: IO[str], expected_dim: int | None = None) -> Vecto
                 raise ParseError(
                     f"header dim {header_dim} != expected dim {expected_dim}", lineno
                 )
-            dim = header_dim
+            count, dim = int(parts[0]), header_dim
             continue
         word, comps = parts[0], parts[1:]
         if dim is None:
@@ -156,6 +158,8 @@ def load_word_vectors(stream: IO[str], expected_dim: int | None = None) -> Vecto
         lines.append(lineno)
     if not words:
         raise ParseError("no word vectors found in input")
+    if count is not None and count != len(words) + duplicates:
+        raise ParseError(f"header announces {count} vectors, found {len(words) + duplicates}")
     return _parsed_table(words, flat, dim, lines, duplicates)
 
 

@@ -3,8 +3,6 @@ line plots. All output is deterministic (no timestamps, fixed float formats)."""
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,15 +36,20 @@ def format_value(res: EvalResult) -> str:
     return f"{res.value:.3f}"
 
 
+def _csv_field(text: str) -> str:
+    # RFC 4180 quoting. The csv module, given "\n" line ends, leaves a lone "\r" unquoted.
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def matrix_to_csv(matrix: ResultMatrix) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["method", "task", "measure", "value", "n"])
+    rows = [("method", "task", "measure", "value", "n")]
     for m in matrix.methods:
         for t in matrix.tasks:
             res = matrix.get(m, t)
-            writer.writerow([m, t, res.measure, f"{res.value:.6f}", res.n])
-    return out.getvalue()
+            rows.append((m, t, res.measure, f"{res.value:.6f}", str(res.n)))
+    return "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
 
 
 def matrix_to_json(matrix: ResultMatrix) -> str:

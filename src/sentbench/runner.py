@@ -7,10 +7,12 @@ README.md, sections "Run configuration" and "File formats".
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import threading
 import zlib
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import IO, Sequence
@@ -18,7 +20,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import aggregate, probe, tasks as tasks_mod
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .lexicon import (
     FrequencyTable,
     VectorTable,
@@ -32,11 +34,6 @@ from .metrics import EvalResult, accuracy, pearson
 from .report import ResultMatrix, line_plot_svg, matrix_to_csv, matrix_to_json, matrix_to_markdown
 
 TASK_KINDS = ("classification", "entailment", "relatedness")
-SYNTHETIC_KEYS = {  # task kind -> keys its synthetic generator takes
-    "classification": {"classes", "items", "vocab_per_class", "seed", "dim"},
-    "entailment": {"pairs", "dim", "seed"},
-    "relatedness": {"pairs", "dim", "seed"},
-}
 STRATEGY_NAMES = ("mean", "sif", "mean_max")
 FORMATS = ("csv", "json", "md", "svg")
 RELATEDNESS_BINS = 5
@@ -55,7 +52,8 @@ class TaskSpec:
             raise ConfigError(f"task {self.name!r}: unknown kind {self.kind!r}")
         if (self.path is None) == (self.synthetic is None):
             raise ConfigError(f"task {self.name!r}: exactly one of path/synthetic required")
-        unknown = sorted(set(self.synthetic or ()) - SYNTHETIC_KEYS[self.kind])
+        keys = inspect.signature(_generator(self.kind)).parameters
+        unknown = sorted(set(self.synthetic or ()) - set(keys))
         if unknown:
             raise ConfigError(
                 f"task {self.name!r}: unknown synthetic key(s): {', '.join(unknown)}"
@@ -158,36 +156,37 @@ def stable_seed(base: int, *labels: str) -> int:
     return (base * 1_000_003 + h) % (2**31)
 
 
+def _generator(kind: str):
+    """The synthetic generator of a task kind. Its keyword parameters, with
+    their defaults, are the keys a ``synthetic`` block may set."""
+    if kind == "classification":
+        return tasks_mod.synthetic_classification
+    return tasks_mod.synthetic_relatedness
+
+
 def load_task(spec: TaskSpec, cfg: RunConfig, dim: int | None = None):
-    """Resolve a task spec to (task object, lexicon-or-None). Synthetic tasks
-    carry their own generated lexicon and are parametric in the vector dim,
-    which a sweep overrides; file tasks have no lexicon."""
-    if spec.synthetic is not None:
-        syn = spec.synthetic
-        d = dim if dim is not None else syn.get("dim", 16)
-        if spec.kind == "classification":
-            task, table = tasks_mod.synthetic_classification(
-                K=syn.get("classes", 2),
-                n=syn.get("items", 200),
-                vocab_per_class=syn.get("vocab_per_class", 20),
-                seed=syn.get("seed", cfg.seed),
-                dim=d,
-            )
-        else:
-            task, table = tasks_mod.synthetic_relatedness(
-                n=syn.get("pairs", 300), d=d, seed=syn.get("seed", cfg.seed)
-            )
-        task = replace(task, name=spec.name)
-        return task, table
-    with open(spec.path, encoding="utf-8") as fh:
-        if spec.kind == "classification":
-            task = tasks_mod.load_classification_tsv(fh, label_set=spec.label_set, name=spec.name)
-        else:
-            task = replace(tasks_mod.load_sick_tsv(fh), name=spec.name)
-    covered = sum(len(v) for v in task.splits.values())
-    if covered < len(task.items) or not task.splits.get("test"):
-        task = tasks_mod.split(task, cfg.split_ratios, seed=stable_seed(cfg.seed, spec.name))
-    return task, None
+    """Resolve a task spec to (task, lexicon-or-None). Synthetic tasks carry
+    their own generated lexicon and are parametric in the vector dim, which a
+    sweep overrides; file tasks have no lexicon. A task whose generator or
+    split rejects its parameters is a config error naming the task."""
+    try:
+        if spec.synthetic is not None:
+            dims = {} if dim is None else {"dim": dim}
+            task, table = _generator(spec.kind)(**{"seed": cfg.seed, **spec.synthetic, **dims})
+            return replace(task, name=spec.name), table
+        with open(spec.path, encoding="utf-8") as fh:
+            if spec.kind == "classification":
+                task = tasks_mod.load_classification_tsv(fh, spec.label_set, name=spec.name)
+            else:
+                task = tasks_mod.load_sick_tsv(fh, name=spec.name)
+        covered = sum(len(v) for v in task.splits.values())
+        if covered < len(task.labels) or not task.splits.get("test"):
+            task = tasks_mod.split(task, cfg.split_ratios, seed=stable_seed(cfg.seed, spec.name))
+        return task, None
+    except ParseError:
+        raise
+    except (TypeError, ValueError) as exc:  # e.g. "items": "200", or too few items to split
+        raise ConfigError(f"task {spec.name!r}: {exc}") from exc
 
 
 def _read(path: str, loader):
@@ -228,13 +227,8 @@ def _frequencies_for(method: MethodSpec, task, read):
     the task's training-split tokens."""
     if method.frequencies is not None:
         return read(method.frequencies, load_frequency_table)
-    counts: dict[str, int] = {}
-    train = task.splits.get("train", range(len(task.items)))
-    for i in train:
-        item = task.items[i]
-        toks = item.tokens_a + item.tokens_b if isinstance(item, tasks_mod.PairItem) else item[0]
-        for t in toks:
-            counts[t] = counts.get(t, 0) + 1
+    train = task.rows(task.splits.get("train", range(len(task.labels))))
+    counts = Counter(t for r in train for t in task.sentences[r])
     return FrequencyTable(counts=counts, total=max(1, sum(counts.values())))
 
 
@@ -246,18 +240,6 @@ def _strategy_for(method: MethodSpec, task, read) -> aggregate.AggregationStrate
     return aggregate.Sif(freq=_frequencies_for(method, task, read), a=method.sif_a)
 
 
-def _sentence_ids(task) -> list[str]:
-    if isinstance(task, tasks_mod.PairTask):
-        return [f"{it.id}_A" for it in task.items] + [f"{it.id}_B" for it in task.items]
-    return [str(i) for i in range(len(task.items))]
-
-
-def _corpus_sentences(task) -> list[tuple[str, ...]]:
-    if isinstance(task, tasks_mod.PairTask):
-        return [it.tokens_a for it in task.items] + [it.tokens_b for it in task.items]
-    return [toks for toks, _ in task.items]
-
-
 def sentence_matrix(
     task,
     method: MethodSpec,
@@ -266,14 +248,12 @@ def sentence_matrix(
     dim: int | None = None,
     read=_read,
 ) -> np.ndarray:
-    """Sentence vectors for every sentence of the task, in corpus order (for
-    pair tasks: all A sentences then all B sentences). ``read(path, loader)``
-    parses an input file."""
-    sentences = _corpus_sentences(task)
+    """Sentence vectors for every sentence of the task, in corpus order.
+    ``read(path, loader)`` parses an input file."""
     if method.sentence_vectors is not None:
         table = read(method.sentence_vectors, load_sentence_vector_table)
         try:
-            return table.vectors[[table.row[sid] for sid in _sentence_ids(task)]]
+            return table.vectors[[table.row[sid] for sid in task.sentence_ids()]]
         except KeyError as exc:
             raise ConfigError(
                 f"method {method.name!r}: sentence id {exc.args[0]!r} missing from "
@@ -283,16 +263,11 @@ def sentence_matrix(
     strat = _strategy_for(method, task, read)
     fit_rows = None
     if isinstance(strat, aggregate.Sif):
-        train = list(task.splits.get("train", []))
-        if not train:
+        if not task.splits.get("train"):
             raise ConfigError(f"task {task.name!r}: SIF needs a train split to fit on")
-        if isinstance(task, tasks_mod.PairTask):
-            n = len(task.items)
-            fit_rows = train + [i + n for i in train]
-        else:
-            fit_rows = train
+        fit_rows = task.rows(task.splits["train"])
     return aggregate.embed_corpus(
-        sentences, lex, strat, fit_rows=fit_rows, normalize_tokens=method.normalize
+        task.sentences, lex, strat, fit_rows=fit_rows, normalize_tokens=method.normalize
     )
 
 
@@ -306,8 +281,10 @@ def run_task(
     read=_read,
 ) -> EvalResult:
     """Embed, train the probe on the train split and evaluate on the test
-    split. Classification and entailment report accuracy; relatedness reports
-    the Pearson correlation of predicted vs gold scores."""
+    split. Classification and entailment report the accuracy of predicted
+    labels; relatedness reports the Pearson correlation of predicted vs gold
+    scores. Pair tasks are probed on ``|u - v| ++ u * v`` of their A and B
+    sentence vectors."""
     train_idx = task.splits.get("train", [])
     test_idx = task.splits.get("test", [])
     if not train_idx:
@@ -316,25 +293,18 @@ def run_task(
         raise ValueError(f"task {task.name!r} has an empty test split")
     S = sentence_matrix(task, method, cfg, synthetic_table, dim, read)
     probe_cfg = replace(cfg.probe, seed=stable_seed(cfg.seed, method.name, task.name))
-    if isinstance(task, tasks_mod.PairTask):
-        n = len(task.items)
-        X = probe.pair_features(S[:n], S[n:])
-    else:
-        X = S
+    X = S if task.pair_ids is None else probe.pair_features(*np.split(S, 2))
     if kind == "relatedness":
-        gold = np.array([it.relatedness for it in task.items])
+        gold = np.array(task.scores)
         model = probe.train_relatedness(X[train_idx], gold[train_idx], RELATEDNESS_BINS, probe_cfg)
         probs = probe.predict_proba(model, X[test_idx])
         preds = [probe.distribution_to_score(p) for p in probs]
         value = pearson(preds, gold[test_idx])
     else:
-        if kind == "entailment":
-            label_set = list(tasks_mod.ENTAILMENT_LABELS)
-            labels = np.array([label_set.index(it.entailment) for it in task.items])
-        else:
-            label_set = list(task.label_set)
-            labels = np.array([label_set.index(lab) for _, lab in task.items])
-        model = probe.train_classifier(X[train_idx], labels[train_idx], len(label_set), probe_cfg)
+        labels = np.array([task.label_set.index(lab) for lab in task.labels])
+        model = probe.train_classifier(
+            X[train_idx], labels[train_idx], len(task.label_set), probe_cfg
+        )
         probs = probe.predict_proba(model, X[test_idx])
         preds = probs.argmax(axis=1)
         value = accuracy(list(preds), list(labels[test_idx]))
@@ -483,7 +453,7 @@ def export_sentence_vectors(
         raise ConfigError(f"no method named {method_name!r}")
     task, table = load_task(spec, cfg)
     S = sentence_matrix(task, method, cfg, table)
-    save_sentence_vector_table(VectorTable(_sentence_ids(task), S), stream)
+    save_sentence_vector_table(VectorTable(task.sentence_ids(), S), stream)
     return S.shape[0]
 
 
@@ -491,10 +461,16 @@ def validate_config(cfg: RunConfig) -> list[str]:
     """The `validate` verb: dry-run checks. Returns a list of problems (empty
     when the config is runnable)."""
     problems = []
+    file_tasks = [t.name for t in cfg.tasks if t.path is not None]
     for t in cfg.tasks:
         if t.path is not None and not os.path.exists(t.path):
             problems.append(f"task {t.name!r}: file not found: {t.path}")
     for m in cfg.methods:
+        if m.lexicon == "synthetic" and file_tasks:
+            problems.append(
+                f"method {m.name!r}: lexicon 'synthetic' only works with synthetic tasks, "
+                f"not file task(s) {', '.join(map(repr, file_tasks))}"
+            )
         for path in (m.sentence_vectors, m.frequencies):
             if path is not None and not os.path.exists(path):
                 problems.append(f"method {m.name!r}: file not found: {path}")

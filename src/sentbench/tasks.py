@@ -1,5 +1,10 @@
 """Task datasets: loading, validation, splitting and synthetic generation.
 
+Every task is one ``Task``: its sentences in corpus order and one gold label
+per item, plus a relatedness score per pair for pair tasks. A task of n pairs
+holds 2n sentences: the n A sentences, then the n B sentences, so pair i owns
+rows i and n + i, with sentence ids ``<pair_ID>_A`` and ``<pair_ID>_B``.
+
 File formats (UTF-8, LF or CRLF):
   classification TSV  ``label<TAB>sentence[<TAB>train|dev|test]``
   pair TSV            header, then columns pair_ID, sentence_A, sentence_B,
@@ -24,62 +29,65 @@ DEFAULT_RATIOS = (0.8, 0.1, 0.1)
 
 
 @dataclass(frozen=True)
-class ClassificationTask:
+class Task:
+    """One task of any kind: one gold label per item, plus a relatedness
+    score per pair for pair tasks.
+
+    ``sentences`` holds every sentence once, in corpus order. A pair task
+    (``pair_ids`` set) holds its n A sentences, then its n B sentences, so
+    item i owns rows i and n + i; ``rows`` states that layout for the rest of
+    the program. A pair task's labels are its entailment judgments.
+    """
+
     name: str
+    sentences: tuple[tuple[str, ...], ...]
+    labels: tuple[str, ...]
     label_set: tuple[str, ...]
-    items: tuple[tuple[tuple[str, ...], str], ...]  # (tokens, label)
+    pair_ids: tuple[str, ...] | None = None
+    scores: tuple[float, ...] | None = None
     splits: dict[str, list[int]] = field(default_factory=dict)
 
     def __post_init__(self):
-        labels = set(self.label_set)
-        if len(labels) != len(self.label_set):
+        n = len(self.labels)
+        if len(set(self.label_set)) != len(self.label_set):
             raise ValueError("label_set contains duplicates")
-        for toks, label in self.items:
-            if label not in labels:
-                raise ValueError(f"item label {label!r} not in label_set")
-        _check_splits(self.splits, len(self.items))
+        outside = next((lab for lab in self.labels if lab not in self.label_set), None)
+        if outside is not None:
+            raise ValueError(f"item label {outside!r} not in label_set")
+        per_item = 1 if self.pair_ids is None else 2
+        if len(self.sentences) != per_item * n:
+            raise ValueError(f"{n} items need {per_item * n} sentences, not {len(self.sentences)}")
+        if self.pair_ids is not None and len(set(self.pair_ids)) != n:
+            raise ValueError("pair ids must be unique, one per item")
+        if self.scores is not None:
+            if len(self.scores) != n:
+                raise ValueError(f"expected {n} scores, found {len(self.scores)}")
+            outside = next((s for s in self.scores if not 1.0 <= s <= 5.0), None)
+            if outside is not None:
+                raise ValueError(f"relatedness {outside} outside [1, 5]")
+        _check_splits(self.splits, n)
+
+    def rows(self, items: Sequence[int]) -> list[int]:
+        """Corpus rows of the given items, in order: for a pair task, the A
+        rows of all of them, then their B rows."""
+        items = list(items)
+        if self.pair_ids is None:
+            return items
+        return items + [i + len(self.labels) for i in items]
+
+    def sentence_ids(self) -> list[str]:
+        """One id per corpus row, as keyed in a sentence-vector TSV: the row
+        number, or ``<pair_ID>_A`` then ``<pair_ID>_B``."""
+        if self.pair_ids is None:
+            return [str(i) for i in range(len(self.sentences))]
+        return [f"{pid}_{side}" for side in "AB" for pid in self.pair_ids]
 
     def vocabulary(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for toks, _ in self.items:
-            for t in toks:
-                seen.setdefault(t)
-        return list(seen)
-
-
-@dataclass(frozen=True)
-class PairItem:
-    id: str
-    tokens_a: tuple[str, ...]
-    tokens_b: tuple[str, ...]
-    relatedness: float
-    entailment: str
-
-    def __post_init__(self):
-        if not 1.0 <= self.relatedness <= 5.0:
-            raise ValueError(f"relatedness {self.relatedness} outside [1, 5]")
-        if self.entailment not in ENTAILMENT_LABELS:
-            raise ValueError(f"unknown entailment label {self.entailment!r}")
-
-
-@dataclass(frozen=True)
-class PairTask:
-    name: str
-    items: tuple[PairItem, ...]
-    splits: dict[str, list[int]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        ids = [it.id for it in self.items]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate pair ids")
-        _check_splits(self.splits, len(self.items))
-
-    def vocabulary(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for it in self.items:
-            for t in it.tokens_a + it.tokens_b:
-                seen.setdefault(t)
-        return list(seen)
+        """Distinct tokens in order of first use, item by item (a pair's A
+        sentence before its B sentence). ``random_table`` draws one row per
+        word in this order, so random-lexicon results depend on it."""
+        rows = (r for i in range(len(self.labels)) for r in self.rows([i]))
+        return list(dict.fromkeys(t for r in rows for t in self.sentences[r]))
 
 
 def _check_splits(splits: dict[str, list[int]], n: int) -> None:
@@ -103,15 +111,15 @@ def _nfc(text: str) -> str:
 
 def load_classification_tsv(
     stream: IO[str], label_set: Sequence[str] | None = None, name: str = "task"
-) -> ClassificationTask:
+) -> Task:
     """Parse ``label<TAB>sentence`` lines with an optional split column.
 
     Without a label_set the labels are collected in order of first appearance.
     Rows without a split column stay unassigned, pending :func:`split`.
     """
     known = list(label_set) if label_set is not None else None
-    seen_labels: dict[str, None] = {}
-    items: list[tuple[tuple[str, ...], str]] = []
+    sentences: list[tuple[str, ...]] = []
+    labels: list[str] = []
     splits: dict[str, list[int]] = {}
     for lineno, raw in enumerate(stream, start=1):
         line = raw.rstrip("\r\n")
@@ -125,23 +133,23 @@ def load_classification_tsv(
         label = _nfc(cols[0])
         if known is not None and label not in known:
             raise ParseError(f"unknown label {label!r}", lineno)
-        seen_labels.setdefault(label)
         if len(cols) == 3:
             if cols[2] not in SPLIT_NAMES:
                 raise ParseError(f"unknown split {cols[2]!r}", lineno)
-            splits.setdefault(cols[2], []).append(len(items))
-        items.append((tuple(tokenize(cols[1])), label))
-    if not items:
+            splits.setdefault(cols[2], []).append(len(labels))
+        sentences.append(tuple(tokenize(cols[1])))
+        labels.append(label)
+    if not labels:
         raise ParseError("no rows in classification file")
-    final_labels = tuple(known) if known is not None else tuple(seen_labels)
-    return ClassificationTask(name=name, label_set=final_labels, items=tuple(items), splits=splits)
+    final_labels = tuple(known) if known is not None else tuple(dict.fromkeys(labels))
+    return Task(name, tuple(sentences), tuple(labels), final_labels, splits=splits)
 
 
 _SEMEVAL_SPLITS = {"TRAIN": "train", "TRIAL": "dev", "TEST": "test"}
 _PAIR_COLUMNS = ("pair_ID", "sentence_A", "sentence_B", "relatedness_score", "entailment_judgment")
 
 
-def load_sick_tsv(stream: IO[str], name: str = "sick") -> PairTask:
+def load_sick_tsv(stream: IO[str], name: str = "sick") -> Task:
     """Parse the sentence-pair TSV with a named-column header."""
     header_line = stream.readline()
     if not header_line:
@@ -152,9 +160,12 @@ def load_sick_tsv(stream: IO[str], name: str = "sick") -> PairTask:
         if needed not in col:
             raise ParseError(f"missing column {needed!r}", 1)
     has_split = "SemEval_set" in col
-    items: list[PairItem] = []
+    ids: dict[str, None] = {}
+    sentences_a: list[tuple[str, ...]] = []
+    sentences_b: list[tuple[str, ...]] = []
+    scores: list[float] = []
+    labels: list[str] = []
     splits: dict[str, list[int]] = {}
-    ids: set[str] = set()
     for lineno, raw in enumerate(stream, start=2):
         line = raw.rstrip("\r\n")
         if not line:
@@ -165,7 +176,7 @@ def load_sick_tsv(stream: IO[str], name: str = "sick") -> PairTask:
         pid = cols[col["pair_ID"]]
         if pid in ids:
             raise ParseError(f"duplicate pair_ID {pid!r}", lineno)
-        ids.add(pid)
+        ids[pid] = None
         try:
             score = float(cols[col["relatedness_score"]])
         except ValueError:
@@ -179,37 +190,35 @@ def load_sick_tsv(stream: IO[str], name: str = "sick") -> PairTask:
             raw_split = cols[col["SemEval_set"]]
             if raw_split not in _SEMEVAL_SPLITS:
                 raise ParseError(f"unknown SemEval_set {raw_split!r}", lineno)
-            splits.setdefault(_SEMEVAL_SPLITS[raw_split], []).append(len(items))
-        items.append(
-            PairItem(
-                id=pid,
-                tokens_a=tuple(tokenize(cols[col["sentence_A"]])),
-                tokens_b=tuple(tokenize(cols[col["sentence_B"]])),
-                relatedness=score,
-                entailment=entailment,
-            )
-        )
-    if not items:
+            splits.setdefault(_SEMEVAL_SPLITS[raw_split], []).append(len(labels))
+        sentences_a.append(tuple(tokenize(cols[col["sentence_A"]])))
+        sentences_b.append(tuple(tokenize(cols[col["sentence_B"]])))
+        scores.append(score)
+        labels.append(entailment)
+    if not labels:
         raise ParseError("no rows in pair file")
-    return PairTask(name=name, items=tuple(items), splits=splits)
+    return Task(name, tuple(sentences_a + sentences_b), tuple(labels), ENTAILMENT_LABELS,
+                pair_ids=tuple(ids), scores=tuple(scores), splits=splits)
 
 
 def split(task, ratios: tuple[float, float, float] = DEFAULT_RATIOS, seed: int = 0):
     """Assign train/dev/test splits by a seeded shuffle and contiguous
     partition. Sizes of dev and test round to nearest; the remainder goes to
-    train. Returns a copy of the task; the input is untouched."""
+    train; ratios that leave train or test empty are an error. Returns a copy
+    of the task; the input is untouched."""
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError("ratios must sum to 1")
     if any(r < 0 for r in ratios):
         raise ValueError("ratios must be nonnegative")
-    n = len(task.items)
+    n = len(task.labels)
     if n < 3:
         raise ValueError("need at least 3 items to split")
     n_dev = round(n * ratios[1])
     n_test = round(n * ratios[2])
     n_train = n - n_dev - n_test
-    if n_train < 1:
-        raise ValueError(f"ratios {tuple(ratios)} leave the train split empty for {n} items")
+    for name, size in (("train", n_train), ("test", n_test)):
+        if size < 1:
+            raise ValueError(f"ratios {tuple(ratios)} leave the {name} split empty for {n} items")
     order = np.random.default_rng(seed).permutation(n)
     splits = {
         "train": [int(i) for i in order[:n_train]],
@@ -220,40 +229,41 @@ def split(task, ratios: tuple[float, float, float] = DEFAULT_RATIOS, seed: int =
 
 
 def synthetic_classification(
-    K: int, n: int, vocab_per_class: int, seed: int, dim: int = 16
-) -> tuple[ClassificationTask, VectorTable]:
+    classes: int = 2, items: int = 200, vocab_per_class: int = 20, seed: int = 0, dim: int = 16
+) -> tuple[Task, VectorTable]:
     """Desk-scale classification oracle: each class owns a disjoint word set
     clustered tightly around its own centroid, so mean pooling separates the
-    classes by construction. Splits use the default ratios and the same seed."""
-    if K < 2 or n < K:
-        raise ValueError("need K >= 2 and n >= K")
+    classes by construction. Splits use the default ratios and the same seed.
+    The keyword parameters are the keys of a config's ``synthetic`` block."""
+    if classes < 2 or items < classes:
+        raise ValueError("need classes >= 2 and items >= classes")
     rng = np.random.default_rng(seed)
-    centroids = rng.standard_normal((K, dim))
+    centroids = rng.standard_normal((classes, dim))
     centroids = 3.0 * centroids / np.linalg.norm(centroids, axis=1, keepdims=True)
-    class_words = [[f"w{k}_{j}" for j in range(vocab_per_class)] for k in range(K)]
+    class_words = [[f"w{k}_{j}" for j in range(vocab_per_class)] for k in range(classes)]
     vectors = np.repeat(centroids, vocab_per_class, axis=0)
     vectors += 0.3 * rng.standard_normal(vectors.shape)
-    items = []
-    for i in range(n):
-        k = i % K
+    sentences, labels = [], []
+    for i in range(items):
+        k = i % classes
         length = int(rng.integers(3, 9))
-        toks = tuple(rng.choice(class_words[k], size=length, replace=True))
-        items.append((toks, f"c{k}"))
-    task = ClassificationTask(
-        name="synthetic-classification",
-        label_set=tuple(f"c{k}" for k in range(K)),
-        items=tuple(items),
-    )
+        sentences.append(tuple(rng.choice(class_words[k], size=length, replace=True)))
+        labels.append(f"c{k}")
+    label_set = tuple(f"c{k}" for k in range(classes))
+    task = Task("synthetic-classification", tuple(sentences), tuple(labels), label_set)
     table = VectorTable([w for words in class_words for w in words], vectors)
     return split(task, seed=seed), table
 
 
-def synthetic_relatedness(n: int, d: int, seed: int) -> tuple[PairTask, VectorTable]:
+def synthetic_relatedness(
+    pairs: int = 300, dim: int = 16, seed: int = 0
+) -> tuple[Task, VectorTable]:
     """Desk-scale relatedness oracle over a shared random lexicon. Gold
     relatedness is 1 + 4 * (token Jaccard overlap), rounded to 0.1; entailment
     labels come from overlap thresholds (>= 0.7 entailment, <= 0.1
-    contradiction, neutral otherwise)."""
-    if n < 10:
+    contradiction, neutral otherwise). The keyword parameters are the keys of
+    a config's ``synthetic`` block."""
+    if pairs < 10:
         raise ValueError("need at least 10 pairs")
     rng = np.random.default_rng(seed)
     # Two word clusters on opposite ends of one semantic axis. Non-shared
@@ -261,35 +271,31 @@ def synthetic_relatedness(n: int, d: int, seed: int) -> tuple[PairTask, VectorTa
     # purely with the token overlap and stay learnable by the default probe.
     vocab = [f"t{j}" for j in range(60)]
     half = len(vocab) // 2
-    axis = rng.standard_normal(d)
+    axis = rng.standard_normal(dim)
     axis /= np.linalg.norm(axis)
-    vectors = np.repeat([axis, -axis], half, axis=0) + 0.05 * rng.standard_normal((len(vocab), d))
+    vectors = np.repeat([axis, -axis], half, axis=0) + 0.05 * rng.standard_normal((len(vocab), dim))
     clusters = (vocab[:half], vocab[half:])
     k = 8  # tokens per sentence
-    items = []
-    for i in range(n):
+    sentences_a, sentences_b, scores, labels = [], [], [], []
+    for i in range(pairs):
         own, other = clusters if i % 2 == 0 else clusters[::-1]
         tokens_a = list(rng.choice(own, size=k, replace=False))
         target = rng.uniform(0.0, 1.0)
         m = round(target * 2 * k / (1 + target))
         shared = list(rng.choice(tokens_a, size=m, replace=False))
         fresh = list(rng.choice(other, size=k - m, replace=False))
-        tokens_b = shared + fresh
         jaccard = m / (2 * k - m)
+        sentences_a.append(tuple(tokens_a))
+        sentences_b.append(tuple(shared + fresh))
+        scores.append(round(1.0 + 4.0 * jaccard, 1))
         if jaccard >= 0.7:
-            label = "entailment"
+            labels.append("entailment")
         elif jaccard <= 0.1:
-            label = "contradiction"
+            labels.append("contradiction")
         else:
-            label = "neutral"
-        items.append(
-            PairItem(
-                id=f"p{i:04d}",
-                tokens_a=tuple(tokens_a),
-                tokens_b=tuple(tokens_b),
-                relatedness=round(1.0 + 4.0 * jaccard, 1),
-                entailment=label,
-            )
-        )
-    task = PairTask(name="synthetic-relatedness", items=tuple(items))
+            labels.append("neutral")
+    task = Task(
+        "synthetic-relatedness", tuple(sentences_a + sentences_b), tuple(labels),
+        ENTAILMENT_LABELS, pair_ids=tuple(f"p{i:04d}" for i in range(pairs)), scores=tuple(scores),
+    )
     return split(task, seed=seed), VectorTable(vocab, vectors)

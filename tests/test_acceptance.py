@@ -144,8 +144,8 @@ def test_3_probe_numerics(criterion):
 def test_4_synthetic_classification_end_to_end(criterion):
     start = time.monotonic()
     task, table = synthetic_classification(2, 200, 20, 3)
-    sentences = [toks for toks, _ in task.items]
-    labels = np.array([task.label_set.index(lab) for _, lab in task.items])
+    sentences = task.sentences
+    labels = np.array([task.label_set.index(lab) for lab in task.labels])
     train, test = task.splits["train"], task.splits["test"]
 
     X = embed_corpus(sentences, table, Mean())
@@ -159,7 +159,7 @@ def test_4_synthetic_classification_end_to_end(criterion):
     model_r = probe.train_classifier(Xr[train], labels[train], 2, probe.ProbeConfig())
     preds_r = probe.predict_proba(model_r, Xr[test]).argmax(axis=1)
     random_acc = accuracy(list(preds_r), list(labels[test]))
-    baseline = majority_baseline([task.items[i][1] for i in test])
+    baseline = majority_baseline([task.labels[i] for i in test])
     assert abs(random_acc - baseline) <= 0.1
     assert time.monotonic() - start < 30.0
     criterion["ok"] = True
@@ -168,11 +168,11 @@ def test_4_synthetic_classification_end_to_end(criterion):
 def test_5_synthetic_relatedness_end_to_end(criterion):
     start = time.monotonic()
     task, table = synthetic_relatedness(300, 16, 5)
-    n = len(task.items)
-    sentences = [it.tokens_a for it in task.items] + [it.tokens_b for it in task.items]
+    n = len(task.labels)
+    sentences = task.sentences
     S = embed_corpus(sentences, table, Mean())
     X = np.stack([probe.pair_features(S[i], S[i + n]) for i in range(n)])
-    gold = np.array([it.relatedness for it in task.items])
+    gold = np.array(task.scores)
     train, test = task.splits["train"], task.splits["test"]
     model = probe.train_relatedness(X[train], gold[train], 5, probe.ProbeConfig())
     preds = [probe.distribution_to_score(p) for p in probe.predict_proba(model, X[test])]

@@ -94,6 +94,22 @@ class TestLoadWordVectors:
         with pytest.raises(ParseError, match="header dim 3"):
             load_word_vectors(io.StringIO("2 3 \nkot 1 0 0 \n"), expected_dim=2)
 
+    @pytest.mark.parametrize("text, found", [
+        ("3 2\na 1 0\n", 1),  # truncated file
+        ("1 2\na 1 0\nb 0 1\n", 2),
+        ("3 2\na 1 0\n\nb 0 1\n", 2),  # blank lines are not vectors
+    ])
+    def test_header_count_checked(self, text, found):
+        expected = text.split()[0]
+        with pytest.raises(ParseError, match=f"header announces {expected} vectors, found {found}"):
+            load_word_vectors(io.StringIO(text))
+
+    def test_header_count_includes_dropped_duplicates(self):
+        table = load_word_vectors(io.StringIO("3 2\na 1 0\nb 0 1\na 1 1\n"))
+        assert table.keys == ("a", "b") and table.duplicates == 1
+        with pytest.raises(ParseError, match="header announces 2 vectors, found 3"):
+            load_word_vectors(io.StringIO("2 2\na 1 0\nb 0 1\na 1 1\n"))
+
     def test_serialize_roundtrip_identity(self):
         rng = np.random.default_rng(4)
         table = VectorTable([f"w{i}" for i in range(7)], rng.standard_normal((7, 5)))

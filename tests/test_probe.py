@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sentbench.errors import ProbeDivergedError
 from sentbench.probe import (
@@ -284,6 +286,25 @@ class TestSerialization:
         assert back.out_kind == model.out_kind
         for a, b in zip((model.W1, model.b1, model.W2, model.b2),
                         (back.W1, back.b1, back.W2, back.b2)):
+            assert np.array_equal(a, b)
+
+    @given(st.data())
+    def test_any_shapes_and_finite_values_roundtrip(self, data):
+        d, hidden, k = (data.draw(st.integers(0, 6)) for _ in range(3))
+        finite = st.floats(allow_nan=False, allow_infinity=False)  # subnormals included
+
+        def draw(*shape):
+            return data.draw(arrays(np.float64, shape, elements=finite))
+
+        model = Probe(W1=draw(d, hidden), b1=draw(hidden), W2=draw(hidden, k), b2=draw(k),
+                      out_kind=data.draw(st.sampled_from(["classifier", "distribution"])))
+        buf = io.StringIO()
+        save_probe(model, buf)
+        back = load_probe(io.StringIO(buf.getvalue()))
+        assert back.out_kind == model.out_kind
+        for a, b in zip((model.W1, model.b1, model.W2, model.b2),
+                        (back.W1, back.b1, back.W2, back.b2)):
+            assert a.shape == b.shape and b.dtype == np.float64
             assert np.array_equal(a, b)
 
     def test_unknown_version_rejected(self):

@@ -4,6 +4,7 @@ import json
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sentbench.metrics import EvalResult
 from sentbench.report import (
@@ -24,6 +25,52 @@ def small_matrix():
         ("m2", "t2"): EvalResult("t2", "m2", "pearson", -0.25, 50),
     }
     return ResultMatrix(methods=("m1", "m2"), tasks=("t1", "t2"), cells=cells)
+
+
+# Any name a JSON config can hold and a UTF-8 file can store (no lone surrogates),
+# drawn often from the characters that CSV and JSON treat specially.
+NAMES = st.text(st.sampled_from(',"\r\n\t\\ x') | st.characters(blacklist_categories=("Cs",)))
+
+
+@st.composite
+def matrices(draw):
+    methods = draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+    tasks = draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+    cells = {}
+    for m in methods:
+        for t in tasks:
+            measure = draw(st.sampled_from(["accuracy", "pearson"]))
+            lo = 0.0 if measure == "accuracy" else -1.0
+            value = draw(st.floats(lo, 1.0))
+            cells[m, t] = EvalResult(t, m, measure, value, draw(st.integers(1, 10**6)))
+    return ResultMatrix(methods=tuple(methods), tasks=tuple(tasks), cells=cells)
+
+
+def expected_rows(matrix):
+    return [
+        (m, t, matrix.get(m, t).measure, matrix.get(m, t).value, matrix.get(m, t).n)
+        for m in matrix.methods for t in matrix.tasks
+    ]
+
+
+class TestRoundTrip:
+    @given(matrices())
+    def test_csv_reads_back(self, matrix):
+        rows = list(csv.reader(io.StringIO(matrix_to_csv(matrix), newline="")))
+        assert rows[0] == ["method", "task", "measure", "value", "n"]
+        back = [(m, t, measure, float(v), int(n)) for m, t, measure, v, n in rows[1:]]
+        assert back == [
+            (m, t, measure, float(f"{value:.6f}"), n)
+            for m, t, measure, value, n in expected_rows(matrix)
+        ]
+
+    @given(matrices())
+    def test_json_reads_back(self, matrix):
+        doc = json.loads(matrix_to_json(matrix))
+        back = [(c["method"], c["task"], c["measure"], c["value"], c["n"]) for c in doc["results"]]
+        assert back == [
+            (m, t, measure, round(value, 6), n) for m, t, measure, value, n in expected_rows(matrix)
+        ]
 
 
 class TestResultMatrix:

@@ -2,12 +2,13 @@ import json
 import os
 import sys
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sentbench import cli, runner, tasks
-from sentbench.errors import ConfigError
+from sentbench.errors import ConfigError, ProbeDivergedError
 from sentbench.lexicon import (
     load_frequency_table,
     load_sentence_vector_table,
@@ -184,6 +185,34 @@ class TestLoadTask:
         t2, _ = load_task(cfg.tasks[0], cfg)
         assert t1.splits == t2.splits
 
+    def test_split_failure_is_a_config_error_naming_the_task(self, tmp_path):
+        p = tmp_path / "tiny.tsv"
+        p.write_text("\n".join(f"a\tw{i}" for i in range(5)), encoding="utf-8")
+        cfg = base_config(tasks=[
+            {"name": "tiny-file", "path": str(p)},
+            {"name": "tiny-synthetic", "synthetic": {"classes": 2, "items": 4}},
+        ])
+        for spec in cfg.tasks:
+            with pytest.raises(ConfigError, match=f"task '{spec.name}': .* test split empty"):
+                load_task(spec, cfg)
+
+    @pytest.mark.parametrize("synthetic", [{"items": "200"}, {"classes": 1}, {"dim": 2.5}])
+    def test_bad_synthetic_value_is_a_config_error(self, synthetic):
+        cfg = base_config(tasks=[{"name": "odd", "synthetic": synthetic}])
+        with pytest.raises(ConfigError, match="task 'odd': "):
+            load_task(cfg.tasks[0], cfg)
+
+    def test_synthetic_defaults_live_on_the_generators(self):
+        cfg = base_config(tasks=[
+            {"name": "c", "synthetic": {}},
+            {"name": "r", "kind": "relatedness", "synthetic": {}},
+        ])
+        (cls, cls_table), (rel, rel_table) = (load_task(spec, cfg) for spec in cfg.tasks)
+        assert len(cls.labels) == 200 and cls.label_set == ("c0", "c1")
+        assert len(cls_table.keys) == 2 * 20 and cls_table.dim == 16
+        assert len(rel.labels) == 300 and rel_table.dim == 16
+        assert cls == replace(tasks.synthetic_classification(seed=11)[0], name="c")
+
 
 class TestRunTask:
     def test_clustered_classification_learns(self):
@@ -201,7 +230,7 @@ class TestRunTask:
         )
         task, table = load_task(cfg.tasks[0], cfg)
         res = run_task(task, cfg.methods[0], cfg, "classification", table)
-        test_labels = [task.items[i][1] for i in task.splits["test"]]
+        test_labels = [task.labels[i] for i in task.splits["test"]]
         assert abs(res.value - majority_baseline(test_labels)) <= 0.25
 
     def test_relatedness_reports_pearson(self):
@@ -518,6 +547,60 @@ class TestCli:
     def test_bad_dims_exit_1(self, tmp_path):
         cfg_path = self.write_config(tmp_path, tmp_path / "out")
         assert cli.main(["sweep", "--config", str(cfg_path), "--dims", "4,x"]) == 1
+
+    def run_file_task(self, tmp_path, capsys, verb, method, rows=40):
+        task_file = tmp_path / "cls.tsv"
+        task_file.write_text("".join(f"{'ab'[i % 2]}\tw{i % 3}\n" for i in range(rows)),
+                             encoding="utf-8")
+        doc = {"tasks": [{"name": "file-cls", "path": str(task_file)}],
+               "methods": [{"name": "m", **method}],
+               "output": {"dir": str(tmp_path / "out")}}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        rc = cli.main([verb, "--config", str(p)])
+        return rc, capsys.readouterr().err
+
+    def test_synthetic_lexicon_with_file_task_exit_1(self, tmp_path, capsys):
+        rc, err = self.run_file_task(tmp_path, capsys, "validate", {"lexicon": "synthetic"})
+        assert rc == 1
+        assert "error: method 'm': lexicon 'synthetic' only works with synthetic tasks" in err
+        assert "'file-cls'" in err
+        cfg = base_config(tasks=[{"name": "file-cls", "path": str(tmp_path / "cls.tsv")}],
+                          methods=[{"name": "m", "lexicon": "synthetic"}])
+        with pytest.raises(RuntimeError, match="method='m'") as info:
+            run_matrix(cfg)
+        assert isinstance(info.value.__cause__, ConfigError)
+
+    def test_dim_template_under_eval_exit_1(self, tmp_path, capsys):
+        rc, err = self.run_file_task(tmp_path, capsys, "eval", {"lexicon": "v{dim}.txt"})
+        assert rc == 1
+        assert "cell (method='m', task='file-cls')" in err and "needs a sweep dim" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("w0 1 x\n", "line 1: non-numeric"),
+        ("3 2\nw0 1 0\n", "header announces 3"),
+    ])
+    def test_malformed_word_vector_file_exit_1(self, tmp_path, capsys, text, message):
+        lex = tmp_path / "v.txt"
+        lex.write_text(text, encoding="utf-8")
+        rc, err = self.run_file_task(tmp_path, capsys, "eval", {"lexicon": str(lex)})
+        assert rc == 1
+        assert "cell (method='m', task='file-cls')" in err and message in err
+
+    def test_task_too_small_to_split_exit_1(self, tmp_path, capsys):
+        rc, err = self.run_file_task(tmp_path, capsys, "eval", {"lexicon": "random", "dim": 4},
+                                     rows=5)
+        assert rc == 1
+        assert "error: task 'file-cls': ratios (0.8, 0.1, 0.1) leave the test split empty" in err
+
+    def test_runtime_failure_in_a_cell_still_exit_2(self, tmp_path, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise ProbeDivergedError("probe loss is not finite")
+
+        monkeypatch.setattr(runner.probe, "train_classifier", diverge)
+        rc, err = self.run_file_task(tmp_path, capsys, "eval", {"lexicon": "random", "dim": 4})
+        assert rc == 2
+        assert "runtime error: cell (method='m', task='file-cls')" in err
 
     def test_unknown_task_for_embed_exit_1(self, tmp_path):
         cfg_path = self.write_config(tmp_path, tmp_path / "out")

@@ -5,9 +5,8 @@ import pytest
 
 from sentbench.errors import ParseError
 from sentbench.tasks import (
-    ClassificationTask,
-    PairItem,
-    PairTask,
+    ENTAILMENT_LABELS,
+    Task,
     load_classification_tsv,
     load_sick_tsv,
     split,
@@ -22,7 +21,8 @@ class TestClassificationLoader:
     def test_basic(self):
         task = load_classification_tsv(io.StringIO("pos\tdobry hotel\nneg\tslaby hotel"))
         assert task.label_set == ("pos", "neg")
-        assert task.items[0] == (("dobry", "hotel"), "pos")
+        assert task.sentences == (("dobry", "hotel"), ("slaby", "hotel"))
+        assert task.labels == ("pos", "neg")
 
     def test_labels_in_first_appearance_order(self):
         task = load_classification_tsv(io.StringIO("b\tx\na\ty\nb\tz"))
@@ -56,7 +56,7 @@ class TestClassificationLoader:
 
     def test_blank_lines_skipped(self):
         task = load_classification_tsv(io.StringIO("pos\ta\n\nneg\tb\n"))
-        assert len(task.items) == 2
+        assert len(task.labels) == 2
 
     def test_vocabulary_order_and_uniqueness(self):
         task = load_classification_tsv(io.StringIO("pos\tb a b\nneg\ta c"))
@@ -67,16 +67,16 @@ class TestPairLoader:
     def test_basic(self):
         text = SICK_HEADER + "\n1\tkot spi\tpies biega\t3.5\tNEUTRAL\n"
         task = load_sick_tsv(io.StringIO(text))
-        item = task.items[0]
-        assert item.id == "1"
-        assert item.tokens_a == ("kot", "spi")
-        assert item.relatedness == 3.5
-        assert item.entailment == "neutral"
+        assert task.pair_ids == ("1",)
+        assert task.sentences == (("kot", "spi"), ("pies", "biega"))
+        assert task.scores == (3.5,)
+        assert task.labels == ("neutral",)
+        assert task.label_set == ENTAILMENT_LABELS
 
     def test_extra_columns_ignored(self):
         text = "extra\t" + SICK_HEADER + "\nx\t1\ta\tb\t2.0\tNEUTRAL\n"
         task = load_sick_tsv(io.StringIO(text))
-        assert task.items[0].id == "1"
+        assert task.pair_ids == ("1",)
 
     def test_semeval_split_mapping(self):
         text = (
@@ -121,36 +121,87 @@ class TestPairLoader:
         assert load_sick_tsv(io.StringIO(text)).vocabulary() == ["kot", "spi", "pies", "biega"]
 
 
+def pair_task(sentences_a, sentences_b, **fields):
+    n = len(sentences_a)
+    defaults = {
+        "labels": ("neutral",) * n, "pair_ids": tuple(f"p{i}" for i in range(n)),
+        "scores": (3.0,) * n,
+    }
+    return Task("pairs", tuple(sentences_a) + tuple(sentences_b),
+                label_set=ENTAILMENT_LABELS, **{**defaults, **fields})
+
+
 class TestDataclassValidation:
     def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError):
-            ClassificationTask("t", ("a", "a"), ((("x",), "a"),))
+        with pytest.raises(ValueError, match="duplicates"):
+            Task("t", (("x",),), ("a",), ("a", "a"))
 
     def test_item_label_outside_set(self):
-        with pytest.raises(ValueError):
-            ClassificationTask("t", ("a",), ((("x",), "b"),))
+        with pytest.raises(ValueError, match="'b' not in label_set"):
+            Task("t", (("x",),), ("b",), ("a",))
+        with pytest.raises(ValueError, match="'maybe' not in label_set"):
+            pair_task([("a",)], [("b",)], labels=("maybe",))
 
     def test_overlapping_splits_rejected(self):
-        with pytest.raises(ValueError):
-            ClassificationTask(
-                "t", ("a",), ((("x",), "a"), (("y",), "a")),
-                splits={"train": [0], "test": [0]},
-            )
+        with pytest.raises(ValueError, match="two splits"):
+            Task("t", (("x",), ("y",)), ("a", "a"), ("a",), splits={"train": [0], "test": [0]})
 
     def test_relatedness_range(self):
-        with pytest.raises(ValueError):
-            PairItem("1", ("a",), ("b",), 0.5, "neutral")
+        for score in (0.5, 5.5, float("nan")):
+            with pytest.raises(ValueError, match="outside \\[1, 5\\]"):
+                pair_task([("a",)], [("b",)], scores=(score,))
 
     def test_duplicate_pair_ids(self):
-        item = PairItem("1", ("a",), ("b",), 3.0, "neutral")
-        with pytest.raises(ValueError):
-            PairTask("t", (item, item))
+        with pytest.raises(ValueError, match="pair ids"):
+            pair_task([("a",), ("c",)], [("b",), ("d",)], pair_ids=("1", "1"))
+
+    @pytest.mark.parametrize("sentences, labels, pair_ids", [
+        ((("x",),), ("a", "a"), None),
+        ((("x",), ("y",), ("z",)), ("a", "a"), None),
+        ((("x",), ("y",), ("z",)), ("a",), ("p0",)),
+        ((("x",),), ("a",), ("p0",)),
+    ])
+    def test_sentence_count_mismatch(self, sentences, labels, pair_ids):
+        label_set = ("a",)
+        with pytest.raises(ValueError, match="items need"):
+            Task("t", sentences, labels, label_set, pair_ids=pair_ids)
+
+    def test_one_score_and_pair_id_per_item(self):
+        with pytest.raises(ValueError, match="expected 1 scores"):
+            pair_task([("a",)], [("b",)], scores=(3.0, 3.0))
+        with pytest.raises(ValueError, match="pair ids"):
+            pair_task([("a",)], [("b",)], pair_ids=("1", "2"))
+
+
+class TestTaskLayout:
+    def test_classification_rows_are_items(self):
+        task = Task("t", (("x",), ("y",), ("z",)), ("a",) * 3, ("a",))
+        assert task.rows([2, 0]) == [2, 0]
+        assert task.rows(range(3)) == [0, 1, 2]
+        assert task.sentence_ids() == ["0", "1", "2"]
+
+    def test_pair_rows_are_a_rows_then_b_rows(self):
+        task = pair_task([("a",), ("b",), ("c",)], [("d",), ("e",), ("f",)])
+        assert task.rows([2, 0]) == [2, 0, 5, 3]
+        assert [task.sentences[r] for r in task.rows([1])] == [("b",), ("e",)]
+        assert task.sentence_ids() == ["p0_A", "p1_A", "p2_A", "p0_B", "p1_B", "p2_B"]
+
+    def test_pair_vocabulary_goes_item_by_item(self):
+        # A0, B0, A1, B1: not all A sentences first, which would give a b c d e
+        task = pair_task([("a", "b"), ("c",)], [("d",), ("a", "e")])
+        assert task.vocabulary() == ["a", "b", "d", "c", "e"]
+
+    def test_loaded_pairs_use_the_layout(self):
+        text = SICK_HEADER + "\n7\tkot spi\tpies\t3.0\tNEUTRAL\n8\tryba\tkot\t4.0\tENTAILMENT\n"
+        task = load_sick_tsv(io.StringIO(text))
+        assert task.sentences == (("kot", "spi"), ("ryba",), ("pies",), ("kot",))
+        assert task.sentence_ids() == ["7_A", "8_A", "7_B", "8_B"]
+        assert task.labels == ("neutral", "entailment")
 
 
 class TestSplit:
     def _task(self, n):
-        items = tuple(((f"w{i}",), "a") for i in range(n))
-        return ClassificationTask("t", ("a",), items)
+        return Task("t", tuple((f"w{i}",) for i in range(n)), ("a",) * n, ("a",))
 
     def test_partition(self):
         out = split(self._task(100), seed=3)
@@ -188,29 +239,37 @@ class TestSplit:
             split(self._task(n), ratios=ratios)
 
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_ratios_leaving_test_empty(self, n):
+        # default ratios round the test split of 5 or fewer items to 0
+        with pytest.raises(ValueError, match="test split empty"):
+            split(self._task(n))
+        assert split(self._task(6)).splits["test"]
+
+
 class TestSyntheticClassification:
     def test_shapes_and_labels(self):
         task, table = synthetic_classification(3, 30, 5, seed=1, dim=8)
         assert task.label_set == ("c0", "c1", "c2")
-        assert len(task.items) == 30
+        assert len(task.labels) == len(task.sentences) == 30
         assert table.dim == 8
         assert len(table.keys) == 15
 
     def test_class_word_sets_disjoint(self):
         task, table = synthetic_classification(2, 20, 4, seed=1)
-        for toks, label in task.items:
+        for toks, label in zip(task.sentences, task.labels):
             k = label[1:]
             assert all(t.startswith(f"w{k}_") for t in toks)
 
     def test_balanced_labels(self):
         task, _ = synthetic_classification(2, 20, 4, seed=1)
-        labels = [lab for _, lab in task.items]
+        labels = list(task.labels)
         assert labels.count("c0") == labels.count("c1") == 10
 
     def test_deterministic(self):
         t1, tab1 = synthetic_classification(2, 20, 4, seed=5)
         t2, tab2 = synthetic_classification(2, 20, 4, seed=5)
-        assert t1.items == t2.items and t1.splits == t2.splits
+        assert t1 == t2
         assert tab1.keys == tab2.keys
         assert np.array_equal(tab1.vectors, tab2.vectors)
 
@@ -228,40 +287,40 @@ class TestSyntheticClassification:
 class TestSyntheticRelatedness:
     def test_shapes(self):
         task, table = synthetic_relatedness(50, 12, seed=2)
-        assert len(task.items) == 50
+        assert len(task.labels) == len(task.pair_ids) == len(task.scores) == 50
+        assert len(task.sentences) == 100
         assert table.dim == 12
         assert len(table.keys) == 60
 
     def test_scores_consistent_with_overlap(self):
         task, _ = synthetic_relatedness(200, 8, seed=4)
-        for it in task.items:
-            inter = len(set(it.tokens_a) & set(it.tokens_b))
-            union = len(set(it.tokens_a) | set(it.tokens_b))
-            jac = inter / union
-            assert it.relatedness == pytest.approx(round(1 + 4 * jac, 1))
+        for i, (score, label) in enumerate(zip(task.scores, task.labels)):
+            a, b = (set(task.sentences[r]) for r in task.rows([i]))
+            jac = len(a & b) / len(a | b)
+            assert score == pytest.approx(round(1 + 4 * jac, 1))
             if jac >= 0.7:
-                assert it.entailment == "entailment"
+                assert label == "entailment"
             elif jac <= 0.1:
-                assert it.entailment == "contradiction"
+                assert label == "contradiction"
             else:
-                assert it.entailment == "neutral"
+                assert label == "neutral"
 
     def test_sentence_lengths_fixed(self):
         task, _ = synthetic_relatedness(50, 8, seed=4)
-        for it in task.items:
-            assert len(it.tokens_a) == 8
-            assert len(set(it.tokens_a)) == 8  # sampled without replacement
+        for tokens_a in task.sentences[:50]:
+            assert len(tokens_a) == 8
+            assert len(set(tokens_a)) == 8  # sampled without replacement
 
     def test_label_diversity(self):
         task, _ = synthetic_relatedness(300, 8, seed=4)
-        assert {it.entailment for it in task.items} == {
+        assert set(task.labels) == {
             "entailment", "neutral", "contradiction"
         }
 
     def test_deterministic(self):
         t1, _ = synthetic_relatedness(40, 8, seed=9)
         t2, _ = synthetic_relatedness(40, 8, seed=9)
-        assert t1.items == t2.items
+        assert t1 == t2
 
     def test_too_few_pairs(self):
         with pytest.raises(ValueError):
