@@ -4,7 +4,11 @@ Verbs:
   eval      run the method x task evaluation matrix from a config
   sweep     run the matrix once per vector dimensionality and plot the trend
   embed     export sentence vectors for one task/method pair as TSV
-  validate  dry-run a config: schema plus referenced-file checks
+  validate  check a config as `eval` runs it, without loading a task: schema,
+            combinations and input files (a `{dim}` lexicon template fails)
+
+Every verb makes these checks before its first task or cell; `sweep` makes
+them for each of its dims.
 
 Exit codes: 0 success, 1 validation/config error, 2 runtime error. A
 failed cell counts by its cause: a bad config or input file exits 1.
@@ -67,12 +71,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load(args)
-        problems = runner.validate_config(cfg) if args.command in ("validate", "eval") else []
-        for p in problems:
-            print(f"error: {p}", file=sys.stderr)
-        if problems:
-            return 1
         if args.command == "validate":
+            runner.check_config(cfg)
             print("config ok")
             return 0
         if args.command == "eval":
@@ -96,7 +96,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         cause = exc.__cause__ if isinstance(exc, RuntimeError) else exc  # a cell's failure
         if isinstance(cause, (ConfigError, ParseError, FileNotFoundError)):
-            print(f"error: {exc}", file=sys.stderr)
+            for line in str(exc).splitlines():  # a config check lists one problem per line
+                print(f"error: {line}", file=sys.stderr)
             return 1
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

@@ -7,15 +7,12 @@ per-epoch shuffling, so results are bit-reproducible for a given seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ProbeDivergedError
-
-PROBE_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -186,11 +183,6 @@ def train_classifier(
     return _train(X, targets, "classifier", cfg)
 
 
-def predict_class(probe: Probe, x: np.ndarray) -> int:
-    """Most probable class; ties break toward the lowest index."""
-    return int(np.argmax(predict_proba(probe, np.atleast_2d(x))[0]))
-
-
 def train_relatedness(
     X: np.ndarray, scores: Sequence[float], K: int, cfg: ProbeConfig
 ) -> Probe:
@@ -203,42 +195,3 @@ def train_relatedness(
         raise ValueError("features and scores must have equal nonzero length")
     targets = np.stack([score_to_distribution(y, K) for y in scores])
     return _train(X, targets, "distribution", cfg)
-
-
-def predict_score(probe: Probe, x: np.ndarray) -> float:
-    """Expected score under the predicted distribution, in [1, K]."""
-    if probe.out_kind != "distribution":
-        raise ValueError("probe is not a distribution regressor")
-    return distribution_to_score(predict_proba(probe, np.atleast_2d(x))[0])
-
-
-def save_probe(probe: Probe, stream: IO[str]) -> None:
-    """Serialize to versioned JSON: dims plus row-major parameter arrays."""
-    json.dump(
-        {
-            "version": PROBE_FORMAT_VERSION,
-            "out_kind": probe.out_kind,
-            "input_dim": probe.input_dim,
-            "hidden_units": probe.W1.shape[1],
-            "output_dim": probe.output_dim,
-            "W1": probe.W1.ravel().tolist(),
-            "b1": probe.b1.tolist(),
-            "W2": probe.W2.ravel().tolist(),
-            "b2": probe.b2.tolist(),
-        },
-        stream,
-    )
-
-
-def load_probe(stream: IO[str]) -> Probe:
-    data = json.load(stream)
-    if data.get("version") != PROBE_FORMAT_VERSION:
-        raise ValueError(f"unsupported probe format version {data.get('version')!r}")
-    d, h, k = data["input_dim"], data["hidden_units"], data["output_dim"]
-    return Probe(
-        W1=np.array(data["W1"]).reshape(d, h),
-        b1=np.array(data["b1"]),
-        W2=np.array(data["W2"]).reshape(h, k),
-        b2=np.array(data["b2"]),
-        out_kind=data["out_kind"],
-    )

@@ -66,7 +66,7 @@ class MethodSpec:
     strategy: str = "mean"
     lexicon: str | None = None  # "random", a path, or a path template with {dim}
     sentence_vectors: str | None = None
-    dim: int | None = None  # random-lexicon dimensionality
+    dim: int | None = None  # random-lexicon dimensionality; a sweep overrides it
     sif_a: float = aggregate.DEFAULT_SIF_A
     frequencies: str | None = None
     normalize: bool = True
@@ -80,6 +80,8 @@ class MethodSpec:
             raise ConfigError(f"method {self.name!r}: unknown strategy {self.strategy!r}")
         if self.lexicon == "random" and (self.dim is None or self.dim <= 0):
             raise ConfigError(f"method {self.name!r}: random lexicon needs a positive dim")
+        if self.lexicon != "random" and self.dim is not None:
+            raise ConfigError(f"method {self.name!r}: dim is only for the random lexicon")
 
 
 @dataclass(frozen=True)
@@ -189,15 +191,51 @@ def load_task(spec: TaskSpec, cfg: RunConfig, dim: int | None = None):
         raise ConfigError(f"task {spec.name!r}: {exc}") from exc
 
 
-def _read(path: str, loader):
-    """Parse one input file with ``loader``. ``run_matrix`` passes cells a
-    cached version of this, so each file is parsed once per run."""
-    with open(path, encoding="utf-8") as fh:
-        return loader(fh)
+class Inputs:
+    """The parse cache of one run. Each input file is parsed on first use, by
+    the first cell that needs it, and kept for every later cell and dim; a
+    file task is loaded once for all dims. Word vectors are kept for one dim:
+    ``run_matrix`` calls ``next_dim`` first, so a sweep holds one dim's table
+    at a time."""
+
+    def __init__(self):
+        self._lock = threading.Lock()  # held while parsing, so a file is never parsed twice
+        self._parsed = {}
+        self._tasks = {}
+
+    def read(self, path: str, loader):
+        with self._lock:
+            if (path, loader) not in self._parsed:
+                with open(path, encoding="utf-8") as fh:
+                    self._parsed[path, loader] = loader(fh)
+            return self._parsed[path, loader]
+
+    def task(self, spec: TaskSpec, cfg: RunConfig, dim: int | None):
+        """``load_task(spec, cfg, dim)``. Only synthetic tasks depend on the dim."""
+        if spec.path is None:
+            return load_task(spec, cfg, dim)
+        if spec.name not in self._tasks:
+            self._tasks[spec.name] = load_task(spec, cfg)
+        return self._tasks[spec.name]
+
+    def next_dim(self) -> None:
+        """Drop the word vectors. Called before a dim's cells start, so no
+        other thread reads the cache."""
+        self._parsed = {k: v for k, v in self._parsed.items() if k[1] is not load_word_vectors}
+
+
+def _lexicon_path(method: MethodSpec, dim: int | None) -> str | None:
+    """The word-vector file a method reads at ``dim``: its lexicon path with
+    ``{dim}`` filled in, or None when it reads none."""
+    if method.lexicon in (None, "random", "synthetic"):
+        return None
+    if dim is None and "{dim}" in method.lexicon:
+        raise ConfigError(f"method {method.name!r}: lexicon template needs a sweep dim")
+    return method.lexicon.format(dim=dim) if "{dim}" in method.lexicon else method.lexicon
 
 
 def _resolve_lexicon(
-    method: MethodSpec, task, synthetic_table, cfg: RunConfig, dim: int | None, read
+    method: MethodSpec, task, synthetic_table, cfg: RunConfig, dim: int | None, inputs: Inputs
 ) -> VectorTable:
     if method.lexicon == "random":
         d = dim if dim is not None else method.dim
@@ -210,34 +248,25 @@ def _resolve_lexicon(
                 f"method {method.name!r}: lexicon 'synthetic' only works with synthetic tasks"
             )
         return synthetic_table
-    path = method.lexicon
-    if "{dim}" in path:
-        if dim is None:
-            raise ConfigError(f"method {method.name!r}: lexicon template needs a sweep dim")
-        path = path.format(dim=dim)
-    if not os.path.exists(path):
-        if dim is not None:
-            raise ConfigError(f"method {method.name!r}: no lexicon for dim {dim}: {path}")
-        raise ConfigError(f"method {method.name!r}: lexicon file not found: {path}")
-    return read(path, load_word_vectors)
+    return inputs.read(_lexicon_path(method, dim), load_word_vectors)
 
 
-def _frequencies_for(method: MethodSpec, task, read):
+def _frequencies_for(method: MethodSpec, task, inputs: Inputs):
     """SIF word probabilities: from the configured file, else estimated from
     the task's training-split tokens."""
     if method.frequencies is not None:
-        return read(method.frequencies, load_frequency_table)
+        return inputs.read(method.frequencies, load_frequency_table)
     train = task.rows(task.splits.get("train", range(len(task.labels))))
     counts = Counter(t for r in train for t in task.sentences[r])
     return FrequencyTable(counts=counts, total=max(1, sum(counts.values())))
 
 
-def _strategy_for(method: MethodSpec, task, read) -> aggregate.AggregationStrategy:
+def _strategy_for(method: MethodSpec, task, inputs: Inputs) -> aggregate.AggregationStrategy:
     if method.strategy == "mean":
         return aggregate.Mean()
     if method.strategy == "mean_max":
         return aggregate.MeanMaxConcat()
-    return aggregate.Sif(freq=_frequencies_for(method, task, read), a=method.sif_a)
+    return aggregate.Sif(freq=_frequencies_for(method, task, inputs), a=method.sif_a)
 
 
 def sentence_matrix(
@@ -246,12 +275,13 @@ def sentence_matrix(
     cfg: RunConfig,
     synthetic_table: VectorTable | None = None,
     dim: int | None = None,
-    read=_read,
+    inputs: Inputs | None = None,
 ) -> np.ndarray:
     """Sentence vectors for every sentence of the task, in corpus order.
-    ``read(path, loader)`` parses an input file."""
+    Input files are parsed through ``inputs``, a fresh cache by default."""
+    inputs = inputs or Inputs()
     if method.sentence_vectors is not None:
-        table = read(method.sentence_vectors, load_sentence_vector_table)
+        table = inputs.read(method.sentence_vectors, load_sentence_vector_table)
         try:
             return table.vectors[[table.row[sid] for sid in task.sentence_ids()]]
         except KeyError as exc:
@@ -259,8 +289,8 @@ def sentence_matrix(
                 f"method {method.name!r}: sentence id {exc.args[0]!r} missing from "
                 f"{method.sentence_vectors}"
             ) from None
-    lex = _resolve_lexicon(method, task, synthetic_table, cfg, dim, read)
-    strat = _strategy_for(method, task, read)
+    lex = _resolve_lexicon(method, task, synthetic_table, cfg, dim, inputs)
+    strat = _strategy_for(method, task, inputs)
     fit_rows = None
     if isinstance(strat, aggregate.Sif):
         if not task.splits.get("train"):
@@ -278,7 +308,7 @@ def run_task(
     kind: str,
     synthetic_table: VectorTable | None = None,
     dim: int | None = None,
-    read=_read,
+    inputs: Inputs | None = None,
 ) -> EvalResult:
     """Embed, train the probe on the train split and evaluate on the test
     split. Classification and entailment report the accuracy of predicted
@@ -291,7 +321,7 @@ def run_task(
         raise ValueError(f"task {task.name!r} has an empty train split")
     if not test_idx:
         raise ValueError(f"task {task.name!r} has an empty test split")
-    S = sentence_matrix(task, method, cfg, synthetic_table, dim, read)
+    S = sentence_matrix(task, method, cfg, synthetic_table, dim, inputs)
     probe_cfg = replace(cfg.probe, seed=stable_seed(cfg.seed, method.name, task.name))
     X = S if task.pair_ids is None else probe.pair_features(*np.split(S, 2))
     if kind == "relatedness":
@@ -319,24 +349,16 @@ def _measure_for(kind: str) -> str:
 
 
 def run_matrix(
-    cfg: RunConfig, workers: int = 1, dim: int | None = None, file_tasks: dict | None = None
+    cfg: RunConfig, workers: int = 1, dim: int | None = None, inputs: Inputs | None = None
 ) -> ResultMatrix:
     """Evaluate every method on every task. Cells are independent and may run
-    in parallel; results do not depend on the worker count. Each input file
-    is parsed once, by the first cell that needs it. ``file_tasks`` maps task
-    names to ``load_task`` results that a sweep shares across dims; other
-    tasks are loaded here. Any cell failure aborts the whole run with an error
-    naming the cell."""
-    preloaded = file_tasks or {}
-    loaded = [(spec, *(preloaded.get(spec.name) or load_task(spec, cfg, dim))) for spec in cfg.tasks]
-    lock, parsed = threading.Lock(), {}
-
-    def read(path, loader):
-        with lock:  # held while parsing, so a file is never parsed twice
-            if (path, loader) not in parsed:
-                parsed[path, loader] = _read(path, loader)
-            return parsed[path, loader]
-
+    in parallel; results do not depend on the worker count. Tasks and input
+    files come from ``inputs``, the run's parse cache (a fresh one by
+    default). Any cell failure aborts the whole run with an error naming the
+    cell."""
+    inputs = inputs or Inputs()
+    inputs.next_dim()
+    loaded = [(spec, *inputs.task(spec, cfg, dim)) for spec in cfg.tasks]
     cells_in = [
         (method, spec, task, table)
         for method in cfg.methods
@@ -346,7 +368,7 @@ def run_matrix(
     def compute(args):
         method, spec, task, table = args
         try:
-            return run_task(task, method, cfg, spec.kind, table, dim, read)
+            return run_task(task, method, cfg, spec.kind, table, dim, inputs)
         except Exception as exc:
             raise RuntimeError(
                 f"cell (method={method.name!r}, task={spec.name!r}) failed: {exc}"
@@ -392,14 +414,15 @@ def run_metadata(cfg: RunConfig, dims: Sequence[int] | None = None) -> dict:
 def run_and_write(
     cfg: RunConfig, dims: Sequence[int] | None = None, workers: int = 1
 ) -> list[ResultMatrix]:
-    """Run the matrix once per dim, or once with no dim for `eval`, loading
-    each task file once for all dims, then write
+    """Check the run with `check_config`, then run the matrix once per dim,
+    or once with no dim for `eval`, through one parse cache, and write
     ``results{suffix}.{csv,json,md}`` (suffix ``-dim<d>``, empty for `eval`),
     a per-task SVG plot of score vs dim when dims are given, and
     ``run-metadata.json``."""
-    runs = list(dims) if dims else [None]
-    file_tasks = {s.name: load_task(s, cfg) for s in cfg.tasks if s.path is not None}
-    matrices = [run_matrix(cfg, workers, d, file_tasks) for d in runs]
+    check_config(cfg, dims)
+    runs = [None] if dims is None else list(dims)
+    inputs = Inputs()
+    matrices = [run_matrix(cfg, workers, d, inputs) for d in runs]
     renderers = {"csv": matrix_to_csv, "json": matrix_to_json, "md": matrix_to_markdown}
     os.makedirs(cfg.output_dir, exist_ok=True)
 
@@ -427,16 +450,6 @@ def dim_sweep(cfg: RunConfig, dims: Sequence[int], workers: int = 1) -> list[Res
     """The `sweep` verb: `run_and_write` over ``dims``. Methods must be
     parametric in the dim: random lexicons or lexicon path templates
     containing ``{dim}``."""
-    if not dims:
-        raise ConfigError("sweep needs at least one dim")
-    for m in cfg.methods:
-        if m.sentence_vectors is not None:
-            raise ConfigError(f"method {m.name!r}: precomputed vectors cannot sweep dims")
-        if m.lexicon not in ("random", "synthetic") and "{dim}" not in (m.lexicon or ""):
-            raise ConfigError(
-                f"method {m.name!r}: sweep needs a parametric lexicon "
-                "(random, synthetic, or a path template with {dim})"
-            )
     return run_and_write(cfg, dims, workers)
 
 
@@ -451,34 +464,55 @@ def export_sentence_vectors(
     method = next((m for m in cfg.methods if m.name == method_name), None)
     if method is None:
         raise ConfigError(f"no method named {method_name!r}")
+    check_config(replace(cfg, tasks=(spec,), methods=(method,)))
     task, table = load_task(spec, cfg)
     S = sentence_matrix(task, method, cfg, table)
     save_sentence_vector_table(VectorTable(task.sentence_ids(), S), stream)
     return S.shape[0]
 
 
-def validate_config(cfg: RunConfig) -> list[str]:
-    """The `validate` verb: dry-run checks. Returns a list of problems (empty
-    when the config is runnable)."""
+def validate_config(cfg: RunConfig, dims: Sequence[int] | None = None) -> list[str]:
+    """The `validate` verb, and the check every verb makes before it loads a
+    task: the problems of a run at each of ``dims``, or at no dim for `eval`
+    and `embed`. Each problem and each missing file is reported once. An
+    empty list means the run can start."""
     problems = []
+    if dims is not None:
+        if not dims:
+            problems.append("sweep needs at least one dim")
+        problems += [f"sweep dim {d} is given {n} times" for d, n in Counter(dims).items() if n > 1]
+        problems += [f"sweep dim {d} is not positive" for d in dict.fromkeys(dims) if d <= 0]
+        for m in cfg.methods:
+            if m.lexicon not in ("random", "synthetic") and "{dim}" not in (m.lexicon or ""):
+                problems.append(
+                    f"method {m.name!r}: sweep needs a parametric lexicon "
+                    "(random, synthetic, or a path template with {dim})"
+                )
     file_tasks = [t.name for t in cfg.tasks if t.path is not None]
-    for t in cfg.tasks:
-        if t.path is not None and not os.path.exists(t.path):
-            problems.append(f"task {t.name!r}: file not found: {t.path}")
+    # path -> a reader to name, so each missing file is reported once
+    reads = {t.path: f"task {t.name!r}: file not found" for t in cfg.tasks}
     for m in cfg.methods:
         if m.lexicon == "synthetic" and file_tasks:
             problems.append(
                 f"method {m.name!r}: lexicon 'synthetic' only works with synthetic tasks, "
                 f"not file task(s) {', '.join(map(repr, file_tasks))}"
             )
+        for d in [None] if dims is None else dims:
+            try:
+                reads.setdefault(_lexicon_path(m, d), f"method {m.name!r}: lexicon file not found")
+            except ConfigError as exc:
+                problems.append(str(exc))
         for path in (m.sentence_vectors, m.frequencies):
-            if path is not None and not os.path.exists(path):
-                problems.append(f"method {m.name!r}: file not found: {path}")
-        if (
-            m.lexicon is not None
-            and m.lexicon not in ("random", "synthetic")
-            and "{dim}" not in m.lexicon
-            and not os.path.exists(m.lexicon)
-        ):
-            problems.append(f"method {m.name!r}: lexicon file not found: {m.lexicon}")
-    return problems
+            reads.setdefault(path, f"method {m.name!r}: file not found")
+    return problems + [
+        f"{reader}: {path}" for path, reader in reads.items()
+        if path is not None and not os.path.exists(path)
+    ]
+
+
+def check_config(cfg: RunConfig, dims: Sequence[int] | None = None) -> None:
+    """Raise one ConfigError listing every problem `validate_config` finds,
+    one per line."""
+    problems = validate_config(cfg, dims)
+    if problems:
+        raise ConfigError("\n".join(problems))

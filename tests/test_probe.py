@@ -1,9 +1,5 @@
-import io
-
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
-from hypothesis.extra.numpy import arrays
 
 from sentbench.errors import ProbeDivergedError
 from sentbench.probe import (
@@ -12,13 +8,9 @@ from sentbench.probe import (
     cross_entropy_loss,
     distribution_to_score,
     kl_loss,
-    load_probe,
     loss_gradients,
     pair_features,
-    predict_class,
     predict_proba,
-    predict_score,
-    save_probe,
     score_to_distribution,
     softmax,
     train_classifier,
@@ -207,24 +199,23 @@ class TestClassifier:
         assert np.all(probs >= 0)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_predict_class_argmax_and_ties(self):
+    def test_logit_scaling_keeps_argmax(self):
+        rng = np.random.default_rng(6)
+        model = random_probe(rng, 3, 4, 4)
+        x = rng.standard_normal(3)
+        before = predict_proba(model, x).argmax()
+        model.W2 = model.W2 * 7.0
+        model.b2 = model.b2 * 7.0
+        assert predict_proba(model, x).argmax() == before
+        # argmax, with ties broken toward the lowest class, is how run_task reads a class
         model = Probe(
             W1=np.zeros((2, 2)), b1=np.zeros(2),
             W2=np.zeros((2, 3)), b2=np.array([0.1, 2.3, 0.1]),
             out_kind="classifier",
         )
-        assert predict_class(model, np.zeros(2)) == 1
+        assert predict_proba(model, np.zeros(2)).argmax() == 1
         model.b2 = np.array([1.0, 0.0, 1.0])  # tie between 0 and 2
-        assert predict_class(model, np.zeros(2)) == 0
-
-    def test_logit_scaling_keeps_argmax(self):
-        rng = np.random.default_rng(6)
-        model = random_probe(rng, 3, 4, 4)
-        x = rng.standard_normal(3)
-        before = predict_class(model, x)
-        model.W2 = model.W2 * 7.0
-        model.b2 = model.b2 * 7.0
-        assert predict_class(model, x) == before
+        assert predict_proba(model, np.zeros(2)).argmax() == 0
 
 
 class TestRelatedness:
@@ -251,21 +242,7 @@ class TestRelatedness:
         scores = rng.uniform(1, 5, 50)
         m1 = train_relatedness(X, scores, 5, ProbeConfig(seed=11))
         m2 = train_relatedness(X, scores, 5, ProbeConfig(seed=11))
-        p1 = [predict_score(m1, x) for x in X]
-        p2 = [predict_score(m2, x) for x in X]
-        assert p1 == p2
-
-    def test_predict_score_range_and_kind(self):
-        rng = np.random.default_rng(4)
-        model = random_probe(rng, 3, 4, 5, out_kind="distribution")
-        for x in rng.standard_normal((10, 3)) * 10:
-            assert 1.0 <= predict_score(model, x) <= 5.0
-
-    def test_classifier_probe_rejected(self):
-        rng = np.random.default_rng(4)
-        model = random_probe(rng, 3, 4, 5, out_kind="classifier")
-        with pytest.raises(ValueError):
-            predict_score(model, np.zeros(3))
+        assert np.array_equal(predict_proba(m1, X), predict_proba(m2, X))
 
     def test_saturating_logits_hit_boundary_bin(self):
         model = Probe(
@@ -273,40 +250,11 @@ class TestRelatedness:
             W2=np.zeros((2, 5)), b2=np.array([0.0, 0, 0, 0, 50.0]),
             out_kind="distribution",
         )
-        assert predict_score(model, np.zeros(2)) == pytest.approx(5.0, abs=1e-9)
+        (p,) = predict_proba(model, np.zeros(2))
+        assert distribution_to_score(p) == pytest.approx(5.0, abs=1e-9)
+        # every read-out lies in [1, K], however large the inputs
+        rng = np.random.default_rng(4)
+        model = random_probe(rng, 3, 4, 5, out_kind="distribution")
+        for p in predict_proba(model, rng.standard_normal((10, 3)) * 10):
+            assert 1.0 <= distribution_to_score(p) <= 5.0
 
-
-class TestSerialization:
-    def test_json_roundtrip(self):
-        rng = np.random.default_rng(7)
-        model = random_probe(rng, 4, 3, 2, out_kind="distribution")
-        buf = io.StringIO()
-        save_probe(model, buf)
-        back = load_probe(io.StringIO(buf.getvalue()))
-        assert back.out_kind == model.out_kind
-        for a, b in zip((model.W1, model.b1, model.W2, model.b2),
-                        (back.W1, back.b1, back.W2, back.b2)):
-            assert np.array_equal(a, b)
-
-    @given(st.data())
-    def test_any_shapes_and_finite_values_roundtrip(self, data):
-        d, hidden, k = (data.draw(st.integers(0, 6)) for _ in range(3))
-        finite = st.floats(allow_nan=False, allow_infinity=False)  # subnormals included
-
-        def draw(*shape):
-            return data.draw(arrays(np.float64, shape, elements=finite))
-
-        model = Probe(W1=draw(d, hidden), b1=draw(hidden), W2=draw(hidden, k), b2=draw(k),
-                      out_kind=data.draw(st.sampled_from(["classifier", "distribution"])))
-        buf = io.StringIO()
-        save_probe(model, buf)
-        back = load_probe(io.StringIO(buf.getvalue()))
-        assert back.out_kind == model.out_kind
-        for a, b in zip((model.W1, model.b1, model.W2, model.b2),
-                        (back.W1, back.b1, back.W2, back.b2)):
-            assert a.shape == b.shape and b.dtype == np.float64
-            assert np.array_equal(a, b)
-
-    def test_unknown_version_rejected(self):
-        with pytest.raises(ValueError):
-            load_probe(io.StringIO('{"version": 99}'))

@@ -1,6 +1,8 @@
+import gc
 import json
 import os
 import sys
+import weakref
 import zlib
 from dataclasses import replace
 
@@ -47,6 +49,10 @@ def base_config(**overrides):
     return parse_config(doc)
 
 
+def no_cell(*args, **kwargs):
+    raise AssertionError("a task was loaded or a cell ran before the config was checked")
+
+
 class TestParseConfig:
     def test_minimal(self):
         cfg = base_config()
@@ -69,6 +75,16 @@ class TestParseConfig:
     def test_random_lexicon_needs_dim(self):
         with pytest.raises(ConfigError):
             base_config(methods=[{"name": "m", "lexicon": "random"}])
+
+    @pytest.mark.parametrize("method", [
+        {"lexicon": "v.txt", "dim": 300},
+        {"lexicon": "v{dim}.txt", "dim": 300},
+        {"lexicon": "synthetic", "dim": 8},
+        {"sentence_vectors": "s.tsv", "dim": 8},
+    ])
+    def test_dim_only_with_random_lexicon(self, method):
+        with pytest.raises(ConfigError, match="'m': dim is only for the random lexicon"):
+            base_config(methods=[{"name": "m", **method}])
 
     def test_duplicate_method_names(self):
         with pytest.raises(ConfigError):
@@ -447,6 +463,55 @@ class TestSweep:
         assert len(matrices) == 3
         assert calls == [str(p)]
 
+    def write_dim_files(self, tmp_path, cfg, dims):
+        for d in dims:
+            with open(tmp_path / f"v{d}.txt", "w", encoding="utf-8") as fh:
+                serialize_word_vectors(load_task(cfg.tasks[0], cfg, d)[1], fh, header=False)
+
+    def test_missing_dim_file_fails_before_first_cell(self, tmp_path, monkeypatch):
+        cfg = base_config(
+            methods=[{"name": "file", "lexicon": str(tmp_path / "v{dim}.txt")}],
+            output={"dir": str(tmp_path / "out")},
+        )
+        self.write_dim_files(tmp_path, cfg, [4, 8])
+        monkeypatch.setattr(runner, "run_task", no_cell)
+        with pytest.raises(ConfigError) as info:
+            dim_sweep(cfg, [4, 8, 300])
+        assert str(info.value) == f"method 'file': lexicon file not found: {tmp_path}/v300.txt"
+        assert not os.path.exists(cfg.output_dir)
+
+    def test_input_files_parsed_once_per_sweep(self, tmp_path, monkeypatch):
+        freqs = tmp_path / "freq.txt"
+        freqs.write_text("w0_0 5\nw1_0 3\n", encoding="utf-8")
+        lex = str(tmp_path / "v{dim}.txt")
+        cfg = base_config(
+            methods=[
+                {"name": "file-mean", "lexicon": lex},
+                {"name": "file-sif", "strategy": "sif", "lexicon": lex,
+                 "frequencies": str(freqs)},
+            ],
+            output={"dir": str(tmp_path / "out"), "formats": ["csv"]},
+        )
+        self.write_dim_files(tmp_path, cfg, [4, 8, 16])
+        calls, tables, live = [], [], []
+
+        def counting(loader):
+            def load(stream, *args, **kwargs):
+                calls.append(stream.name)
+                if loader is load_word_vectors:  # one dim's word vectors at a time
+                    gc.collect()
+                    live.append(sum(ref() is not None for ref in tables))
+                result = loader(stream, *args, **kwargs)
+                tables.append(weakref.ref(result))
+                return result
+            return load
+
+        for loader in (load_word_vectors, load_frequency_table):
+            monkeypatch.setattr(runner, loader.__name__, counting(loader))
+        assert len(dim_sweep(cfg, [4, 8, 16])) == 3
+        assert sorted(calls) == sorted([str(freqs)] + [lex.format(dim=d) for d in (4, 8, 16)])
+        assert live[1:] == [1, 1]  # only the frequency table outlives its dim
+
     def test_sweep_writes_per_dim_outputs_and_svg(self, tmp_path):
         cfg = base_config(
             output={"dir": str(tmp_path / "out"), "formats": ["csv", "svg"]},
@@ -471,6 +536,29 @@ class TestValidate:
         )
         problems = validate_config(cfg)
         assert len(problems) == 2
+
+    def test_sweep_plan_reports_each_problem_once(self, tmp_path):
+        lex = str(tmp_path / "v{dim}.txt")
+        freqs = str(tmp_path / "no-freq.txt")
+        cfg = base_config(
+            tasks=[{"name": "t", "path": str(tmp_path / "no.tsv")}],
+            methods=[
+                {"name": "a", "lexicon": lex, "frequencies": freqs},
+                {"name": "b", "lexicon": lex, "frequencies": freqs},
+                {"name": "pre", "sentence_vectors": str(tmp_path / "no.tsv")},
+            ],
+        )
+        assert validate_config(cfg, [8, 4, 8, 0]) == [
+            "sweep dim 8 is given 2 times",
+            "sweep dim 0 is not positive",
+            "method 'pre': sweep needs a parametric lexicon "
+            "(random, synthetic, or a path template with {dim})",
+            f"task 't': file not found: {tmp_path}/no.tsv",
+            f"method 'a': lexicon file not found: {tmp_path}/v8.txt",
+            f"method 'a': lexicon file not found: {tmp_path}/v4.txt",
+            f"method 'a': lexicon file not found: {tmp_path}/v0.txt",
+            f"method 'a': file not found: {freqs}",
+        ]
 
 
 class TestCli:
@@ -548,7 +636,29 @@ class TestCli:
         cfg_path = self.write_config(tmp_path, tmp_path / "out")
         assert cli.main(["sweep", "--config", str(cfg_path), "--dims", "4,x"]) == 1
 
-    def run_file_task(self, tmp_path, capsys, verb, method, rows=40):
+    @pytest.mark.parametrize("dims, message", [
+        ("4,4", "error: sweep dim 4 is given 2 times"),
+        ("4,-4", "error: sweep dim -4 is not positive"),
+        ("0", "error: sweep dim 0 is not positive"),
+    ])
+    def test_repeated_or_non_positive_dim_exit_1(self, tmp_path, capsys, dims, message):
+        cfg_path = self.write_config(tmp_path, tmp_path / "out")
+        assert cli.main(["sweep", "--config", str(cfg_path), "--dims", dims]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_reports_each_problem_on_its_own_line(self, tmp_path, capsys):
+        doc = {"tasks": [{"name": "t", "path": str(tmp_path / "no.tsv")}],
+               "methods": [{"name": "m", "lexicon": str(tmp_path / "no.txt")}]}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["eval", "--config", str(p)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: task 't': file not found: {tmp_path}/no.tsv",
+            f"error: method 'm': lexicon file not found: {tmp_path}/no.txt",
+        ]
+
+    def run_file_task(self, tmp_path, capsys, verb, method, rows=40, args=()):
         task_file = tmp_path / "cls.tsv"
         task_file.write_text("".join(f"{'ab'[i % 2]}\tw{i % 3}\n" for i in range(rows)),
                              encoding="utf-8")
@@ -557,7 +667,7 @@ class TestCli:
                "output": {"dir": str(tmp_path / "out")}}
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(doc), encoding="utf-8")
-        rc = cli.main([verb, "--config", str(p)])
+        rc = cli.main([verb, "--config", str(p), *args])
         return rc, capsys.readouterr().err
 
     def test_synthetic_lexicon_with_file_task_exit_1(self, tmp_path, capsys):
@@ -571,10 +681,14 @@ class TestCli:
             run_matrix(cfg)
         assert isinstance(info.value.__cause__, ConfigError)
 
-    def test_dim_template_under_eval_exit_1(self, tmp_path, capsys):
-        rc, err = self.run_file_task(tmp_path, capsys, "eval", {"lexicon": "v{dim}.txt"})
-        assert rc == 1
-        assert "cell (method='m', task='file-cls')" in err and "needs a sweep dim" in err
+    def test_dim_template_under_eval_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(tasks, "load_classification_tsv", no_cell)
+        embed = ["--task", "file-cls", "--method", "m", "--out", str(tmp_path / "v.tsv")]
+        for verb, args in [("eval", []), ("validate", []), ("embed", embed)]:
+            rc, err = self.run_file_task(tmp_path, capsys, verb, {"lexicon": "v{dim}.txt"},
+                                         args=args)
+            assert rc == 1, verb
+            assert err == "error: method 'm': lexicon template needs a sweep dim\n", verb
 
     @pytest.mark.parametrize("text, message", [
         ("w0 1 x\n", "line 1: non-numeric"),
