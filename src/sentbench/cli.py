@@ -89,8 +89,7 @@ def main(argv: list[str] | None = None) -> int:
             runner.dim_sweep(cfg, dims, workers=args.workers)
             print(f"wrote {len(dims)} matrices to {cfg.output_dir}")
             return 0
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:  # embed
-            n = runner.export_sentence_vectors(cfg, args.task, args.method, fh)
+        n = runner.export_sentence_vectors(cfg, args.task, args.method, args.out)  # embed
         print(f"wrote {n} sentence vectors to {args.out}")
         return 0
     except Exception as exc:

@@ -5,20 +5,30 @@ File formats (all UTF-8, LF or CRLF):
   word vectors     ``word v1 v2 ... vd`` per line, optional ``count dim`` header
   frequencies      ``word count`` per line, optional ``#total N`` first line
   sentence vectors ``id<TAB>v1 v2 ... vd`` per line
+
+``save_sentence_vector_table`` writes each component with 17 significant
+digits (``%.17g``), so every float64 reads back bit for bit. Both vector
+parsers read the numbers of up to ``_BLOCK`` lines at a time in one
+``np.loadtxt`` call. A block that does not parse that way is parsed again
+line by line, so an error still names its line, and the values are always
+those ``float()`` gives per token.
 """
 
 from __future__ import annotations
 
+import itertools
 import unicodedata
 from array import array
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable
 
 import numpy as np
 
 from .errors import ParseError
 
 _PUNCT_CATEGORIES = ("P", "S")
+_BLOCK = 128  # lines per np.loadtxt call: bounds the memory a block holds
+_LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"  # loadtxt strips them around a number, float() does not
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,29 +91,94 @@ def _fields(raw: str) -> list[str]:
     return [p for p in parts if p] if "" in parts else parts
 
 
-def _append_floats(flat: array, parts: Sequence[str], lineno: int) -> None:
-    if not parts:
-        raise ParseError("missing vector components", lineno)
+def _block_rows(parts: list[tuple[str, str, str]], dim: int) -> np.ndarray | None:
+    """The components of a block of lines, each split by ``str.partition``
+    into key, separator and rest, parsed in one call into a (len(parts), dim)
+    matrix equal bit for bit to ``float()`` per token. None when a line has
+    no key or no separator, or its rest is not exactly ``dim`` numbers
+    separated by single spaces."""
+    rests = [rest.rstrip() for _, _, rest in parts]
+    if not all(key and gap for key, gap, _ in parts) or "" in rests:
+        return None  # loadtxt would skip an empty line, with a warning
+    if any(c in rest for rest in rests for c in _LOADTXT_ONLY_SPACES):
+        return None
     try:
-        flat.extend(map(float, parts))
+        rows = np.loadtxt(rests, dtype=np.float64, ndmin=2, comments=None, delimiter=" ")
     except ValueError:
-        raise ParseError("non-numeric vector component", lineno) from None
+        return None
+    return rows if rows.shape == (len(rests), dim) else None
 
 
-def _parsed_table(
-    keys: list[str], flat: array, dim: int, lines: list[int], duplicates: int = 0
+def _vector_table(
+    stream: Iterable[str],
+    strip: Callable[[str], str],
+    dim: int | None,
+    sep: str,
+    split: Callable[[str, int], list[str]],
+    kind: str,
+    count: int | None = None,
 ) -> VectorTable:
-    """The parsed components viewed as one (n, d) matrix, without a copy. A
-    non-finite component is an error naming its line."""
-    vectors = np.frombuffer(flat, dtype=np.float64).reshape(len(keys), dim)
+    """The ``kind`` ("word" or "sentence") vectors of a stream's lines, read
+    ``_BLOCK`` non-blank ``strip``ped lines at a time.
+
+    ``split`` gives a line's key and component fields, or raises the line's
+    ParseError. In a block, ``line.partition(sep)`` splits off each key and
+    one ``_block_rows`` call parses the numbers. A block that does not parse
+    that way goes through ``split``, ``float()`` and the checks one line at a
+    time, so the first error names its line. A duplicate word is dropped and
+    counted; a duplicate sentence id is an error. ``count`` is the number of
+    lines a header announced. A non-finite component is an error naming its
+    line."""
+    keys: list[str] = []
+    seen: set[str] = set()
+    flat, lines, duplicates = array("d"), [], 0
+    numbered = ((lineno, strip(raw)) for lineno, raw in enumerate(stream, start=1))
+    # only the key and the components of a line are held, not the line too
+    split_lines = ((lineno, line.partition(sep)) for lineno, line in numbered if line)
+    while block := list(itertools.islice(split_lines, _BLOCK)):
+        if dim is None:
+            dim = len(split("".join(block[0][1]), block[0][0])) - 1
+        fresh: dict[str, int] = {}  # new key -> index of its first line
+        for i, (_, (key, _, _)) in enumerate(block):
+            if key not in seen:
+                fresh.setdefault(key, i)
+        rows = None
+        if kind == "word" or len(fresh) == len(block):  # else a duplicate id to name
+            rows = _block_rows([parts for _, parts in block], dim)
+        if rows is not None:
+            flat.frombytes(rows[list(fresh.values())].tobytes())
+            seen.update(fresh)
+            keys += fresh
+            lines += [block[i][0] for i in fresh.values()]
+            duplicates += len(block) - len(fresh)
+            continue
+        for lineno, parts in block:
+            key, *comps = split("".join(parts), lineno)
+            if len(comps) != dim:
+                raise ParseError(f"expected {dim} components, found {len(comps)}", lineno)
+            if key in seen and kind == "sentence":
+                raise ParseError(f"duplicate sentence id {key!r}", lineno)
+            if key in seen:
+                duplicates += 1
+                continue
+            if not comps:
+                raise ParseError("missing vector components", lineno)
+            try:
+                flat.extend(map(float, comps))
+            except ValueError:
+                raise ParseError("non-numeric vector component", lineno) from None
+            seen.add(key)
+            keys.append(key)
+            lines.append(lineno)
+    if not keys:
+        raise ParseError(f"no {kind} vectors found in input")
+    if count is not None and count != len(keys) + duplicates:
+        raise ParseError(f"header announces {count} vectors, found {len(keys) + duplicates}")
+    vectors = np.frombuffer(flat, dtype=np.float64).reshape(len(keys), dim)  # no copy
     finite = np.isfinite(vectors).all(axis=1)
     if not finite.all():
         raise ParseError("non-finite vector component", lines[int(finite.argmin())])
     return VectorTable(keys, vectors, duplicates)
-
-
-def _components(vec: np.ndarray) -> str:
-    return " ".join(format(x, ".17g") for x in vec)  # 17 significant digits: lossless
 
 
 def _is_int(tok: str) -> bool:
@@ -126,49 +201,18 @@ def load_word_vectors(stream: IO[str], expected_dim: int | None = None) -> Vecto
     dropped duplicates is recorded on the table.
     """
     dim, count = expected_dim, None
-    words: list[str] = []
-    seen: set[str] = set()
-    flat, lines = array("d"), []
-    duplicates = 0
-    for lineno, raw in enumerate(stream, start=1):
-        parts = _fields(raw)
-        if not parts:
-            continue
-        if lineno == 1 and len(parts) == 2 and all(_is_int(p) for p in parts):
-            header_dim = int(parts[1])
-            if header_dim <= 0:
-                raise ParseError("header dimension must be positive", lineno)
-            if expected_dim is not None and header_dim != expected_dim:
-                raise ParseError(
-                    f"header dim {header_dim} != expected dim {expected_dim}", lineno
-                )
-            count, dim = int(parts[0]), header_dim
-            continue
-        word, comps = parts[0], parts[1:]
-        if dim is None:
-            dim = len(comps)
-        if len(comps) != dim:
-            raise ParseError(f"expected {dim} components, found {len(comps)}", lineno)
-        if word in seen:
-            duplicates += 1
-            continue
-        _append_floats(flat, comps, lineno)
-        seen.add(word)
-        words.append(word)
-        lines.append(lineno)
-    if not words:
-        raise ParseError("no word vectors found in input")
-    if count is not None and count != len(words) + duplicates:
-        raise ParseError(f"header announces {count} vectors, found {len(words) + duplicates}")
-    return _parsed_table(words, flat, dim, lines, duplicates)
-
-
-def serialize_word_vectors(table: VectorTable, stream: IO[str], header: bool = True) -> None:
-    """Write the table in the same text format."""
-    if header:
-        stream.write(f"{len(table.keys)} {table.dim}\n")
-    for word, vec in zip(table.keys, table.vectors):
-        stream.write(f"{word} {_components(vec)}\n")
+    rest = iter(stream)
+    first = next(rest, "")
+    parts = _fields(first)
+    if len(parts) == 2 and all(_is_int(p) for p in parts):
+        header_dim = int(parts[1])
+        if header_dim <= 0:
+            raise ParseError("header dimension must be positive", 1)
+        if expected_dim is not None and header_dim != expected_dim:
+            raise ParseError(f"header dim {header_dim} != expected dim {expected_dim}", 1)
+        count, dim, first = int(parts[0]), header_dim, ""  # a blank line 1 keeps the numbering
+    lines = itertools.chain([first], rest)
+    return _vector_table(lines, str.rstrip, dim, " ", lambda line, _: _fields(line), "word", count)
 
 
 def load_frequency_table(stream: IO[str]) -> FrequencyTable:
@@ -215,64 +259,27 @@ def random_table(vocab: Iterable[str], dim: int, seed: int) -> VectorTable:
     return VectorTable(words, np.random.default_rng(seed).standard_normal((len(words), dim)))
 
 
-def normalize(v: np.ndarray) -> np.ndarray:
-    """Scale to unit Euclidean length; rejects the zero vector. The vector is
-    first scaled by an exact power of two so its norm neither overflows nor
-    underflows."""
-    v = np.asarray(v, dtype=np.float64)
-    peak = np.abs(v).max(initial=0.0)
-    if peak == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    v = np.ldexp(v, -np.frexp(peak)[1])
-    return v / np.linalg.norm(v)
-
-
-def sentence_token_vectors(
-    table: VectorTable, tokens: Sequence[str], do_normalize: bool = True
-) -> list[np.ndarray]:
-    """In-order vectors for the in-vocabulary tokens of a sentence.
-
-    Out-of-vocabulary tokens are skipped; an all-OOV sentence yields an empty
-    list. With ``do_normalize`` each vector is scaled to unit length so every
-    word contributes equally to a mean.
-    """
-    vecs = [table.vectors[table.row[tok]] for tok in tokens if tok in table.row]
-    return [normalize(v) for v in vecs] if do_normalize else vecs
+def _sentence_fields(line: str, lineno: int) -> list[str]:
+    if "\t" not in line:
+        raise ParseError("expected `id<TAB>components`", lineno)
+    sid, rest = line.split("\t", 1)
+    return [sid, *_fields(rest)]
 
 
 def load_sentence_vector_table(stream: IO[str]) -> VectorTable:
     """Parse ``id<TAB>v1 v2 ... vd`` lines. Duplicate ids and inconsistent
     dimensions are errors."""
-    ids: list[str] = []
-    seen: set[str] = set()
-    flat, lines = array("d"), []
-    dim: int | None = None
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\r\n")
-        if not line:
-            continue
-        if "\t" not in line:
-            raise ParseError("expected `id<TAB>components`", lineno)
-        sid, rest = line.split("\t", 1)
-        comps = _fields(rest)
-        if dim is None:
-            dim = len(comps)
-        elif len(comps) != dim:
-            raise ParseError(f"expected {dim} components, found {len(comps)}", lineno)
-        if sid in seen:
-            raise ParseError(f"duplicate sentence id {sid!r}", lineno)
-        _append_floats(flat, comps, lineno)
-        seen.add(sid)
-        ids.append(sid)
-        lines.append(lineno)
-    if dim is None:
-        raise ParseError("no sentence vectors found in input")
-    return _parsed_table(ids, flat, dim, lines)
+    return _vector_table(
+        stream, lambda raw: raw.rstrip("\r\n"), None, "\t", _sentence_fields, "sentence"
+    )
 
 
 def save_sentence_vector_table(table: VectorTable, stream: IO[str]) -> None:
+    """Write ``id<TAB>v1 v2 ... vd`` lines, each component with 17
+    significant digits (lossless). One ``%`` call formats a whole row."""
+    row = "%s\t" + " ".join(["%.17g"] * table.dim) + "\n"
     for sid, vec in zip(table.keys, table.vectors):
-        stream.write(f"{sid}\t{_components(vec)}\n")
+        stream.write(row % (sid, *vec.tolist()))
 
 
 def _is_punct_only(token: str) -> bool:

@@ -15,7 +15,7 @@ import zlib
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -454,10 +454,12 @@ def dim_sweep(cfg: RunConfig, dims: Sequence[int], workers: int = 1) -> list[Res
 
 
 def export_sentence_vectors(
-    cfg: RunConfig, task_name: str, method_name: str, stream: IO[str]
+    cfg: RunConfig, task_name: str, method_name: str, out: str | os.PathLike
 ) -> int:
     """The `embed` verb: write the sentence vectors of one task under one
-    method as a sentence-vector TSV. Returns the number of rows written."""
+    method as a sentence-vector TSV at ``out``. The file is opened only once
+    the vectors are computed, so a config or input error leaves it as it
+    was. Returns the number of rows written."""
     spec = next((t for t in cfg.tasks if t.name == task_name), None)
     if spec is None:
         raise ConfigError(f"no task named {task_name!r}")
@@ -467,7 +469,8 @@ def export_sentence_vectors(
     check_config(replace(cfg, tasks=(spec,), methods=(method,)))
     task, table = load_task(spec, cfg)
     S = sentence_matrix(task, method, cfg, table)
-    save_sentence_vector_table(VectorTable(task.sentence_ids(), S), stream)
+    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        save_sentence_vector_table(VectorTable(task.sentence_ids(), S), fh)
     return S.shape[0]
 
 

@@ -15,7 +15,8 @@ from sentbench.aggregate import (
     sif_weight,
     sif_weighted_mean,
 )
-from sentbench.lexicon import FrequencyTable, VectorTable, random_table, sentence_token_vectors
+from sentbench.lexicon import FrequencyTable, VectorTable, random_table
+from oracles import sentence_token_vectors
 
 
 def table_of(entries):

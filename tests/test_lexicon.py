@@ -1,11 +1,13 @@
 import io
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sentbench import lexicon
 from sentbench.errors import ParseError
 from sentbench.lexicon import (
     FrequencyTable,
@@ -13,13 +15,18 @@ from sentbench.lexicon import (
     load_frequency_table,
     load_sentence_vector_table,
     load_word_vectors,
-    normalize,
     random_table,
     save_sentence_vector_table,
-    sentence_token_vectors,
-    serialize_word_vectors,
     tokenize,
     unigram_probability,
+)
+from oracles import (
+    load_sentence_vectors_by_line,
+    load_word_vectors_by_line,
+    normalize,
+    save_sentence_vectors,
+    sentence_token_vectors,
+    serialize_word_vectors,
 )
 
 
@@ -251,10 +258,10 @@ IDS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="
 
 
 @st.composite
-def tables(draw, keys):
+def tables(draw, keys, values=FINITE):
     names = draw(st.lists(keys, min_size=1, max_size=6, unique=True))
     d = draw(st.integers(1, 5))
-    rows = draw(st.lists(st.lists(FINITE, min_size=d, max_size=d),
+    rows = draw(st.lists(st.lists(values, min_size=d, max_size=d),
                          min_size=len(names), max_size=len(names)))
     return VectorTable(names, rows)
 
@@ -282,6 +289,182 @@ class TestVectorFileRoundTrip:
         back = file_roundtrip(table, save_sentence_vector_table, load_sentence_vector_table)
         assert back.keys == table.keys
         assert np.array_equal(back.vectors, table.vectors)
+
+
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+            1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 1 / 3, 0.1]
+EDGE_FLOATS = st.one_of(FINITE, st.sampled_from(EXTREMES))
+FORMATS = {"repr": repr, "%.17g": "%.17g".__mod__, "%.6f": "%.6f".__mod__, "%E": "%E".__mod__}
+
+
+def outcome(load, text, **kwargs):
+    """What ``load`` makes of ``text``: the table as keys, vector bytes and
+    dropped duplicates, or the ParseError as message and line. No warning
+    may escape the parser."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = load(io.StringIO(text), **kwargs)
+        except ParseError as exc:
+            return str(exc), exc.line
+    return table.keys, table.vectors.tobytes(), table.duplicates
+
+
+class TestSentenceVectorWriter:
+    @given(tables(IDS | st.just("a%sb%%"), EDGE_FLOATS))
+    def test_bytes_equal_the_per_float_writer(self, table):
+        fast, slow = io.StringIO(), io.StringIO()
+        save_sentence_vector_table(table, fast)
+        save_sentence_vectors(table, slow)
+        assert fast.getvalue() == slow.getvalue()
+
+    def test_extremes_written_as_before(self):
+        table = VectorTable(["x"], [EXTREMES])
+        buf = io.StringIO()
+        save_sentence_vector_table(table, buf)
+        assert buf.getvalue() == "x\t" + " ".join(format(x, ".17g") for x in EXTREMES) + "\n"
+        assert load_sentence_vector_table(io.StringIO(buf.getvalue())).vectors.tobytes() == (
+            table.vectors.tobytes()
+        )
+
+
+class TestBlockParser:
+    """The block path against ``float()`` per token and against the
+    line-by-line parser in ``oracles``."""
+
+    @given(st.lists(st.lists(EDGE_FLOATS, min_size=3, max_size=3), min_size=1, max_size=30),
+           st.sampled_from(sorted(FORMATS)))
+    def test_block_equals_float_per_token(self, rows, fmt):
+        rests = [" ".join(FORMATS[fmt](x) for x in row) for row in rows]
+        got = lexicon._block_rows([("key", "\t", rest) for rest in rests], 3)
+        assert got is not None
+        want = np.array([[float(tok) for tok in rest.split(" ")] for rest in rests])
+        assert got.tobytes() == want.tobytes()
+
+    @given(st.lists(st.lists(EDGE_FLOATS, min_size=2, max_size=2), min_size=1, max_size=12),
+           st.sampled_from(sorted(FORMATS)), st.integers(1, 4))
+    def test_loaders_equal_line_parser_across_blocks(self, rows, fmt, block):
+        lines = [" ".join(FORMATS[fmt](x) for x in row) for row in rows]
+        words = "".join(f"w{i % 5} {line}\n" for i, line in enumerate(lines))
+        sents = "".join(f"s{i}\t{line}\n" for i, line in enumerate(lines))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lexicon, "_BLOCK", block)
+            assert outcome(load_word_vectors, words) == outcome(load_word_vectors_by_line, words)
+            assert outcome(load_sentence_vector_table, sents) == outcome(
+                load_sentence_vectors_by_line, sents
+            )
+
+    @pytest.mark.parametrize("text", [
+        "a 1 0\r\nb 0 1\r\n",  # CRLF
+        "a 1 0 \nb 0 1 \n",  # word2vec trailing space
+        "a  1   0\nb 0  1\n",  # runs of spaces
+        "a 1 \t0\nb 0\t 1\n",  # tabs beside spaces
+        "a 1_0 2\n",  # an underscore float() reads
+        " a 1 0\n",  # a leading space
+        "a 1 0\na 0 x\n",  # a duplicate word is not parsed
+        "a \x1c1 0\n",  # loadtxt strips \x1c around a number, float() does not
+        "a ١ 0\n",  # a non-ASCII digit float() reads
+    ])
+    def test_accepted_and_rejected_inputs_as_before(self, text):
+        for block in (1, 2, lexicon._BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lexicon, "_BLOCK", block)
+                assert outcome(load_word_vectors, text) == outcome(load_word_vectors_by_line, text)
+                sents = text.replace(" ", "\t", 1)
+                assert outcome(load_sentence_vector_table, sents) == outcome(
+                    load_sentence_vectors_by_line, sents
+                )
+
+    @given(st.lists(st.tuples(st.sampled_from(["a", "b", "", " c", "1"]),
+                              st.sampled_from([" ", "  ", "\t", " \t"]),
+                              st.lists(st.sampled_from(["1", "-0", "2.5e-3", "1_0", "x", "nan",
+                                                        "inf", "\x1c1", "", " "]), max_size=3),
+                              st.sampled_from(["\n", "\r\n", " \n", "\t\n"])),
+                    max_size=8),
+           st.sampled_from(["", "2 2\n", "3 1\n", "0 2\n"]), st.integers(1, 3))
+    def test_any_small_file_parses_as_before(self, lines, header, block):
+        words = header + "".join(k + sep + " ".join(c) + end for k, sep, c, end in lines)
+        sents = "".join(k + "\t" + " ".join(c) + end for k, _, c, end in lines)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lexicon, "_BLOCK", block)
+            assert outcome(load_word_vectors, words) == outcome(load_word_vectors_by_line, words)
+            assert outcome(load_word_vectors, words, expected_dim=2) == outcome(
+                load_word_vectors_by_line, words, expected_dim=2
+            )
+            assert outcome(load_sentence_vector_table, sents) == outcome(
+                load_sentence_vectors_by_line, sents
+            )
+
+    def test_numbers_parsed_in_bounded_blocks(self, monkeypatch):
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counting_loadtxt(rests, *args, **kwargs):
+            calls.append(len(rests))
+            return loadtxt(rests, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+        text = "".join(f"s{i}\t{i} 1\n" for i in range(2500))
+        assert load_sentence_vector_table(io.StringIO(text)).vectors.shape == (2500, 2)
+        block = lexicon._BLOCK
+        assert block <= 1024 and calls == [block] * (2500 // block) + [2500 % block]
+
+
+def long_file(kind, bad=None, lines=1600, at=1500):
+    """A valid ``kind`` vector file of ``lines`` lines, three components each,
+    with line ``at`` replaced by ``bad`` (key and components)."""
+    key, sep = ("w", " ") if kind == "word" else ("s", "\t")
+    rows = [f"{key}{i}{sep}{i} 0.5 -1" for i in range(1, lines + 1)]
+    if bad is not None:
+        rows[at - 1] = bad.replace(" ", sep, 1)
+    return "".join(row + "\n" for row in rows)
+
+
+class TestErrorsPastTheFirstBlock:
+    @pytest.mark.parametrize("kind, bad, message", [
+        ("word", "w1500 1 x -1", "line 1500: non-numeric vector component"),
+        ("word", "w1500 1 0", "line 1500: expected 3 components, found 2"),
+        ("word", "w1500 1 inf -1", "line 1500: non-finite vector component"),
+        ("word", "w1500 1 0 -1 2", "line 1500: expected 3 components, found 4"),
+        ("sentence", "s1500 1 x -1", "line 1500: non-numeric vector component"),
+        ("sentence", "s1500 1 0", "line 1500: expected 3 components, found 2"),
+        ("sentence", "s1500 nan 0 -1", "line 1500: non-finite vector component"),
+        ("sentence", "s7 1 0 -1", "line 1500: duplicate sentence id 's7'"),
+        ("sentence", "s1500", "line 1500: expected `id<TAB>components`"),
+    ])
+    def test_error_names_its_line(self, kind, bad, message):
+        text = long_file(kind, bad)
+        load, oracle = ((load_word_vectors, load_word_vectors_by_line) if kind == "word"
+                        else (load_sentence_vector_table, load_sentence_vectors_by_line))
+        assert outcome(load, text) == outcome(oracle, text) == (message, 1500)
+
+    def test_short_header(self):
+        text = "1601 3\n" + long_file("word")
+        assert outcome(load_word_vectors, text) == outcome(load_word_vectors_by_line, text) == (
+            "header announces 1601 vectors, found 1600", None
+        )
+
+    @pytest.mark.parametrize("first, later, message", [
+        ((1100, "s1100 1 0"), (1200, "s3 1 0 -1"), "line 1100: expected 3 components, found 2"),
+        ((1400, "s1400 1 x -1"), (1500, "s3 1 0 -1"), "line 1400: non-numeric vector component"),
+        ((1100, "s3 1 0 -1"), (1200, "s1200 1 0"), "line 1100: duplicate sentence id 's3'"),
+    ])
+    def test_first_error_in_line_order(self, first, later, message):
+        """Two faults in one block: the earlier line is named, whichever
+        check finds it."""
+        rows = long_file("sentence").splitlines()
+        for at, bad in (first, later):
+            rows[at - 1] = bad.replace(" ", "\t", 1)
+        text = "\n".join(rows) + "\n"
+        assert outcome(load_sentence_vector_table, text) == (message, first[0])
+        assert outcome(load_sentence_vectors_by_line, text) == (message, first[0])
+
+    def test_duplicate_words_past_the_first_block_dropped(self):
+        text = long_file("word", "w3 9 9 9")
+        table = load_word_vectors(io.StringIO(text))
+        assert table.duplicates == 1 and len(table.keys) == 1599
+        assert table.vectors[table.row["w3"]].tolist() == [3.0, 0.5, -1.0]
+        assert outcome(load_word_vectors, text) == outcome(load_word_vectors_by_line, text)
 
 
 class TestTokenize:

@@ -15,9 +15,9 @@ from sentbench.lexicon import (
     load_frequency_table,
     load_sentence_vector_table,
     load_word_vectors,
-    serialize_word_vectors,
 )
 from sentbench.metrics import majority_baseline
+from oracles import serialize_word_vectors
 from sentbench.runner import (
     MethodSpec,
     RunConfig,
@@ -318,8 +318,7 @@ class TestRunMatrix:
     ):
         cfg = base_config()
         vecs, freqs = tmp_path / "vecs.tsv", tmp_path / "freq.txt"
-        with open(vecs, "w", encoding="utf-8") as fh:
-            export_sentence_vectors(cfg, "cls", "clustered-mean", fh)
+        export_sentence_vectors(cfg, "cls", "clustered-mean", vecs)
         freqs.write_text("w0_0 5\nw1_0 3\n#total 100\n", encoding="utf-8")
         sif = {"strategy": "sif", "lexicon": "synthetic", "frequencies": str(freqs)}
         cfg = base_config(
@@ -396,8 +395,7 @@ class TestSifAndSentenceVectors:
     def test_precomputed_vectors_reproduce_lexicon_method(self, tmp_path):
         cfg = base_config()
         out = tmp_path / "vecs.tsv"
-        with open(out, "w", encoding="utf-8") as fh:
-            n = export_sentence_vectors(cfg, "cls", "clustered-mean", fh)
+        n = export_sentence_vectors(cfg, "cls", "clustered-mean", out)
         assert n == 120
         table = load_sentence_vector_table(open(out, encoding="utf-8"))
         assert table.dim == 8
@@ -423,8 +421,7 @@ class TestSifAndSentenceVectors:
             tasks=[{"name": "rel", "kind": "relatedness", "synthetic": dict(SYN_REL)}]
         )
         out = tmp_path / "pairs.tsv"
-        with open(out, "w", encoding="utf-8") as fh:
-            n = export_sentence_vectors(cfg, "rel", "clustered-mean", fh)
+        n = export_sentence_vectors(cfg, "rel", "clustered-mean", out)
         assert n == 240
         table = load_sentence_vector_table(open(out, encoding="utf-8"))
         assert "p0000_A" in table.row and "p0000_B" in table.row
@@ -700,6 +697,20 @@ class TestCli:
         rc, err = self.run_file_task(tmp_path, capsys, "eval", {"lexicon": str(lex)})
         assert rc == 1
         assert "cell (method='m', task='file-cls')" in err and message in err
+
+    @pytest.mark.parametrize("method", [
+        {"lexicon": "v{dim}.txt"},  # a config error
+        {"lexicon": "bad.txt"},  # a malformed word-vector file
+    ])
+    def test_embed_error_leaves_out_file_untouched(self, tmp_path, capsys, method):
+        (tmp_path / "bad.txt").write_text("w0 1 0\nw1 1 x\n", encoding="utf-8")
+        out = tmp_path / "v.tsv"
+        out.write_text("keep me\n", encoding="utf-8")
+        method = {"lexicon": str(tmp_path / method["lexicon"])}
+        embed = ["--task", "file-cls", "--method", "m", "--out", str(out)]
+        rc, err = self.run_file_task(tmp_path, capsys, "embed", method, args=embed)
+        assert rc == 1 and err.startswith("error: ")
+        assert out.read_text(encoding="utf-8") == "keep me\n"
 
     def test_task_too_small_to_split_exit_1(self, tmp_path, capsys):
         rc, err = self.run_file_task(tmp_path, capsys, "eval", {"lexicon": "random", "dim": 4},
