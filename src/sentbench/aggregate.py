@@ -3,14 +3,16 @@
 Three strategies: plain mean, frequency-weighted mean with common-component
 removal (SIF), and mean concatenated with componentwise max. ``embed_corpus``
 runs all three on one path: a (V, d) vocabulary matrix, normalised and
-SIF-weighted per row once, whose rows each sentence pools. The per-sentence
+SIF-weighted per row once, whose rows are pooled for all sentences of one
+in-vocabulary length at a time, in blocks of about 1 MB. The per-sentence
 functions (``mean_pool``, ``mean_max_concat``, ``sif_weighted_mean``) are the
-reference definitions it is tested against.
+reference definitions; its rows are bitwise equal to theirs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Sequence, Union
 
 import numpy as np
@@ -18,6 +20,7 @@ import numpy as np
 from .lexicon import FrequencyTable, VectorTable, unigram_probability
 
 DEFAULT_SIF_A = 1e-3
+BLOCK_FLOATS = 2**17  # float64 values per pooled block (1 MB)
 
 
 @dataclass(frozen=True)
@@ -161,9 +164,14 @@ def embed_corpus(
 
     A copy of the table's (V, d) matrix has its rows normalised once (and,
     for SIF, scaled by their word weights); each sentence pools the rows of
-    its in-vocabulary tokens. For SIF the common component is fitted on
-    ``fit_rows`` only (typically the training split) and removed from every
-    row, so held-out rows never influence the fit.
+    its in-vocabulary tokens. Sentences with the same number L of such tokens
+    are pooled together, as (k, L, d) blocks of at most ``BLOCK_FLOATS``
+    values (one sentence if L * d alone exceeds it). A reduction over axis 1
+    of a block adds each sentence's rows in the order ``mean_pool`` and
+    ``max_pool`` do, so every row is bitwise equal to theirs; a sentence with
+    no in-vocabulary token is a zero row. For SIF the common component is
+    fitted on ``fit_rows`` only (typically the training split) and removed
+    from every row, so held-out rows never influence the fit.
     """
     if not isinstance(strat, (Mean, Sif, MeanMaxConcat)):
         raise TypeError(f"unknown strategy {strat!r}")
@@ -186,9 +194,21 @@ def embed_corpus(
             E /= norms  # a zero row becomes NaN
     if isinstance(strat, Sif):
         E *= np.array([[sif_weight(strat.a, unigram_probability(strat.freq, w))] for w in row])
-    pool = mean_max_concat if isinstance(strat, MeanMaxConcat) else mean_pool
-    for i, toks in enumerate(sentences):
-        out[i] = pool(E[[row[t] for t in toks if t in row]], d)
+    counts = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
+    ids = np.fromiter(map(row.get, chain.from_iterable(sentences), repeat(-1)), dtype=np.intp)
+    known = ids >= 0  # -1 marks an out-of-vocabulary token
+    lengths = np.bincount(np.repeat(np.arange(counts.size), counts)[known], minlength=counts.size)
+    ids, starts = ids[known], np.cumsum(lengths) - lengths
+    for L in np.unique(lengths[lengths > 0]).tolist():
+        members = np.flatnonzero(lengths == L)
+        idx = ids[starts[members, None] + np.arange(L)]  # (m, L) row ids, in token order
+        k = max(1, BLOCK_FLOATS // (L * d))
+        for s in range(0, len(members), k):
+            block, part = E[idx[s : s + k]], members[s : s + k]
+            out[part, :d] = block.mean(axis=1)
+            if isinstance(strat, MeanMaxConcat):
+                out[part, d:] = block.max(axis=1)
+            del block  # before the next gather: one block alive at a time
     if not np.all(np.isfinite(out)):
         raise ValueError("cannot normalize the zero vector")
     if isinstance(strat, Sif):

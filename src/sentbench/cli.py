@@ -64,6 +64,8 @@ def _load(args) -> runner.RunConfig:
         cfg = replace(cfg, formats=tuple(args.format.split(",")))
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
+    if getattr(args, "workers", 1) < 1:
+        raise ConfigError("--workers must be at least 1")
     return cfg
 
 

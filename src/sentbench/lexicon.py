@@ -221,10 +221,9 @@ def load_frequency_table(stream: IO[str]) -> FrequencyTable:
     counts: dict[str, int] = {}
     total_override: int | None = None
     for lineno, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\r\n")
-        if not line:
+        parts = raw.split()
+        if not parts:  # an empty or whitespace-only line
             continue
-        parts = line.split()
         if lineno == 1 and parts[0] == "#total":
             if len(parts) != 2 or not _is_int(parts[1]):
                 raise ParseError("malformed #total line", lineno)

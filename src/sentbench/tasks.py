@@ -247,7 +247,7 @@ def synthetic_classification(
     for i in range(items):
         k = i % classes
         length = int(rng.integers(3, 9))
-        sentences.append(tuple(rng.choice(class_words[k], size=length, replace=True)))
+        sentences.append(tuple(rng.choice(class_words[k], size=length, replace=True).tolist()))
         labels.append(f"c{k}")
     label_set = tuple(f"c{k}" for k in range(classes))
     task = Task("synthetic-classification", tuple(sentences), tuple(labels), label_set)
@@ -279,11 +279,11 @@ def synthetic_relatedness(
     sentences_a, sentences_b, scores, labels = [], [], [], []
     for i in range(pairs):
         own, other = clusters if i % 2 == 0 else clusters[::-1]
-        tokens_a = list(rng.choice(own, size=k, replace=False))
+        tokens_a = rng.choice(own, size=k, replace=False).tolist()
         target = rng.uniform(0.0, 1.0)
         m = round(target * 2 * k / (1 + target))
-        shared = list(rng.choice(tokens_a, size=m, replace=False))
-        fresh = list(rng.choice(other, size=k - m, replace=False))
+        shared = rng.choice(tokens_a, size=m, replace=False).tolist()
+        fresh = rng.choice(other, size=k - m, replace=False).tolist()
         jaccard = m / (2 * k - m)
         sentences_a.append(tuple(tokens_a))
         sentences_b.append(tuple(shared + fresh))

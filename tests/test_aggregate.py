@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from sentbench.aggregate import (
+    BLOCK_FLOATS,
     Mean,
     MeanMaxConcat,
     Sif,
@@ -331,3 +334,85 @@ class TestEmbedCorpusMatchesOracles:
         c = top_eig_oracle(unfitted[fit_rows])
         expected = np.array([remove_common_component(v, c) for v in unfitted])
         assert np.abs(out - expected).max() <= 1e-12
+
+
+def pooled_reference(sents, table, strat, fit_rows, normalize):
+    """``embed_corpus`` one sentence at a time through the per-sentence
+    references, with the matrix's rows normalised as ``embed_corpus`` does and
+    the same common-component removal."""
+    E = table.vectors
+    if normalize:
+        E = E / np.linalg.norm(E, axis=1, keepdims=True)
+    rows = []
+    for s in sents:
+        toks = [t for t in s if t in table.row]
+        vs = E[[table.row[t] for t in toks]]
+        if isinstance(strat, Sif):
+            rows.append(sif_weighted_mean(toks, vs, strat) if toks else np.zeros(table.dim))
+        else:
+            pool = mean_max_concat if isinstance(strat, MeanMaxConcat) else mean_pool
+            rows.append(pool(vs, table.dim))
+    ref = np.array(rows)
+    if isinstance(strat, Sif):
+        c = fit_common_component(ref[fit_rows])
+        ref -= np.outer(ref @ c, c)
+    return ref
+
+
+def bucketed_corpus(d, seed=0):
+    """Sentences of in-vocabulary length 0 (empty and all-OOV), 1, 4 and
+    many, with OOV tokens among them. At d = 512 the length-4 bucket spans
+    three blocks and each long sentence exceeds ``BLOCK_FLOATS`` alone."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(40)]
+    table = VectorTable(words, rng.standard_normal((len(words), d)))
+    draw = lambda n: rng.choice(words, n).tolist()
+    per_block = max(1, BLOCK_FLOATS // (4 * 512))
+    long_len = BLOCK_FLOATS // 512 + 1
+    sents = [(), ("oov",), ("oov", "x")] + [tuple(draw(1)) for _ in range(10)]
+    sents += [tuple(draw(4) + ["oov"] * (i % 2)) for i in range(2 * per_block + 3)]
+    sents += [tuple(draw(long_len)), tuple(draw(long_len - 1) + ["oov"] + draw(1))]
+    sents += [tuple(draw(int(rng.integers(2, 12)))) for _ in range(30)]
+    order = rng.permutation(len(sents))
+    return [sents[i] for i in order], table
+
+
+class TestEmbedCorpusBitwise:
+    @pytest.mark.parametrize("d", [1, 16, 512])
+    @pytest.mark.parametrize("kind", ["mean", "mean_max", "sif"])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_rows_equal_per_sentence_references(self, d, kind, normalize):
+        sents, table = bucketed_corpus(d)
+        freq = FrequencyTable(counts={w: i for i, w in enumerate(table.keys)}, total=900)
+        strat = {"mean": Mean(), "mean_max": MeanMaxConcat(), "sif": Sif(freq=freq, a=0.01)}[kind]
+        fit_rows = list(range(0, len(sents), 2))
+        out = embed_corpus(sents, table, strat, fit_rows, normalize_tokens=normalize)
+        ref = pooled_reference(sents, table, strat, fit_rows, normalize)
+        assert out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("strat", [Mean(), MeanMaxConcat()])
+    def test_used_zero_vector_raises_from_a_later_block(self, strat):
+        sents, table = bucketed_corpus(512)
+        table = VectorTable(table.keys + ("z",), np.vstack([table.vectors, np.zeros(512)]))
+        sents = sents + [("w0", "w1", "w2", "z")]
+        with pytest.raises(ValueError, match="zero vector"):
+            embed_corpus(sents, table, strat)
+
+    @pytest.mark.parametrize("strat", [Mean(), MeanMaxConcat()])
+    def test_blocks_bounded_by_bytes(self, strat):
+        # 26 MB of gathered rows in all, mostly 20 sentences that each exceed
+        # the cap alone. One block is alive at a time, of at most one of them.
+        d, long_len = 512, BLOCK_FLOATS // 512 + 44
+        sents, table = bucketed_corpus(d)
+        rng = np.random.default_rng(1)
+        sents += [tuple(rng.choice(table.keys, long_len).tolist()) for _ in range(20)]
+        embed_corpus(sents[:2], table, strat)  # warm-up outside the traced call
+        tracemalloc.start()
+        try:
+            out = embed_corpus(sents, table, strat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        largest_block = max(BLOCK_FLOATS, long_len * d) * 8
+        assert peak - out.nbytes - table.vectors.nbytes < largest_block + 2**19

@@ -140,6 +140,15 @@ class TestFrequencyTable:
         with pytest.raises(ParseError):
             load_frequency_table(io.StringIO("a -1"))
 
+    @pytest.mark.parametrize("text", ["   \na 3\n\t \nb 1\n", "a 3\nb 1\n \r\n"])
+    def test_whitespace_only_lines_skipped(self, text):
+        assert load_frequency_table(io.StringIO(text)) == load_frequency_table(
+            io.StringIO("a 3\nb 1\n"))
+
+    def test_total_only_on_first_line(self):
+        ft = load_frequency_table(io.StringIO("  \n#total 100\na 3\n"))
+        assert ft.counts == {"#total": 100, "a": 3} and ft.total == 103
+
     def test_non_integer_count(self):
         with pytest.raises(ParseError):
             load_frequency_table(io.StringIO("a 1.5"))

@@ -687,6 +687,22 @@ class TestCli:
             assert rc == 1, verb
             assert err == "error: method 'm': lexicon template needs a sweep dim\n", verb
 
+    def test_sif_frequency_file_with_whitespace_only_lines(self, tmp_path, capsys):
+        lex, freqs = tmp_path / "v.txt", tmp_path / "freq.txt"
+        lex.write_text("w0 1 0\nw1 0 1\nw2 1 1\n", encoding="utf-8")
+        freqs.write_text("   \nw0 5\n\t\nw1 3\n", encoding="utf-8")
+        method = {"strategy": "sif", "lexicon": str(lex), "frequencies": str(freqs)}
+        rc, err = self.run_file_task(tmp_path, capsys, "eval", method)
+        assert (rc, err) == (0, "")
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_1(self, tmp_path, capsys, workers):
+        cfg_path = self.write_config(tmp_path, tmp_path / "out")
+        for argv in (["eval"], ["sweep", "--dims", "4"]):
+            assert cli.main([*argv, "--config", str(cfg_path), "--workers", workers]) == 1
+            assert capsys.readouterr().err == "error: --workers must be at least 1\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text, message", [
         ("w0 1 x\n", "line 1: non-numeric"),
         ("3 2\nw0 1 0\n", "header announces 3"),

@@ -325,3 +325,12 @@ class TestSyntheticRelatedness:
     def test_too_few_pairs(self):
         with pytest.raises(ValueError):
             synthetic_relatedness(5, 8, seed=0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: synthetic_classification(4, 200, 10, seed=3),
+    lambda: synthetic_relatedness(100, 8, seed=3),
+])
+def test_synthetic_tokens_are_plain_str(make):
+    task, _ = make()
+    assert {type(tok) for toks in task.sentences for tok in toks} == {str}
