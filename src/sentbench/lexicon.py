@@ -287,8 +287,10 @@ def _is_punct_only(token: str) -> bool:
 
 def tokenize(text: str, lowercase: bool = True) -> list[str]:
     """Whitespace tokenizer: NFC-normalize, split on Unicode whitespace, drop
-    punctuation-only tokens, optionally lowercase."""
+    punctuation-only tokens, optionally lowercase. An ``isalnum`` token is kept
+    without a category lookup: no alphanumeric character is in a P or S
+    category."""
     text = unicodedata.normalize("NFC", text)
     if lowercase:
         text = text.lower()
-    return [tok for tok in text.split() if tok and not _is_punct_only(tok)]
+    return [tok for tok in text.split() if tok.isalnum() or not _is_punct_only(tok)]

@@ -52,6 +52,13 @@ class TaskSpec:
             raise ConfigError(f"task {self.name!r}: unknown kind {self.kind!r}")
         if (self.path is None) == (self.synthetic is None):
             raise ConfigError(f"task {self.name!r}: exactly one of path/synthetic required")
+        labels = self.label_set
+        if labels is not None and not (
+            self.kind == "classification" and self.path is not None
+            and isinstance(labels, (list, tuple)) and all(isinstance(x, str) for x in labels)
+        ):
+            raise ConfigError(f"task {self.name!r}: label_set must be a list of strings "
+                              "on a file classification task")
         keys = inspect.signature(_generator(self.kind)).parameters
         unknown = sorted(set(self.synthetic or ()) - set(keys))
         if unknown:

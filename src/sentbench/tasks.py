@@ -228,6 +228,12 @@ def split(task, ratios: tuple[float, float, float] = DEFAULT_RATIOS, seed: int =
     return replace(task, splits=splits)
 
 
+def _pick(rng: np.random.Generator, words: list[str], size: int, replace=False) -> list[str]:
+    """``rng.choice(words, size, replace)`` as a list: the same draws from the
+    same stream, without turning ``words`` into an array on every call."""
+    return [words[j] for j in rng.choice(len(words), size=size, replace=replace).tolist()]
+
+
 def synthetic_classification(
     classes: int = 2, items: int = 200, vocab_per_class: int = 20, seed: int = 0, dim: int = 16
 ) -> tuple[Task, VectorTable]:
@@ -247,7 +253,7 @@ def synthetic_classification(
     for i in range(items):
         k = i % classes
         length = int(rng.integers(3, 9))
-        sentences.append(tuple(rng.choice(class_words[k], size=length, replace=True).tolist()))
+        sentences.append(tuple(_pick(rng, class_words[k], length, replace=True)))
         labels.append(f"c{k}")
     label_set = tuple(f"c{k}" for k in range(classes))
     task = Task("synthetic-classification", tuple(sentences), tuple(labels), label_set)
@@ -279,11 +285,11 @@ def synthetic_relatedness(
     sentences_a, sentences_b, scores, labels = [], [], [], []
     for i in range(pairs):
         own, other = clusters if i % 2 == 0 else clusters[::-1]
-        tokens_a = rng.choice(own, size=k, replace=False).tolist()
+        tokens_a = _pick(rng, own, k)
         target = rng.uniform(0.0, 1.0)
         m = round(target * 2 * k / (1 + target))
-        shared = rng.choice(tokens_a, size=m, replace=False).tolist()
-        fresh = rng.choice(other, size=k - m, replace=False).tolist()
+        shared = _pick(rng, tokens_a, m)
+        fresh = _pick(rng, other, k - m)
         jaccard = m / (2 * k - m)
         sentences_a.append(tuple(tokens_a))
         sentences_b.append(tuple(shared + fresh))

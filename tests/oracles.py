@@ -1,11 +1,13 @@
 """Reference implementations the tests compare the program against.
 
-They do one float or one line at a time, the plain way, so that a faster
-path in ``sentbench`` can be checked for equal bytes, values and errors.
+They do one float, one line or one character at a time, the plain way, so
+that a faster path in ``sentbench`` can be checked for equal bytes, values
+and errors.
 """
 
 from __future__ import annotations
 
+import unicodedata
 from array import array
 from typing import IO, Sequence
 
@@ -13,6 +15,7 @@ import numpy as np
 
 from sentbench.errors import ParseError
 from sentbench.lexicon import VectorTable, _fields, _is_int
+from sentbench.tasks import ENTAILMENT_LABELS, Task, split
 
 
 def components(vec: np.ndarray) -> str:
@@ -145,3 +148,76 @@ def load_sentence_vectors_by_line(stream: IO[str]) -> VectorTable:
     if dim is None:
         raise ParseError("no sentence vectors found in input")
     return _table(ids, flat, dim, lines)
+
+
+def tokenize(text: str, lowercase: bool = True) -> list[str]:
+    """The tokenizer with one category lookup per character of every token:
+    a token is dropped when each of its characters is in a P or S category."""
+    text = unicodedata.normalize("NFC", text)
+    if lowercase:
+        text = text.lower()
+    return [
+        tok for tok in text.split()
+        if not all(unicodedata.category(ch).startswith(("P", "S")) for ch in tok)
+    ]
+
+
+def synthetic_classification(
+    classes: int = 2, items: int = 200, vocab_per_class: int = 20, seed: int = 0, dim: int = 16
+) -> tuple[Task, VectorTable]:
+    """The classification generator drawing each sentence with
+    ``rng.choice`` over the list of its class's words."""
+    rng = np.random.default_rng(seed)
+    centroids = rng.standard_normal((classes, dim))
+    centroids = 3.0 * centroids / np.linalg.norm(centroids, axis=1, keepdims=True)
+    class_words = [[f"w{k}_{j}" for j in range(vocab_per_class)] for k in range(classes)]
+    vectors = np.repeat(centroids, vocab_per_class, axis=0)
+    vectors += 0.3 * rng.standard_normal(vectors.shape)
+    sentences, labels = [], []
+    for i in range(items):
+        k = i % classes
+        length = int(rng.integers(3, 9))
+        sentences.append(tuple(rng.choice(class_words[k], size=length, replace=True).tolist()))
+        labels.append(f"c{k}")
+    label_set = tuple(f"c{k}" for k in range(classes))
+    task = Task("synthetic-classification", tuple(sentences), tuple(labels), label_set)
+    table = VectorTable([w for words in class_words for w in words], vectors)
+    return split(task, seed=seed), table
+
+
+def synthetic_relatedness(
+    pairs: int = 300, dim: int = 16, seed: int = 0
+) -> tuple[Task, VectorTable]:
+    """The pair generator drawing each sentence with ``rng.choice`` over a
+    list of words."""
+    rng = np.random.default_rng(seed)
+    vocab = [f"t{j}" for j in range(60)]
+    half = len(vocab) // 2
+    axis = rng.standard_normal(dim)
+    axis /= np.linalg.norm(axis)
+    vectors = np.repeat([axis, -axis], half, axis=0) + 0.05 * rng.standard_normal((len(vocab), dim))
+    clusters = (vocab[:half], vocab[half:])
+    k = 8
+    sentences_a, sentences_b, scores, labels = [], [], [], []
+    for i in range(pairs):
+        own, other = clusters if i % 2 == 0 else clusters[::-1]
+        tokens_a = rng.choice(own, size=k, replace=False).tolist()
+        target = rng.uniform(0.0, 1.0)
+        m = round(target * 2 * k / (1 + target))
+        shared = rng.choice(tokens_a, size=m, replace=False).tolist()
+        fresh = rng.choice(other, size=k - m, replace=False).tolist()
+        jaccard = m / (2 * k - m)
+        sentences_a.append(tuple(tokens_a))
+        sentences_b.append(tuple(shared + fresh))
+        scores.append(round(1.0 + 4.0 * jaccard, 1))
+        if jaccard >= 0.7:
+            labels.append("entailment")
+        elif jaccard <= 0.1:
+            labels.append("contradiction")
+        else:
+            labels.append("neutral")
+    task = Task(
+        "synthetic-relatedness", tuple(sentences_a + sentences_b), tuple(labels),
+        ENTAILMENT_LABELS, pair_ids=tuple(f"p{i:04d}" for i in range(pairs)), scores=tuple(scores),
+    )
+    return split(task, seed=seed), VectorTable(vocab, vectors)

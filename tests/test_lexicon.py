@@ -1,6 +1,8 @@
 import io
 import os
+import sys
 import tempfile
+import unicodedata
 import warnings
 
 import numpy as np
@@ -27,6 +29,7 @@ from oracles import (
     save_sentence_vectors,
     sentence_token_vectors,
     serialize_word_vectors,
+    tokenize as tokenize_by_category,
 )
 
 
@@ -476,6 +479,17 @@ class TestErrorsPastTheFirstBlock:
         assert outcome(load_word_vectors, text) == outcome(load_word_vectors_by_line, text)
 
 
+TOKEN_SAMPLES = (
+    "e.g.", "don't", "$5", "—", "...", "\U0001f642", "\U0001f44d\U0001f3fd", "«»", "(a)",
+    "1,000", "x²", "ǅ", "İ", "STRASSE", "Łódź", "e\u0301", "\u0301", "a\u200db", "\u200d",
+    "_",
+)
+# Letters of every case, digits and numerals, marks, punctuation, symbols
+# (emoji among them), spaces and format characters such as ZWJ.
+TOKEN_CHARS = st.characters(categories=("L", "M", "N", "P", "S", "Zs", "Cf"))
+SPACES = (" ", "  ", "\t", "\xa0", "\u2003", "\u3000", "\n")
+
+
 class TestTokenize:
     def test_lowercase_and_split(self):
         assert tokenize("Dobry  Hotel") == ["dobry", "hotel"]
@@ -490,3 +504,23 @@ class TestTokenize:
         # combining-acute input must compare equal to the composed form
         assert tokenize("zły") == ["zły"]
         assert tokenize("łódka") == ["łódka"]
+
+    def test_no_alphanumeric_character_is_punctuation_or_symbol(self):
+        # tokenize keeps an isalnum token without looking up its categories
+        wrong = [
+            f"U+{cp:04X}" for cp in range(sys.maxunicode + 1)
+            if chr(cp).isalnum() and unicodedata.category(chr(cp))[0] in "PS"
+        ]
+        assert wrong == []
+
+    @given(
+        st.lists(st.tuples(
+            st.one_of(st.sampled_from(TOKEN_SAMPLES), st.text(TOKEN_CHARS, max_size=5)),
+            st.sampled_from(SPACES),
+        ), max_size=12),
+        st.booleans(),
+    )
+    def test_matches_category_oracle(self, parts, lowercase):
+        text = "".join(tok + gap for tok, gap in parts)
+        assert tokenize(text, lowercase) == tokenize_by_category(text, lowercase)
+

@@ -122,6 +122,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"unknown synthetic key\\(s\\): {bad}$"):
             base_config(tasks=[{"name": "t", "kind": kind, "synthetic": synthetic}])
 
+    @pytest.mark.parametrize("task", [
+        {"kind": "relatedness", "path": "p.tsv", "label_set": ["a", "b"]},
+        {"kind": "entailment", "path": "p.tsv", "label_set": ["entailment", "neutral"]},
+        {"kind": "classification", "synthetic": SYN_CLS, "label_set": ["c0", "c1"]},
+        {"kind": "entailment", "synthetic": SYN_REL, "label_set": ["x"]},
+        {"kind": "classification", "path": "c.tsv", "label_set": "ab"},
+        {"kind": "classification", "path": "c.tsv", "label_set": ["pos", 1]},
+        {"kind": "classification", "path": "c.tsv", "label_set": {"pos": 1}},
+    ])
+    def test_label_set_only_as_strings_on_a_file_classification_task(self, task):
+        with pytest.raises(ConfigError, match="task 't': label_set"):
+            base_config(tasks=[{"name": "t", **task}])
+
+    def test_label_set_on_a_file_classification_task(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        p.write_text("\n".join(f"{'pos' if i % 2 else 'neg'}\tw{i}" for i in range(20)),
+                     encoding="utf-8")
+        cfg = base_config(tasks=[{"name": "t", "path": str(p), "label_set": ["pos", "neg", "mid"]}])
+        task, _ = load_task(cfg.tasks[0], cfg)
+        assert task.label_set == ("pos", "neg", "mid")
+
     def test_every_documented_synthetic_key_accepted(self):
         cfg = base_config(tasks=[
             {"name": "c", "synthetic": dict(SYN_CLS)},
@@ -609,6 +630,16 @@ class TestCli:
         p.write_text(json.dumps(doc), encoding="utf-8")
         assert cli.main(["validate", "--config", str(p)]) == 1
         assert "unknown synthetic key(s): itmes" in capsys.readouterr().err
+
+    def test_validate_reports_label_set_on_a_pair_task(self, tmp_path, capsys):
+        doc = {
+            "tasks": [{"name": "t", "kind": "entailment", "synthetic": {}, "label_set": ["x"]}],
+            "methods": [{"name": "m", "lexicon": "synthetic"}],
+        }
+        p = tmp_path / "labels.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["validate", "--config", str(p)]) == 1
+        assert "task 't': label_set" in capsys.readouterr().err
 
     def test_malformed_json_exit_1(self, tmp_path, capsys):
         p = tmp_path / "broken.json"

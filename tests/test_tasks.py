@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+import oracles
 from sentbench.errors import ParseError
 from sentbench.tasks import (
     ENTAILMENT_LABELS,
@@ -334,3 +335,35 @@ class TestSyntheticRelatedness:
 def test_synthetic_tokens_are_plain_str(make):
     task, _ = make()
     assert {type(tok) for toks in task.sentences for tok in toks} == {str}
+
+
+def assert_same_generated(got, want):
+    """Bitwise-equal generated tasks and lexicons."""
+    (task, table), (ref, ref_table) = got, want
+    assert task.sentences == ref.sentences
+    assert task.labels == ref.labels and task.label_set == ref.label_set
+    assert task.pair_ids == ref.pair_ids
+    if ref.scores is not None:
+        assert np.array(task.scores).tobytes() == np.array(ref.scores).tobytes()
+    assert task.splits == ref.splits
+    assert task == ref
+    assert table.keys == ref_table.keys
+    assert table.vectors.tobytes() == ref_table.vectors.tobytes()
+
+
+# The sweep-synthetic benchmark shapes: 4 classes x 3000 items x 50 words per
+# class, and 1000 pairs, at each of its dims.
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("dim", [16, 64, 256])
+class TestGeneratorsMatchListDraws:
+    def test_classification(self, dim, seed):
+        assert_same_generated(
+            synthetic_classification(4, 3000, 50, seed=seed, dim=dim),
+            oracles.synthetic_classification(4, 3000, 50, seed=seed, dim=dim),
+        )
+
+    def test_relatedness(self, dim, seed):
+        assert_same_generated(
+            synthetic_relatedness(1000, dim=dim, seed=seed),
+            oracles.synthetic_relatedness(1000, dim=dim, seed=seed),
+        )
