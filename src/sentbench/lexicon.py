@@ -189,18 +189,18 @@ def _is_int(tok: str) -> bool:
         return False
 
 
-def load_word_vectors(stream: IO[str], expected_dim: int | None = None) -> VectorTable:
+def load_word_vectors(stream: IO[str]) -> VectorTable:
     """Parse word2vec-style text vectors. Fields are separated by one or more
     spaces; trailing whitespace is ignored.
 
     A first line consisting of exactly two integer tokens is treated as a
     ``count dim`` header, and the file must then hold ``count`` vector lines
     (dropped duplicates included), so a truncated file is an error. Otherwise
-    the dimensionality is ``expected_dim`` or the token count of the first
-    data line. Duplicate words keep the first occurrence; the number of
-    dropped duplicates is recorded on the table.
+    the dimensionality is the token count of the first data line. Duplicate
+    words keep the first occurrence; the number of dropped duplicates is
+    recorded on the table.
     """
-    dim, count = expected_dim, None
+    dim, count = None, None
     rest = iter(stream)
     first = next(rest, "")
     parts = _fields(first)
@@ -208,8 +208,6 @@ def load_word_vectors(stream: IO[str], expected_dim: int | None = None) -> Vecto
         header_dim = int(parts[1])
         if header_dim <= 0:
             raise ParseError("header dimension must be positive", 1)
-        if expected_dim is not None and header_dim != expected_dim:
-            raise ParseError(f"header dim {header_dim} != expected dim {expected_dim}", 1)
         count, dim, first = int(parts[0]), header_dim, ""  # a blank line 1 keeps the numbering
     lines = itertools.chain([first], rest)
     return _vector_table(lines, str.rstrip, dim, " ", lambda line, _: _fields(line), "word", count)
@@ -285,12 +283,10 @@ def _is_punct_only(token: str) -> bool:
     return all(unicodedata.category(ch).startswith(_PUNCT_CATEGORIES) for ch in token)
 
 
-def tokenize(text: str, lowercase: bool = True) -> list[str]:
-    """Whitespace tokenizer: NFC-normalize, split on Unicode whitespace, drop
-    punctuation-only tokens, optionally lowercase. An ``isalnum`` token is kept
+def tokenize(text: str) -> list[str]:
+    """Whitespace tokenizer: NFC-normalize, lowercase, split on Unicode
+    whitespace, drop punctuation-only tokens. An ``isalnum`` token is kept
     without a category lookup: no alphanumeric character is in a P or S
     category."""
-    text = unicodedata.normalize("NFC", text)
-    if lowercase:
-        text = text.lower()
+    text = unicodedata.normalize("NFC", text).lower()
     return [tok for tok in text.split() if tok.isalnum() or not _is_punct_only(tok)]

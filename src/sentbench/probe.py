@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import ProbeDivergedError
 
+_CHECK_FLOATS = 2**17  # float64 values per block of the non-finite check (1 MB)
+
 
 @dataclass(frozen=True)
 class ProbeConfig:
@@ -44,10 +46,6 @@ class Probe:
     @property
     def input_dim(self) -> int:
         return self.W1.shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.W2.shape[1]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -146,19 +144,39 @@ def _init_probe(input_dim: int, hidden: int, out: int, out_kind: str, seed: int)
     )
 
 
-def _train(X: np.ndarray, targets: np.ndarray, out_kind: str, cfg: ProbeConfig) -> Probe:
-    X = np.asarray(X, dtype=np.float64)
-    if not np.all(np.isfinite(X)):
-        raise ValueError("non-finite features")
+def _train_rows(X: np.ndarray, n_targets: int, what: str, rows) -> np.ndarray:
+    """The train rows of ``X`` as an index array, all rows by default. The
+    labels or scores, ``n_targets`` of them, are indexed like ``X``."""
+    if len(X) != n_targets or n_targets < 1:
+        raise ValueError(f"features and {what} must have equal nonzero length")
+    if rows is None:
+        return np.arange(len(X))
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or rows.size == 0 or rows.dtype.kind not in "iu":
+        raise ValueError("rows must be a non-empty 1-D array of row indices")
+    if rows.min() < 0 or rows.max() >= len(X):
+        raise ValueError(f"rows outside [0, {len(X)})")
+    return rows
+
+
+def _train(
+    X: np.ndarray, rows: np.ndarray, targets: np.ndarray, out_kind: str, cfg: ProbeConfig
+) -> Probe:
+    """SGD on ``X[rows]`` without copying it: each mini-batch gathers its own
+    rows, and ``targets[i]`` belongs to ``X[rows[i]]``."""
+    block = max(1, _CHECK_FLOATS // max(1, X.shape[1]))
+    for start in range(0, len(rows), block):
+        if not np.isfinite(X[rows[start : start + block]]).all():
+            raise ValueError("non-finite features")
     probe = _init_probe(X.shape[1], cfg.hidden_units, targets.shape[1], out_kind, cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
-    n = X.shape[0]
+    n = len(rows)
     params = (probe.W1, probe.b1, probe.W2, probe.b2)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            for p, g in zip(params, loss_gradients(probe, X[idx], targets[idx])):
+            for p, g in zip(params, loss_gradients(probe, X[rows[idx]], targets[idx])):
                 p -= cfg.learning_rate * g
         if not all(np.isfinite(p).all() for p in params):
             raise ProbeDivergedError(
@@ -169,29 +187,34 @@ def _train(X: np.ndarray, targets: np.ndarray, out_kind: str, cfg: ProbeConfig) 
 
 
 def train_classifier(
-    X: np.ndarray, labels: Sequence[int], K: int, cfg: ProbeConfig
+    X: np.ndarray, labels: Sequence[int], K: int, cfg: ProbeConfig,
+    *, rows: Sequence[int] | None = None,
 ) -> Probe:
-    """Fit the softmax classifier on integer class labels in [0, K)."""
+    """Fit the softmax classifier on integer class labels in [0, K), on the
+    ``rows`` of ``X`` (all rows by default). ``labels`` are indexed like
+    ``X``; the result equals training on ``X[rows]``, ``labels[rows]``."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     labels = np.asarray(labels, dtype=int)
     if K < 2:
         raise ValueError("need at least 2 classes")
-    if len(labels) != np.atleast_2d(X).shape[0] or len(labels) < 1:
-        raise ValueError("features and labels must have equal nonzero length")
+    rows = _train_rows(X, len(labels), "labels", rows)
+    labels = labels[rows]
     if labels.min() < 0 or labels.max() >= K:
         raise ValueError("labels outside [0, K)")
-    targets = np.eye(K)[labels]
-    return _train(X, targets, "classifier", cfg)
+    return _train(X, rows, np.eye(K)[labels], "classifier", cfg)
 
 
 def train_relatedness(
-    X: np.ndarray, scores: Sequence[float], K: int, cfg: ProbeConfig
+    X: np.ndarray, scores: Sequence[float], K: int, cfg: ProbeConfig,
+    *, rows: Sequence[int] | None = None,
 ) -> Probe:
     """Fit the distribution regressor on real scores in [1, K], minimizing KL
-    divergence to the binned score distributions."""
+    divergence to the binned score distributions, on the ``rows`` of ``X``
+    (all rows by default). ``scores`` are indexed like ``X``."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     scores = np.asarray(scores, dtype=np.float64)
     if K < 2:
         raise ValueError("need at least 2 bins")
-    if len(scores) != np.atleast_2d(X).shape[0] or len(scores) < 1:
-        raise ValueError("features and scores must have equal nonzero length")
-    targets = np.stack([score_to_distribution(y, K) for y in scores])
-    return _train(X, targets, "distribution", cfg)
+    rows = _train_rows(X, len(scores), "scores", rows)
+    targets = np.stack([score_to_distribution(y, K) for y in scores[rows]])
+    return _train(X, rows, targets, "distribution", cfg)

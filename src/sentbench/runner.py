@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 import os
 import threading
 import zlib
@@ -89,6 +90,17 @@ class MethodSpec:
             raise ConfigError(f"method {self.name!r}: random lexicon needs a positive dim")
         if self.lexicon != "random" and self.dim is not None:
             raise ConfigError(f"method {self.name!r}: dim is only for the random lexicon")
+        a = self.sif_a
+        if isinstance(a, bool) or not isinstance(a, (int, float)) or not 0 < a < math.inf:
+            raise ConfigError(f"method {self.name!r}: sif_a must be a positive number, not {a!r}")
+        if self.frequencies is not None and self.kind != "sif":
+            raise ConfigError(f"method {self.name!r}: frequencies is only for sif methods, "
+                              f"not strategy {self.kind!r}")
+
+    @property
+    def kind(self) -> str:
+        """The strategy that embeds this method's sentences, or "precomputed"."""
+        return self.strategy if self.lexicon is not None else "precomputed"
 
 
 @dataclass(frozen=True)
@@ -317,11 +329,12 @@ def run_task(
     dim: int | None = None,
     inputs: Inputs | None = None,
 ) -> EvalResult:
-    """Embed, train the probe on the train split and evaluate on the test
-    split. Classification and entailment report the accuracy of predicted
-    labels; relatedness reports the Pearson correlation of predicted vs gold
-    scores. Pair tasks are probed on ``|u - v| ++ u * v`` of their A and B
-    sentence vectors."""
+    """Embed, train the probe on the train rows of the task's feature matrix,
+    which it reads in place rather than as a copied split, and evaluate on
+    the test split. Classification and entailment report the accuracy of
+    predicted labels; relatedness reports the Pearson correlation of
+    predicted vs gold scores. Pair tasks are probed on ``|u - v| ++ u * v``
+    of their A and B sentence vectors."""
     train_idx = task.splits.get("train", [])
     test_idx = task.splits.get("test", [])
     if not train_idx:
@@ -333,15 +346,13 @@ def run_task(
     X = S if task.pair_ids is None else probe.pair_features(*np.split(S, 2))
     if kind == "relatedness":
         gold = np.array(task.scores)
-        model = probe.train_relatedness(X[train_idx], gold[train_idx], RELATEDNESS_BINS, probe_cfg)
+        model = probe.train_relatedness(X, gold, RELATEDNESS_BINS, probe_cfg, rows=train_idx)
         probs = probe.predict_proba(model, X[test_idx])
         preds = [probe.distribution_to_score(p) for p in probs]
         value = pearson(preds, gold[test_idx])
     else:
         labels = np.array([task.label_set.index(lab) for lab in task.labels])
-        model = probe.train_classifier(
-            X[train_idx], labels[train_idx], len(task.label_set), probe_cfg
-        )
+        model = probe.train_classifier(X, labels, len(task.label_set), probe_cfg, rows=train_idx)
         probs = probe.predict_proba(model, X[test_idx])
         preds = probs.argmax(axis=1)
         value = accuracy(list(preds), list(labels[test_idx]))
@@ -402,7 +413,7 @@ def run_metadata(cfg: RunConfig, dims: Sequence[int] | None = None) -> dict:
         "methods": [
             {
                 "name": m.name,
-                "strategy": m.strategy if m.lexicon is not None else "precomputed",
+                "strategy": m.kind,
                 "lexicon": m.lexicon,
                 "sentence_vectors": m.sentence_vectors,
                 "dim": m.dim,
@@ -411,7 +422,11 @@ def run_metadata(cfg: RunConfig, dims: Sequence[int] | None = None) -> dict:
             }
             for m in cfg.methods
         ],
-        "tasks": [{"name": t.name, "kind": t.kind} for t in cfg.tasks],
+        "tasks": [
+            {"name": t.name, "kind": t.kind}
+            | ({} if t.label_set is None else {"label_set": list(t.label_set)})
+            for t in cfg.tasks
+        ],
     }
     if dims is not None:
         meta["dims"] = list(dims)

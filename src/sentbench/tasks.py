@@ -229,9 +229,14 @@ def split(task, ratios: tuple[float, float, float] = DEFAULT_RATIOS, seed: int =
 
 
 def _pick(rng: np.random.Generator, words: list[str], size: int, replace=False) -> list[str]:
-    """``rng.choice(words, size, replace)`` as a list: the same draws from the
-    same stream, without turning ``words`` into an array on every call."""
-    return [words[j] for j in rng.choice(len(words), size=size, replace=replace).tolist()]
+    """``rng.choice(words, size, replace)`` as a list, without turning ``words``
+    into an array on every call. With replacement it draws through
+    ``rng.integers``, which gives the indices and generator state ``choice``
+    gives, without its per-call overhead; ``TestGeneratorsMatchListDraws``
+    fails on a NumPy where the two streams differ."""
+    n = len(words)
+    draw = rng.integers(0, n, size) if replace else rng.choice(n, size=size, replace=False)
+    return [words[j] for j in draw.tolist()]
 
 
 def synthetic_classification(

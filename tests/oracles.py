@@ -79,10 +79,10 @@ def _table(keys: list[str], flat: array, dim: int, lines: list[int], duplicates:
     return VectorTable(keys, vectors, duplicates)
 
 
-def load_word_vectors_by_line(stream: IO[str], expected_dim: int | None = None) -> VectorTable:
+def load_word_vectors_by_line(stream: IO[str]) -> VectorTable:
     """The word-vector parser with one ``float()`` per token and every check
     made line by line."""
-    dim, count = expected_dim, None
+    dim, count = None, None
     words: list[str] = []
     seen: set[str] = set()
     flat, lines = array("d"), []
@@ -95,10 +95,6 @@ def load_word_vectors_by_line(stream: IO[str], expected_dim: int | None = None) 
             header_dim = int(parts[1])
             if header_dim <= 0:
                 raise ParseError("header dimension must be positive", lineno)
-            if expected_dim is not None and header_dim != expected_dim:
-                raise ParseError(
-                    f"header dim {header_dim} != expected dim {expected_dim}", lineno
-                )
             count, dim = int(parts[0]), header_dim
             continue
         word, comps = parts[0], parts[1:]
@@ -150,12 +146,10 @@ def load_sentence_vectors_by_line(stream: IO[str]) -> VectorTable:
     return _table(ids, flat, dim, lines)
 
 
-def tokenize(text: str, lowercase: bool = True) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """The tokenizer with one category lookup per character of every token:
     a token is dropped when each of its characters is in a P or S category."""
-    text = unicodedata.normalize("NFC", text)
-    if lowercase:
-        text = text.lower()
+    text = unicodedata.normalize("NFC", text).lower()
     return [
         tok for tok in text.split()
         if not all(unicodedata.category(ch).startswith(("P", "S")) for ch in tok)

@@ -82,10 +82,6 @@ class TestLoadWordVectors:
         assert np.allclose(table.vectors, [[1, 0]])
         assert table.duplicates == 1
 
-    def test_expected_dim_enforced(self):
-        with pytest.raises(ParseError):
-            load_word_vectors(io.StringIO("kot 1 0 0"), expected_dim=2)
-
     def test_crlf_accepted(self):
         table = load_word_vectors(io.StringIO("kot 1 0\r\npies 0 1\r\n"))
         assert len(table.keys) == 2
@@ -101,8 +97,8 @@ class TestLoadWordVectors:
             load_word_vectors(io.StringIO(f"2 2\nkot 1 0\npies 0 {bad}\n"))
 
     def test_header_with_trailing_space_still_checked(self):
-        with pytest.raises(ParseError, match="header dim 3"):
-            load_word_vectors(io.StringIO("2 3 \nkot 1 0 0 \n"), expected_dim=2)
+        with pytest.raises(ParseError, match="line 2: expected 3 components, found 2"):
+            load_word_vectors(io.StringIO("2 3 \nkot 1 0 \npies 0 1\n"))
 
     @pytest.mark.parametrize("text, found", [
         ("3 2\na 1 0\n", 1),  # truncated file
@@ -400,9 +396,6 @@ class TestBlockParser:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lexicon, "_BLOCK", block)
             assert outcome(load_word_vectors, words) == outcome(load_word_vectors_by_line, words)
-            assert outcome(load_word_vectors, words, expected_dim=2) == outcome(
-                load_word_vectors_by_line, words, expected_dim=2
-            )
             assert outcome(load_sentence_vector_table, sents) == outcome(
                 load_sentence_vectors_by_line, sents
             )
@@ -497,9 +490,6 @@ class TestTokenize:
     def test_punctuation_only_tokens_dropped(self):
         assert tokenize("tak , nie !") == ["tak", "nie"]
 
-    def test_lowercase_off(self):
-        assert tokenize("Dobry hotel", lowercase=False) == ["Dobry", "hotel"]
-
     def test_polish_diacritics_nfc(self):
         # combining-acute input must compare equal to the composed form
         assert tokenize("zły") == ["zły"]
@@ -518,9 +508,8 @@ class TestTokenize:
             st.one_of(st.sampled_from(TOKEN_SAMPLES), st.text(TOKEN_CHARS, max_size=5)),
             st.sampled_from(SPACES),
         ), max_size=12),
-        st.booleans(),
     )
-    def test_matches_category_oracle(self, parts, lowercase):
+    def test_matches_category_oracle(self, parts):
         text = "".join(tok + gap for tok, gap in parts)
-        assert tokenize(text, lowercase) == tokenize_by_category(text, lowercase)
+        assert tokenize(text) == tokenize_by_category(text)
 

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sentbench import probe as probe_mod
 from sentbench.errors import ProbeDivergedError
 from sentbench.probe import (
     Probe,
@@ -258,3 +261,90 @@ class TestRelatedness:
         for p in predict_proba(model, rng.standard_normal((10, 3)) * 10):
             assert 1.0 <= distribution_to_score(p) <= 5.0
 
+
+
+def params(model):
+    return [p.tobytes() for p in (model.W1, model.b1, model.W2, model.b2)]
+
+
+class TestTrainRows:
+    """Training on ``rows`` of X is training on the copy ``X[rows]``."""
+
+    @pytest.fixture
+    def data(self):
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((150, 7))
+        labels = rng.integers(0, 3, 150)
+        scores = rng.uniform(1, 5, 150)
+        return X, labels, scores
+
+    @pytest.mark.parametrize("rows", [
+        np.random.default_rng(4).permutation(150)[:117],  # unsorted, several batches
+        [149, 3, 77, 3, 0],  # a repeated row
+        [42],
+        range(150),
+        None,  # the default: every row
+    ], ids=["unsorted", "repeated", "single-row", "all", "default"])
+    def test_equals_training_on_the_copied_rows(self, data, rows):
+        X, labels, scores = data
+        r = np.arange(150) if rows is None else np.asarray(rows)
+        cfg = ProbeConfig(seed=6, epochs=3, batch_size=16)
+        assert params(train_classifier(X, labels, 3, cfg, rows=rows)) == params(
+            train_classifier(X[r], labels[r], 3, cfg))
+        assert params(train_relatedness(X, scores, 5, cfg, rows=rows)) == params(
+            train_relatedness(X[r], scores[r], 5, cfg))
+
+    @pytest.mark.parametrize("rows", [
+        [], np.array([], dtype=int), [0, 150], [-1, 2], [[0, 1]], [0.0, 1.0], [True, False],
+    ], ids=["empty", "empty-int", "past-end", "negative", "2-d", "float", "bool"])
+    @pytest.mark.parametrize("train", ["classifier", "relatedness"])
+    def test_bad_rows_rejected(self, data, rows, train):
+        X, labels, scores = data
+        with pytest.raises(ValueError, match="rows"):
+            if train == "classifier":
+                train_classifier(X, labels, 3, ProbeConfig(), rows=rows)
+            else:
+                train_relatedness(X, scores, 5, ProbeConfig(), rows=rows)
+
+    def test_targets_must_be_indexed_like_x(self, data):
+        X, labels, scores = data
+        with pytest.raises(ValueError, match="features and labels"):
+            train_classifier(X, labels[:100], 3, ProbeConfig(), rows=range(100))
+        with pytest.raises(ValueError, match="features and scores"):
+            train_relatedness(X[:100], scores, 5, ProbeConfig(), rows=range(100))
+
+    def test_only_the_train_rows_are_checked(self, data):
+        X, labels, scores = data
+        X, labels, scores = X.copy(), labels.copy(), scores.copy()
+        X[5, 3], labels[6], scores[7] = np.nan, 9, 99.0  # none of them a train row
+        rows = [r for r in range(150) if r not in (5, 6, 7)]
+        cfg = ProbeConfig(epochs=1)
+        train_classifier(X, labels, 3, cfg, rows=rows)
+        train_relatedness(X, scores, 5, cfg, rows=rows)
+        with pytest.raises(ValueError, match="labels outside"):
+            train_classifier(X, labels, 3, cfg, rows=rows + [6])
+        with pytest.raises(ValueError, match="outside"):
+            train_relatedness(X, scores, 5, cfg, rows=rows + [7])
+
+    @pytest.mark.parametrize("check_floats", [7, 20, 2**17])  # 1 row, 2 rows, all rows a block
+    def test_non_finite_train_row_found_in_any_block(self, data, monkeypatch, check_floats):
+        X, labels, _ = data
+        monkeypatch.setattr(probe_mod, "_CHECK_FLOATS", check_floats)
+        rows = list(range(150))[::-1]
+        for bad in (149, 75, 0):  # the first, a middle and the last train row
+            Xb = X.copy()
+            Xb[bad, 6] = np.inf
+            with pytest.raises(ValueError, match="non-finite features"):
+                train_classifier(Xb, labels, 3, ProbeConfig(), rows=rows)
+
+    def test_train_rows_are_not_copied(self):
+        X = np.random.default_rng(0).standard_normal((4000, 600))
+        rows = np.random.default_rng(1).permutation(4000)[:3200]
+        labels = np.arange(4000) % 2
+        tracemalloc.start()
+        try:
+            train_classifier(X, labels, 2, ProbeConfig(epochs=1), rows=rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < X[rows].nbytes / 2

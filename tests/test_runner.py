@@ -143,6 +143,30 @@ class TestParseConfig:
         task, _ = load_task(cfg.tasks[0], cfg)
         assert task.label_set == ("pos", "neg", "mid")
 
+    @pytest.mark.parametrize("sif_a", [-1, 0, 0.0, -1e-9, "0.001", None, True, [1e-3],
+                                       float("nan"), float("inf")])
+    @pytest.mark.parametrize("strategy", ["sif", "mean"])
+    def test_sif_a_must_be_a_positive_number(self, sif_a, strategy):
+        method = {"name": "s", "strategy": strategy, "lexicon": "synthetic", "sif_a": sif_a}
+        with pytest.raises(ConfigError, match="method 's': sif_a must be a positive number"):
+            base_config(methods=[method])
+
+    @pytest.mark.parametrize("sif_a", [1e-3, 1, 10.0])
+    def test_positive_sif_a_accepted(self, sif_a):
+        cfg = base_config(methods=[
+            {"name": "s", "strategy": "sif", "lexicon": "synthetic", "sif_a": sif_a}])
+        assert cfg.methods[0].sif_a == sif_a
+
+    @pytest.mark.parametrize("method", [
+        {"lexicon": "synthetic"},
+        {"strategy": "mean_max", "lexicon": "v.txt"},
+        {"sentence_vectors": "s.tsv"},
+        {"strategy": "sif", "sentence_vectors": "s.tsv"},
+    ])
+    def test_frequencies_only_on_sif_methods(self, method):
+        with pytest.raises(ConfigError, match="method 'm': frequencies is only for sif methods"):
+            base_config(methods=[{"name": "m", "frequencies": "f.txt", **method}])
+
     def test_every_documented_synthetic_key_accepted(self):
         cfg = base_config(tasks=[
             {"name": "c", "synthetic": dict(SYN_CLS)},
@@ -286,6 +310,26 @@ class TestRunTask:
         task, table = load_task(cfg.tasks[0], cfg)
         res = run_task(task, cfg.methods[0], cfg, "entailment", table)
         assert res.measure == "accuracy"
+
+    @pytest.mark.parametrize("kind, synthetic, train", [
+        ("classification", SYN_CLS, "train_classifier"),
+        ("entailment", SYN_REL, "train_classifier"),
+        ("relatedness", SYN_REL, "train_relatedness"),
+    ], ids=["classification", "entailment", "relatedness"])
+    def test_probe_trains_on_the_whole_feature_matrix(self, monkeypatch, kind, synthetic, train):
+        cfg = base_config(tasks=[{"name": "t", "kind": kind, "synthetic": dict(synthetic)}])
+        task, table = load_task(cfg.tasks[0], cfg)
+        n = len(task.labels)
+        seen, fit = [], getattr(runner.probe, train)
+
+        def spy(X, targets, K, probe_cfg, *, rows):
+            seen.append((X.shape, len(targets), list(rows)))
+            return fit(X, targets, K, probe_cfg, rows=rows)
+
+        monkeypatch.setattr(runner.probe, train, spy)
+        run_task(task, cfg.methods[0], cfg, kind, table)
+        width = 8 if task.pair_ids is None else 16
+        assert seen == [((n, width), n, list(task.splits["train"]))]
 
 
 class TestRunMatrix:
@@ -543,6 +587,41 @@ class TestSweep:
         assert meta["dims"] == [4, 8]
 
 
+class TestRunMetadata:
+    def test_label_set_recorded_on_the_task_that_sets_it(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        p.write_text("".join(f"{'ab'[i % 2]}\tw{i}\n" for i in range(20)), encoding="utf-8")
+        cfg = base_config(tasks=[
+            {"name": "file", "path": str(p), "label_set": ["b", "a"]},
+            {"name": "file-plain", "path": str(p)},
+            {"name": "cls", "synthetic": dict(SYN_CLS)},
+            {"name": "rel", "kind": "relatedness", "synthetic": dict(SYN_REL)},
+        ])
+        assert runner.run_metadata(cfg)["tasks"] == [
+            {"name": "file", "kind": "classification", "label_set": ["b", "a"]},
+            {"name": "file-plain", "kind": "classification"},
+            {"name": "cls", "kind": "classification"},
+            {"name": "rel", "kind": "relatedness"},
+        ]
+
+    def test_label_set_order_shows_in_the_written_metadata(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        p.write_text("".join(f"{'abc'[i % 3]}\tw{i % 5}\n" for i in range(30)),
+                     encoding="utf-8")
+        written = []
+        for labels in (["a", "b", "c"], ["c", "a", "b"]):
+            out = tmp_path / "-".join(labels)
+            cfg = base_config(
+                tasks=[{"name": "t", "path": str(p), "label_set": labels}],
+                methods=[{"name": "m", "lexicon": "random", "dim": 4}],
+                output={"dir": str(out), "formats": ["csv"]},
+            )
+            runner.run_and_write(cfg)
+            written.append(json.loads((out / "run-metadata.json").read_text(encoding="utf-8")))
+        assert [meta["tasks"][0]["label_set"] for meta in written] == [
+            ["a", "b", "c"], ["c", "a", "b"]]
+
+
 class TestValidate:
     def test_clean_config(self):
         assert validate_config(base_config()) == []
@@ -561,8 +640,8 @@ class TestValidate:
         cfg = base_config(
             tasks=[{"name": "t", "path": str(tmp_path / "no.tsv")}],
             methods=[
-                {"name": "a", "lexicon": lex, "frequencies": freqs},
-                {"name": "b", "lexicon": lex, "frequencies": freqs},
+                {"name": "a", "strategy": "sif", "lexicon": lex, "frequencies": freqs},
+                {"name": "b", "strategy": "sif", "lexicon": lex, "frequencies": freqs},
                 {"name": "pre", "sentence_vectors": str(tmp_path / "no.tsv")},
             ],
         )
@@ -725,6 +804,25 @@ class TestCli:
         method = {"strategy": "sif", "lexicon": str(lex), "frequencies": str(freqs)}
         rc, err = self.run_file_task(tmp_path, capsys, "eval", method)
         assert (rc, err) == (0, "")
+
+    @pytest.mark.parametrize("method, message", [
+        ({"strategy": "sif", "lexicon": "random", "dim": 4, "sif_a": -1},
+         "error: method 'm': sif_a must be a positive number, not -1\n"),
+        ({"strategy": "sif", "lexicon": "random", "dim": 4, "sif_a": "1e-3"},
+         "error: method 'm': sif_a must be a positive number, not '1e-3'\n"),
+        ({"lexicon": "random", "dim": 4, "frequencies": "freq.txt"},
+         "error: method 'm': frequencies is only for sif methods, not strategy 'mean'\n"),
+    ], ids=["negative-sif_a", "string-sif_a", "frequencies-on-mean"])
+    def test_sif_option_errors_exit_1_before_a_task_loads(
+        self, tmp_path, capsys, monkeypatch, method, message
+    ):
+        monkeypatch.setattr(runner, "load_task", no_cell)
+        embed = ["--task", "file-cls", "--method", "m", "--out", str(tmp_path / "v.tsv")]
+        for verb, args in [("validate", []), ("eval", []), ("sweep", ["--dims", "4"]),
+                           ("embed", embed)]:
+            rc, err = self.run_file_task(tmp_path, capsys, verb, method, args=args)
+            assert (rc, err) == (1, message), verb
+        assert not (tmp_path / "out").exists() and not (tmp_path / "v.tsv").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_1(self, tmp_path, capsys, workers):
