@@ -28,8 +28,9 @@ class ProbeConfig:
     def __post_init__(self):
         if min(self.hidden_units, self.epochs, self.batch_size) <= 0:
             raise ValueError("hidden_units, epochs and batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be a positive finite number, "
+                             f"not {self.learning_rate!r}")
 
 
 @dataclass
@@ -131,17 +132,23 @@ def loss_gradients(probe: Probe, X: np.ndarray, targets: np.ndarray):
     return gW1, gb1, gW2, gb2
 
 
-def _init_probe(input_dim: int, hidden: int, out: int, out_kind: str, seed: int) -> Probe:
+def _views(flat: np.ndarray, input_dim: int, hidden: int, out: int):
+    """W1, b1, W2 and b2 as views of one flat vector, in that order."""
+    W1, b1, W2, b2 = np.split(flat, np.cumsum([input_dim * hidden, hidden, hidden * out]))
+    return W1.reshape(input_dim, hidden), b1, W2.reshape(hidden, out), b2
+
+
+def _init_probe(input_dim: int, hidden: int, out: int, out_kind: str, seed: int):
+    """A probe with seeded uniform weights and zero biases, and the flat
+    vector its four parameter arrays are views of."""
     rng = np.random.default_rng(seed)
     lim1 = np.sqrt(6.0 / (input_dim + hidden))
     lim2 = np.sqrt(6.0 / (hidden + out))
-    return Probe(
-        W1=rng.uniform(-lim1, lim1, size=(input_dim, hidden)),
-        b1=np.zeros(hidden),
-        W2=rng.uniform(-lim2, lim2, size=(hidden, out)),
-        b2=np.zeros(out),
-        out_kind=out_kind,
-    )
+    flat = np.zeros((input_dim + 1 + out) * hidden + out)
+    W1, b1, W2, b2 = _views(flat, input_dim, hidden, out)
+    W1[...] = rng.uniform(-lim1, lim1, size=W1.shape)
+    W2[...] = rng.uniform(-lim2, lim2, size=W2.shape)
+    return Probe(W1, b1, W2, b2, out_kind), flat
 
 
 def _train_rows(X: np.ndarray, n_targets: int, what: str, rows) -> np.ndarray:
@@ -168,17 +175,38 @@ def _train(
     for start in range(0, len(rows), block):
         if not np.isfinite(X[rows[start : start + block]]).all():
             raise ValueError("non-finite features")
-    probe = _init_probe(X.shape[1], cfg.hidden_units, targets.shape[1], out_kind, cfg.seed)
+    probe, flat = _init_probe(X.shape[1], cfg.hidden_units, targets.shape[1], out_kind, cfg.seed)
+    grad = np.empty_like(flat)  # the gradients, laid out like the parameters
+    gW1, gb1, gW2, gb2 = _views(grad, *probe.W1.shape, len(probe.b2))
     rng = np.random.default_rng(cfg.seed + 1)
     n = len(rows)
-    params = (probe.W1, probe.b1, probe.W2, probe.b2)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
+        epoch_rows, epoch_targets = rows[order], targets[order]
         for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            for p, g in zip(params, loss_gradients(probe, X[rows[idx]], targets[idx])):
-                p -= cfg.learning_rate * g
-        if not all(np.isfinite(p).all() for p in params):
+            # loss_gradients, then p -= lr * g on each array: the same operations in the same
+            # order, so the parameters stay bitwise equal; in place on the batch's temporaries
+            batch = slice(start, start + cfg.batch_size)
+            xb, t = X[epoch_rows[batch]], epoch_targets[batch]
+            h = xb @ probe.W1
+            h += probe.b1
+            np.tanh(h, out=h)
+            delta = h @ probe.W2  # the logits, then the probabilities, then the output error
+            delta += probe.b2
+            delta -= delta.max(axis=1, keepdims=True)
+            np.exp(delta, out=delta)
+            delta /= delta.sum(axis=1, keepdims=True)
+            delta -= t
+            delta /= len(t)
+            np.matmul(h.T, delta, out=gW2)
+            delta.sum(axis=0, out=gb2)
+            dh = delta @ probe.W2.T
+            dh *= np.subtract(1.0, np.square(h, out=h), out=h)
+            np.matmul(xb.T, dh, out=gW1)
+            dh.sum(axis=0, out=gb1)
+            grad *= cfg.learning_rate
+            flat -= grad
+        if not np.isfinite(flat).all():
             raise ProbeDivergedError(
                 f"probe parameters became non-finite in epoch {epoch + 1}; "
                 f"lower the learning rate (now {cfg.learning_rate})"

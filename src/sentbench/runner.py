@@ -84,7 +84,7 @@ class MethodSpec:
             raise ConfigError(
                 f"method {self.name!r}: exactly one of lexicon/sentence_vectors required"
             )
-        if self.lexicon is not None and self.strategy not in STRATEGY_NAMES:
+        if self.strategy not in STRATEGY_NAMES:
             raise ConfigError(f"method {self.name!r}: unknown strategy {self.strategy!r}")
         if self.lexicon == "random" and (self.dim is None or self.dim <= 0):
             raise ConfigError(f"method {self.name!r}: random lexicon needs a positive dim")
@@ -195,7 +195,7 @@ def load_task(spec: TaskSpec, cfg: RunConfig, dim: int | None = None):
             dims = {} if dim is None else {"dim": dim}
             task, table = _generator(spec.kind)(**{"seed": cfg.seed, **spec.synthetic, **dims})
             return replace(task, name=spec.name), table
-        with open(spec.path, encoding="utf-8") as fh:
+        with open(spec.path, encoding="utf-8-sig") as fh:
             if spec.kind == "classification":
                 task = tasks_mod.load_classification_tsv(fh, spec.label_set, name=spec.name)
             else:
@@ -225,7 +225,7 @@ class Inputs:
     def read(self, path: str, loader):
         with self._lock:
             if (path, loader) not in self._parsed:
-                with open(path, encoding="utf-8") as fh:
+                with open(path, encoding="utf-8-sig") as fh:
                     self._parsed[path, loader] = loader(fh)
             return self._parsed[path, loader]
 
@@ -417,7 +417,7 @@ def run_metadata(cfg: RunConfig, dims: Sequence[int] | None = None) -> dict:
                 "lexicon": m.lexicon,
                 "sentence_vectors": m.sentence_vectors,
                 "dim": m.dim,
-                "sif_a": m.sif_a if m.strategy == "sif" else None,
+                "sif_a": m.sif_a if m.kind == "sif" else None,
                 "normalize": m.normalize,
             }
             for m in cfg.methods

@@ -15,6 +15,7 @@ import numpy as np
 
 from sentbench.errors import ParseError
 from sentbench.lexicon import VectorTable, _fields, _is_int
+from sentbench.probe import Probe, ProbeConfig, loss_gradients
 from sentbench.tasks import ENTAILMENT_LABELS, Task, split
 
 
@@ -144,6 +145,34 @@ def load_sentence_vectors_by_line(stream: IO[str]) -> VectorTable:
     if dim is None:
         raise ParseError("no sentence vectors found in input")
     return _table(ids, flat, dim, lines)
+
+
+def train_probe(
+    X: np.ndarray, rows: np.ndarray, targets: np.ndarray, out_kind: str, cfg: ProbeConfig
+) -> Probe:
+    """Mini-batch SGD one parameter array at a time: four separately drawn
+    arrays, ``loss_gradients`` on each gathered batch, then ``p -= lr * g``
+    for each array. ``targets[i]`` belongs to ``X[rows[i]]``."""
+    d, hidden, out = X.shape[1], cfg.hidden_units, targets.shape[1]
+    rng = np.random.default_rng(cfg.seed)
+    lim1 = np.sqrt(6.0 / (d + hidden))
+    lim2 = np.sqrt(6.0 / (hidden + out))
+    probe = Probe(
+        W1=rng.uniform(-lim1, lim1, size=(d, hidden)),
+        b1=np.zeros(hidden),
+        W2=rng.uniform(-lim2, lim2, size=(hidden, out)),
+        b2=np.zeros(out),
+        out_kind=out_kind,
+    )
+    rng = np.random.default_rng(cfg.seed + 1)
+    params = (probe.W1, probe.b1, probe.W2, probe.b2)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(rows))
+        for start in range(0, len(rows), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            for p, g in zip(params, loss_gradients(probe, X[rows[idx]], targets[idx])):
+                p -= cfg.learning_rate * g
+    return probe
 
 
 def tokenize(text: str) -> list[str]:

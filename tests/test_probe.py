@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from sentbench import probe as probe_mod
 from sentbench.errors import ProbeDivergedError
 from sentbench.probe import (
@@ -348,3 +349,33 @@ class TestTrainRows:
         finally:
             tracemalloc.stop()
         assert peak < X[rows].nbytes / 2
+
+
+class TestMatchesPerArraySgd:
+    """The step on one flat parameter vector gives bitwise the parameters of
+    the per-array loop: ``loss_gradients``, then ``p -= lr * g`` per array."""
+
+    @pytest.mark.parametrize("width", [1, 16, 300, 600])
+    @pytest.mark.parametrize("batch_size, epochs", [(16, 3), (64, 1), (500, 3)],
+                             ids=["short-last-batch", "one-epoch", "batch-above-rows"])
+    def test_bit_identical_parameters(self, width, batch_size, epochs):
+        rng = np.random.default_rng(width)
+        X = rng.standard_normal((130, width))
+        rows = rng.integers(0, 130, 117)  # unsorted, with repeats; 117 % 16 and 117 % 64 != 0
+        assert len(set(rows.tolist())) < len(rows)
+        labels, scores = rng.integers(0, 3, 130), rng.uniform(1, 5, 130)
+        cfg = ProbeConfig(seed=width, epochs=epochs, batch_size=batch_size, learning_rate=0.1)
+        one_hot = np.eye(3)[labels[rows]]
+        assert params(train_classifier(X, labels, 3, cfg, rows=rows)) == params(
+            oracles.train_probe(X, rows, one_hot, "classifier", cfg))
+        dists = np.stack([score_to_distribution(y, 5) for y in scores[rows]])
+        assert params(train_relatedness(X, scores, 5, cfg, rows=rows)) == params(
+            oracles.train_probe(X, rows, dists, "distribution", cfg))
+
+    def test_parameters_share_one_vector(self):
+        rng = np.random.default_rng(1)
+        model = train_classifier(rng.standard_normal((20, 6)), np.arange(20) % 3, 3, ProbeConfig())
+        arrays = (model.W1, model.b1, model.W2, model.b2)
+        base = model.W1.base
+        assert all(a.base is base for a in arrays)
+        assert base.nbytes == sum(a.nbytes for a in arrays)

@@ -167,6 +167,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="method 'm': frequencies is only for sif methods"):
             base_config(methods=[{"name": "m", "frequencies": "f.txt", **method}])
 
+    @pytest.mark.parametrize("method", [
+        {"lexicon": "synthetic"},
+        {"sentence_vectors": "s.tsv"},
+    ], ids=["lexicon", "sentence-vectors"])
+    def test_unknown_strategy_rejected_on_every_method(self, method):
+        with pytest.raises(ConfigError, match="method 'm': unknown strategy 'bogus'"):
+            base_config(methods=[{"name": "m", "strategy": "bogus", **method}])
+
+    @pytest.mark.parametrize("learning_rate", [float("nan"), float("inf"), -float("inf"), 0, -0.1])
+    def test_learning_rate_must_be_positive_and_finite(self, learning_rate):
+        with pytest.raises(ConfigError, match="learning_rate must be a positive finite number"):
+            base_config(probe={"learning_rate": learning_rate})
+
     def test_every_documented_synthetic_key_accepted(self):
         cfg = base_config(tasks=[
             {"name": "c", "synthetic": dict(SYN_CLS)},
@@ -273,6 +286,51 @@ class TestLoadTask:
         assert len(cls_table.keys) == 2 * 20 and cls_table.dim == 16
         assert len(rel.labels) == 300 and rel_table.dim == 16
         assert cls == replace(tasks.synthetic_classification(seed=11)[0], name="c")
+
+
+class TestByteOrderMark:
+    """An input file that starts with a UTF-8 byte-order mark parses as the
+    same file without one, through the run's two places that open inputs."""
+
+    PAIRS = ("pair_ID\tsentence_A\tsentence_B\trelatedness_score\tentailment_judgment\n"
+             + "".join(f"p{i}\ta w{i}\tb w{i % 4}\t{1 + i % 5}.0\tNEUTRAL\n" for i in range(20)))
+
+    @staticmethod
+    def write_both(tmp_path, name, text):
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        return str(plain), str(marked)
+
+    @pytest.mark.parametrize("kind, text", [
+        ("classification", "".join(f"{('pos', 'neg')[i % 2]}\tw{i} w{i % 3}\n" for i in range(20))),
+        ("relatedness", PAIRS),
+    ], ids=["classification-tsv", "pair-tsv"])
+    def test_task_file(self, tmp_path, kind, text):
+        cfg = base_config()
+        plain, marked = self.write_both(tmp_path, "t.tsv", text)
+        tasks_read = [load_task(TaskSpec("t", kind, path=path), cfg)[0] for path in (plain, marked)]
+        assert tasks_read[1] == tasks_read[0]
+        assert "\ufeffpos" not in tasks_read[1].label_set
+
+    @pytest.mark.parametrize("loader, text, keys", [
+        (load_word_vectors, "a 1 0\nb 0 1\n", ("a", "b")),
+        (load_word_vectors, "2 2\na 1 0\nb 0 1\n", ("a", "b")),
+        (load_sentence_vector_table, "0\t1 0\n1\t0 1\n", ("0", "1")),
+    ], ids=["word-vectors", "word-vectors-with-header", "sentence-vectors"])
+    def test_vector_file(self, tmp_path, loader, text, keys):
+        plain, marked = self.write_both(tmp_path, "v.txt", text)
+        inputs = runner.Inputs()
+        tables = [inputs.read(path, loader) for path in (plain, marked)]
+        assert tables[1].keys == tables[0].keys == keys
+        assert np.array_equal(tables[1].vectors, tables[0].vectors)
+
+    def test_frequency_file(self, tmp_path):
+        plain, marked = self.write_both(tmp_path, "f.txt", "#total 10\na 3\nb 2\n")
+        inputs = runner.Inputs()
+        tables = [inputs.read(path, load_frequency_table) for path in (plain, marked)]
+        assert tables[1] == tables[0]
+        assert tables[0].total == 10 and tables[0].counts == {"a": 3, "b": 2}
 
 
 class TestRunTask:
@@ -622,6 +680,16 @@ class TestRunMetadata:
             ["a", "b", "c"], ["c", "a", "b"]]
 
 
+    def test_sif_a_only_on_methods_that_embed_with_sif(self):
+        cfg = base_config(methods=[
+            {"name": "pre", "strategy": "sif", "sentence_vectors": "s.tsv"},
+            {"name": "sif", "strategy": "sif", "lexicon": "synthetic", "sif_a": 0.01},
+            {"name": "mean", "lexicon": "synthetic"},
+        ])
+        assert [(m["strategy"], m["sif_a"]) for m in runner.run_metadata(cfg)["methods"]] == [
+            ("precomputed", None), ("sif", 0.01), ("mean", None)]
+
+
 class TestValidate:
     def test_clean_config(self):
         assert validate_config(base_config()) == []
@@ -659,12 +727,13 @@ class TestValidate:
 
 
 class TestCli:
-    def write_config(self, tmp_path, out_dir):
+    def write_config(self, tmp_path, out_dir, **extra):
         doc = {
             "seed": 11,
             "tasks": [{"name": "cls", "kind": "classification", "synthetic": dict(SYN_CLS)}],
             "methods": [{"name": "clustered-mean", "lexicon": "synthetic"}],
             "output": {"dir": str(out_dir), "formats": ["csv", "json", "md"]},
+            **extra,
         }
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(doc), encoding="utf-8")
@@ -823,6 +892,20 @@ class TestCli:
             rc, err = self.run_file_task(tmp_path, capsys, verb, method, args=args)
             assert (rc, err) == (1, message), verb
         assert not (tmp_path / "out").exists() and not (tmp_path / "v.tsv").exists()
+
+    @pytest.mark.parametrize("learning_rate", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_learning_rate_exit_1_before_a_task_loads(
+        self, tmp_path, capsys, monkeypatch, learning_rate
+    ):
+        monkeypatch.setattr(runner, "load_task", no_cell)
+        cfg_path = self.write_config(tmp_path, tmp_path / "out",
+                                     probe={"learning_rate": learning_rate})
+        for verb in ("validate", "eval"):
+            assert cli.main([verb, "--config", str(cfg_path)]) == 1, verb
+            assert capsys.readouterr().err == (
+                "error: malformed config: learning_rate must be a positive finite number, "
+                f"not {learning_rate!r}\n"), verb
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_1(self, tmp_path, capsys, workers):
