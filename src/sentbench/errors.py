@@ -1,4 +1,10 @@
-"""Shared exception types."""
+"""Shared exception types, and the type check every config object makes."""
+
+import math
+from collections.abc import Sequence
+from dataclasses import fields
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 
 class ParseError(ValueError):
@@ -21,3 +27,52 @@ class ConfigError(ValueError):
 
 class ProbeDivergedError(ArithmeticError):
     """Probe training drove the parameters to inf or NaN."""
+
+
+def check_types(owner: str, values: dict, hints: dict, section: str = "") -> None:
+    """Raise a ConfigError naming ``owner`` and the key unless every key of
+    ``values`` has a hint and every value has the JSON type its hint names. A
+    bool is not a number, a float may be given as an int and is kept as
+    given, and numbers are finite. A tuple or ``Sequence`` hint takes a list
+    or a tuple, never a string. ``section`` names the block the keys belong
+    to, as in "unknown synthetic key(s)"."""
+    label = f"{section} " if section else ""
+    unknown = sorted(set(values) - set(hints))
+    if unknown:
+        raise ConfigError(f"{owner}: unknown {label}key(s): {', '.join(unknown)}")
+    for key, value in values.items():
+        if not _conforms(value, hints[key]):
+            raise ConfigError(f"{owner}: {label}{key} must be {_shown(hints[key])}, not {value!r}")
+
+
+def check_fields(owner: str, obj) -> None:
+    """`check_types` on the fields of the dataclass instance ``obj``."""
+    hints = get_type_hints(type(obj))
+    check_types(owner, {f.name: getattr(obj, f.name) for f in fields(obj)}, hints)
+
+
+def _conforms(value, hint) -> bool:
+    """Whether ``value``, decoded from JSON, has the type ``hint`` names."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):
+        return any(_conforms(value, arg) for arg in args)
+    if origin in (tuple, Sequence):
+        if not isinstance(value, (list, tuple)):
+            return False
+        if origin is Sequence or args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(map(_conforms, value, args))
+    if hint in (int, float):  # a bool is not a number; NaN fails both comparisons
+        numeric = isinstance(value, (int, hint)) and not isinstance(value, bool)
+        return numeric and -math.inf < value < math.inf
+    return isinstance(value, hint)
+
+
+def _shown(hint) -> str:
+    """``hint`` as it is written in an annotation, e.g. ``tuple[str, ...]``."""
+    args = [_shown(arg) for arg in get_args(hint)]
+    if get_origin(hint) in (Union, UnionType):
+        return " | ".join(args)
+    if args:
+        return f"{get_origin(hint).__name__}[{', '.join(args)}]"
+    return "..." if hint is Ellipsis else "None" if hint is type(None) else hint.__name__

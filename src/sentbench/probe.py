@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ProbeDivergedError
+from .errors import ConfigError, ProbeDivergedError, check_fields
 
 _CHECK_FLOATS = 2**17  # float64 values per block of the non-finite check (1 MB)
 
@@ -26,11 +26,12 @@ class ProbeConfig:
     batch_size: int = 64
 
     def __post_init__(self):
+        check_fields("probe", self)
         if min(self.hidden_units, self.epochs, self.batch_size) <= 0:
-            raise ValueError("hidden_units, epochs and batch_size must be positive")
-        if not 0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be a positive finite number, "
-                             f"not {self.learning_rate!r}")
+            raise ConfigError("probe: hidden_units, epochs and batch_size must be positive")
+        if self.learning_rate <= 0:
+            raise ConfigError(
+                f"probe: learning_rate must be a positive number, not {self.learning_rate!r}")
 
 
 @dataclass

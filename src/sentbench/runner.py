@@ -7,21 +7,19 @@ README.md, sections "Run configuration" and "File formats".
 
 from __future__ import annotations
 
-import inspect
 import json
-import math
 import os
 import threading
 import zlib
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
 from . import aggregate, probe, tasks as tasks_mod
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, check_fields, check_types
 from .lexicon import (
     FrequencyTable,
     VectorTable,
@@ -49,23 +47,18 @@ class TaskSpec:
     label_set: Sequence[str] | None = None
 
     def __post_init__(self):
+        check_fields(f"task {self.name!r}", self)
         if self.kind not in TASK_KINDS:
             raise ConfigError(f"task {self.name!r}: unknown kind {self.kind!r}")
         if (self.path is None) == (self.synthetic is None):
             raise ConfigError(f"task {self.name!r}: exactly one of path/synthetic required")
-        labels = self.label_set
-        if labels is not None and not (
-            self.kind == "classification" and self.path is not None
-            and isinstance(labels, (list, tuple)) and all(isinstance(x, str) for x in labels)
-        ):
-            raise ConfigError(f"task {self.name!r}: label_set must be a list of strings "
-                              "on a file classification task")
-        keys = inspect.signature(_generator(self.kind)).parameters
-        unknown = sorted(set(self.synthetic or ()) - set(keys))
-        if unknown:
+        if self.label_set is not None and (self.kind != "classification" or self.path is None):
             raise ConfigError(
-                f"task {self.name!r}: unknown synthetic key(s): {', '.join(unknown)}"
-            )
+                f"task {self.name!r}: label_set is only for file classification tasks")
+        if self.synthetic is not None:
+            hints = get_type_hints(_generator(self.kind))
+            del hints["return"]
+            check_types(f"task {self.name!r}", self.synthetic, hints, "synthetic")
 
 
 @dataclass(frozen=True)
@@ -77,9 +70,10 @@ class MethodSpec:
     dim: int | None = None  # random-lexicon dimensionality; a sweep overrides it
     sif_a: float = aggregate.DEFAULT_SIF_A
     frequencies: str | None = None
-    normalize: bool = True
+    normalize: bool | None = None  # lexicon methods only, where it defaults to True
 
     def __post_init__(self):
+        check_fields(f"method {self.name!r}", self)
         if (self.lexicon is None) == (self.sentence_vectors is None):
             raise ConfigError(
                 f"method {self.name!r}: exactly one of lexicon/sentence_vectors required"
@@ -90,12 +84,16 @@ class MethodSpec:
             raise ConfigError(f"method {self.name!r}: random lexicon needs a positive dim")
         if self.lexicon != "random" and self.dim is not None:
             raise ConfigError(f"method {self.name!r}: dim is only for the random lexicon")
-        a = self.sif_a
-        if isinstance(a, bool) or not isinstance(a, (int, float)) or not 0 < a < math.inf:
-            raise ConfigError(f"method {self.name!r}: sif_a must be a positive number, not {a!r}")
+        if self.sif_a <= 0:
+            raise ConfigError(
+                f"method {self.name!r}: sif_a must be a positive number, not {self.sif_a!r}")
         if self.frequencies is not None and self.kind != "sif":
             raise ConfigError(f"method {self.name!r}: frequencies is only for sif methods, "
                               f"not strategy {self.kind!r}")
+        if self.sentence_vectors is not None and self.normalize is not None:
+            raise ConfigError(f"method {self.name!r}: normalize is only for lexicon methods")
+        if self.lexicon is not None and self.normalize is None:
+            object.__setattr__(self, "normalize", True)
 
     @property
     def kind(self) -> str:
@@ -114,18 +112,15 @@ class RunConfig:
     split_ratios: tuple[float, float, float] = tasks_mod.DEFAULT_RATIOS
 
     def __post_init__(self):
+        check_fields("config", self)
         object.__setattr__(self, "formats", tuple(self.formats))
         object.__setattr__(self, "split_ratios", tuple(self.split_ratios))
-        if not self.tasks:
-            raise ConfigError("config needs at least one task")
-        if not self.methods:
-            raise ConfigError("config needs at least one method")
-        names = [t.name for t in self.tasks]
-        if len(set(names)) != len(names):
-            raise ConfigError("duplicate task names")
-        names = [m.name for m in self.methods]
-        if len(set(names)) != len(names):
-            raise ConfigError("duplicate method names")
+        for what, specs in (("task", self.tasks), ("method", self.methods)):
+            if not specs:
+                raise ConfigError(f"config needs at least one {what}")
+            names = [spec.name for spec in specs]
+            if len(set(names)) != len(names):
+                raise ConfigError(f"duplicate {what} names")
         for f in self.formats:
             if f not in FORMATS:
                 raise ConfigError(f"unknown output format {f!r}")
@@ -136,7 +131,8 @@ _OUTPUT_FIELDS = {"dir": "output_dir", "formats": "formats"}  # "output" key -> 
 
 def parse_config(data: dict) -> RunConfig:
     """Build a validated RunConfig from a decoded JSON document. An omitted
-    key takes its dataclass default; an unknown key is an error."""
+    key takes its dataclass default; an unknown key is an error, and so is
+    ``split_ratios`` when no task is read from a file."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
     try:
@@ -146,6 +142,8 @@ def parse_config(data: dict) -> RunConfig:
         unknown += sorted(f"output.{k}" for k in set(output) - set(_OUTPUT_FIELDS))
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+        if "split_ratios" in data and all(t.get("path") is None for t in data.get("tasks", ())):
+            raise ConfigError("config: split_ratios is only for file tasks, not synthetic ones")
         return RunConfig(
             tasks=tuple(TaskSpec(**t) for t in data.get("tasks", ())),
             methods=tuple(MethodSpec(**m) for m in data.get("methods", ())),
@@ -153,14 +151,12 @@ def parse_config(data: dict) -> RunConfig:
             **{k: data[k] for k in ("seed", "split_ratios") if k in data},
             **{_OUTPUT_FIELDS[k]: v for k, v in output.items()},
         )
-    except (TypeError, ValueError, AttributeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except (TypeError, AttributeError) as exc:  # e.g. an unknown task key, or a list for "probe"
         raise ConfigError(f"malformed config: {exc}") from exc
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -179,7 +175,8 @@ def stable_seed(base: int, *labels: str) -> int:
 
 def _generator(kind: str):
     """The synthetic generator of a task kind. Its keyword parameters, with
-    their defaults, are the keys a ``synthetic`` block may set."""
+    their annotated types and defaults, are the keys a ``synthetic`` block
+    may set."""
     if kind == "classification":
         return tasks_mod.synthetic_classification
     return tasks_mod.synthetic_relatedness
@@ -206,7 +203,7 @@ def load_task(spec: TaskSpec, cfg: RunConfig, dim: int | None = None):
         return task, None
     except ParseError:
         raise
-    except (TypeError, ValueError) as exc:  # e.g. "items": "200", or too few items to split
+    except ValueError as exc:  # e.g. "classes": 1, or too few items to split
         raise ConfigError(f"task {spec.name!r}: {exc}") from exc
 
 
@@ -531,7 +528,7 @@ def validate_config(cfg: RunConfig, dims: Sequence[int] | None = None) -> list[s
             reads.setdefault(path, f"method {m.name!r}: file not found")
     return problems + [
         f"{reader}: {path}" for path, reader in reads.items()
-        if path is not None and not os.path.exists(path)
+        if path is not None and not os.path.isfile(path)
     ]
 
 

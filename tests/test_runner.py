@@ -34,6 +34,7 @@ from sentbench.runner import (
     validate_config,
 )
 
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 SYN_CLS = {"classes": 2, "items": 120, "vocab_per_class": 10, "seed": 3, "dim": 8}
 SYN_REL = {"pairs": 120, "dim": 8, "seed": 5}
 
@@ -148,7 +149,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("strategy", ["sif", "mean"])
     def test_sif_a_must_be_a_positive_number(self, sif_a, strategy):
         method = {"name": "s", "strategy": strategy, "lexicon": "synthetic", "sif_a": sif_a}
-        with pytest.raises(ConfigError, match="method 's': sif_a must be a positive number"):
+        shown = "a positive number" if sif_a in (-1, 0, -1e-9) else "float"  # else a wrong type
+        with pytest.raises(ConfigError, match=f"^method 's': sif_a must be {shown}, not "):
             base_config(methods=[method])
 
     @pytest.mark.parametrize("sif_a", [1e-3, 1, 10.0])
@@ -177,8 +179,28 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("learning_rate", [float("nan"), float("inf"), -float("inf"), 0, -0.1])
     def test_learning_rate_must_be_positive_and_finite(self, learning_rate):
-        with pytest.raises(ConfigError, match="learning_rate must be a positive finite number"):
+        shown = "a positive number" if learning_rate in (0, -0.1) else "float"  # else not finite
+        with pytest.raises(ConfigError, match=f"^probe: learning_rate must be {shown}, not "):
             base_config(probe={"learning_rate": learning_rate})
+
+    def test_split_ratios_only_with_a_file_task(self):
+        tasks = [{"name": "f", "path": "c.tsv"}, {"name": "s", "synthetic": {}}]
+        assert base_config(tasks=tasks, split_ratios=[0.6, 0.2, 0.2]).split_ratios == (
+            0.6, 0.2, 0.2)
+        with pytest.raises(ConfigError, match="^config: split_ratios is only for file tasks"):
+            base_config(tasks=tasks[1:], split_ratios=[0.6, 0.2, 0.2])
+        embed_one = replace(base_config(tasks=tasks, split_ratios=[0.6, 0.2, 0.2]),
+                            tasks=(TaskSpec("s", synthetic={}),))
+        assert embed_one.split_ratios == (0.6, 0.2, 0.2)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_normalize_only_on_lexicon_methods(self, normalize):
+        with pytest.raises(ConfigError, match="^method 'm': normalize is only for lexicon"):
+            base_config(methods=[{"name": "m", "sentence_vectors": "s.tsv",
+                                  "normalize": normalize}])
+        cfg = base_config(methods=[{"name": "pre", "sentence_vectors": "s.tsv"},
+                                   {"name": "lex", "lexicon": "synthetic"}])
+        assert [m.normalize for m in cfg.methods] == [None, True]
 
     def test_every_documented_synthetic_key_accepted(self):
         cfg = base_config(tasks=[
@@ -272,8 +294,8 @@ class TestLoadTask:
 
     @pytest.mark.parametrize("synthetic", [{"items": "200"}, {"classes": 1}, {"dim": 2.5}])
     def test_bad_synthetic_value_is_a_config_error(self, synthetic):
-        cfg = base_config(tasks=[{"name": "odd", "synthetic": synthetic}])
-        with pytest.raises(ConfigError, match="task 'odd': "):
+        with pytest.raises(ConfigError, match="task 'odd': "):  # a wrong type fails at parse
+            cfg = base_config(tasks=[{"name": "odd", "synthetic": synthetic}])
             load_task(cfg.tasks[0], cfg)
 
     def test_synthetic_defaults_live_on_the_generators(self):
@@ -290,7 +312,8 @@ class TestLoadTask:
 
 class TestByteOrderMark:
     """An input file that starts with a UTF-8 byte-order mark parses as the
-    same file without one, through the run's two places that open inputs."""
+    same file without one, through each place that opens an input: the
+    config, task files and the run's parse cache."""
 
     PAIRS = ("pair_ID\tsentence_A\tsentence_B\trelatedness_score\tentailment_judgment\n"
              + "".join(f"p{i}\ta w{i}\tb w{i % 4}\t{1 + i % 5}.0\tNEUTRAL\n" for i in range(20)))
@@ -331,6 +354,14 @@ class TestByteOrderMark:
         tables = [inputs.read(path, load_frequency_table) for path in (plain, marked)]
         assert tables[1] == tables[0]
         assert tables[0].total == 10 and tables[0].counts == {"a": 3, "b": 2}
+
+    def test_config_file(self, tmp_path, capsys):
+        doc = {"tasks": [{"name": "t", "synthetic": dict(SYN_CLS)}],
+               "methods": [{"name": "m", "lexicon": "synthetic"}]}
+        plain, marked = self.write_both(tmp_path, "cfg.json", json.dumps(doc))
+        assert load_config(marked) == load_config(plain)
+        assert cli.main(["validate", "--config", marked]) == 0
+        assert capsys.readouterr().out == "config ok\n"
 
 
 class TestRunTask:
@@ -685,9 +716,12 @@ class TestRunMetadata:
             {"name": "pre", "strategy": "sif", "sentence_vectors": "s.tsv"},
             {"name": "sif", "strategy": "sif", "lexicon": "synthetic", "sif_a": 0.01},
             {"name": "mean", "lexicon": "synthetic"},
+            {"name": "raw", "lexicon": "synthetic", "normalize": False},
         ])
-        assert [(m["strategy"], m["sif_a"]) for m in runner.run_metadata(cfg)["methods"]] == [
-            ("precomputed", None), ("sif", 0.01), ("mean", None)]
+        assert [(m["strategy"], m["sif_a"], m["normalize"])
+                for m in runner.run_metadata(cfg)["methods"]] == [
+            ("precomputed", None, None), ("sif", 0.01, True), ("mean", None, True),
+            ("mean", None, False)]
 
 
 class TestValidate:
@@ -878,7 +912,7 @@ class TestCli:
         ({"strategy": "sif", "lexicon": "random", "dim": 4, "sif_a": -1},
          "error: method 'm': sif_a must be a positive number, not -1\n"),
         ({"strategy": "sif", "lexicon": "random", "dim": 4, "sif_a": "1e-3"},
-         "error: method 'm': sif_a must be a positive number, not '1e-3'\n"),
+         "error: method 'm': sif_a must be float, not '1e-3'\n"),
         ({"lexicon": "random", "dim": 4, "frequencies": "freq.txt"},
          "error: method 'm': frequencies is only for sif methods, not strategy 'mean'\n"),
     ], ids=["negative-sif_a", "string-sif_a", "frequencies-on-mean"])
@@ -903,9 +937,52 @@ class TestCli:
         for verb in ("validate", "eval"):
             assert cli.main([verb, "--config", str(cfg_path)]) == 1, verb
             assert capsys.readouterr().err == (
-                "error: malformed config: learning_rate must be a positive finite number, "
-                f"not {learning_rate!r}\n"), verb
+                f"error: probe: learning_rate must be float, not {learning_rate!r}\n"), verb
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"methods": [{"name": "m", "lexicon": "random", "dim": 4.5}]},
+         "method 'm': dim must be int | None, not 4.5"),
+        ({"probe": {"epochs": 1.5}}, "probe: epochs must be int, not 1.5"),
+        ({"methods": [{"name": 7, "lexicon": "synthetic"}]}, "method 7: name must be str, not 7"),
+        ({"seed": "1"}, "config: seed must be int, not '1'"),
+        ({"methods": [{"name": "m", "lexicon": "synthetic", "normalize": "no"}]},
+         "method 'm': normalize must be bool | None, not 'no'"),
+        ({"probe": {"hidden_units": True}}, "probe: hidden_units must be int, not True"),
+        ({"split_ratios": [0.8, 0.2], "tasks": [{"name": "t", "path": "t.tsv"}]},
+         "config: split_ratios must be tuple[float, float, float], not [0.8, 0.2]"),
+        ({"tasks": [{"name": "t", "path": 0}]}, "task 't': path must be str | None, not 0"),
+        ({"output": {"formats": "csv"}}, "config: formats must be tuple[str, ...], not 'csv'"),
+        ({"tasks": [{"name": "t", "synthetic": {"items": "200"}}]},
+         "task 't': synthetic items must be int, not '200'"),
+        ({"tasks": [{"name": "t", "path": TESTS_DIR}],
+          "methods": [{"name": "m", "lexicon": "random", "dim": 4}]},
+         f"task 't': file not found: {TESTS_DIR}"),
+        ({"split_ratios": [0.8, 0.1, 0.1]},
+         "config: split_ratios is only for file tasks, not synthetic ones"),
+        ({"methods": [{"name": "m", "sentence_vectors": "s.tsv", "normalize": False}]},
+         "method 'm': normalize is only for lexicon methods"),
+    ], ids=["float-dim", "float-epochs", "int-name", "string-seed", "string-normalize",
+            "bool-hidden_units", "short-split_ratios", "int-path", "string-formats",
+            "string-synthetic-items", "directory-path", "synthetic-split_ratios",
+            "precomputed-normalize"])
+    def test_bad_config_value_exit_1_before_a_task_loads(
+        self, tmp_path, capsys, monkeypatch, extra, message
+    ):
+        monkeypatch.setattr(runner, "load_task", no_cell)
+        out = tmp_path / "out"
+        doc = {
+            "tasks": [{"name": "cls", "synthetic": dict(SYN_CLS)}],
+            "methods": [{"name": "m", "lexicon": "synthetic"}],
+            **extra,
+            "output": {"dir": str(out), **extra.get("output", {})},
+        }
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        for verb in ("validate", "eval"):
+            assert cli.main([verb, "--config", str(p)]) == 1, verb
+            assert capsys.readouterr().err == f"error: {message}\n", verb
+        assert not list(tmp_path.glob("out/results.*"))
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_1(self, tmp_path, capsys, workers):
