@@ -11,7 +11,9 @@ Every verb makes these checks before its first task or cell; `sweep` makes
 them for each of its dims.
 
 Exit codes: 0 success, 1 validation/config error, 2 runtime error. A
-failed cell counts by its cause: a bad config or input file exits 1.
+failed cell counts by its cause. A missing, unreadable, non-UTF-8 or
+malformed input file, the config included, exits 1 with one error line
+that names the file.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except Exception as exc:
         cause = exc.__cause__ if isinstance(exc, RuntimeError) else exc  # a cell's failure
-        if isinstance(cause, (ConfigError, ParseError, FileNotFoundError)):
+        if isinstance(cause, (ConfigError, ParseError)):
             for line in str(exc).splitlines():  # a config check lists one problem per line
                 print(f"error: {line}", file=sys.stderr)
             return 1

@@ -235,6 +235,8 @@ def load_frequency_table(stream: IO[str]) -> FrequencyTable:
         count = int(count_tok)
         if count < 0:
             raise ParseError(f"negative count for {word!r}", lineno)
+        if total_override is not None and count > total_override:
+            raise ParseError(f"count {count} for {word!r} exceeds #total {total_override}", lineno)
         counts[word] = count
     total = total_override if total_override is not None else sum(counts.values())
     if total <= 0:

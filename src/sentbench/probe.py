@@ -21,7 +21,6 @@ _CHECK_FLOATS = 2**17  # float64 values per block of the non-finite check (1 MB)
 class ProbeConfig:
     hidden_units: int = 50
     epochs: int = 10
-    seed: int = 0
     learning_rate: float = 0.01
     batch_size: int = 64
 
@@ -168,18 +167,19 @@ def _train_rows(X: np.ndarray, n_targets: int, what: str, rows) -> np.ndarray:
 
 
 def _train(
-    X: np.ndarray, rows: np.ndarray, targets: np.ndarray, out_kind: str, cfg: ProbeConfig
+    X: np.ndarray, rows: np.ndarray, targets: np.ndarray, out_kind: str, cfg: ProbeConfig, seed: int
 ) -> Probe:
     """SGD on ``X[rows]`` without copying it: each mini-batch gathers its own
-    rows, and ``targets[i]`` belongs to ``X[rows[i]]``."""
+    rows, and ``targets[i]`` belongs to ``X[rows[i]]``. ``seed`` draws the
+    initial weights and ``seed + 1`` the per-epoch shuffles."""
     block = max(1, _CHECK_FLOATS // max(1, X.shape[1]))
     for start in range(0, len(rows), block):
         if not np.isfinite(X[rows[start : start + block]]).all():
             raise ValueError("non-finite features")
-    probe, flat = _init_probe(X.shape[1], cfg.hidden_units, targets.shape[1], out_kind, cfg.seed)
+    probe, flat = _init_probe(X.shape[1], cfg.hidden_units, targets.shape[1], out_kind, seed)
     grad = np.empty_like(flat)  # the gradients, laid out like the parameters
     gW1, gb1, gW2, gb2 = _views(grad, *probe.W1.shape, len(probe.b2))
-    rng = np.random.default_rng(cfg.seed + 1)
+    rng = np.random.default_rng(seed + 1)
     n = len(rows)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -217,7 +217,7 @@ def _train(
 
 def train_classifier(
     X: np.ndarray, labels: Sequence[int], K: int, cfg: ProbeConfig,
-    *, rows: Sequence[int] | None = None,
+    *, rows: Sequence[int] | None = None, seed: int = 0,
 ) -> Probe:
     """Fit the softmax classifier on integer class labels in [0, K), on the
     ``rows`` of ``X`` (all rows by default). ``labels`` are indexed like
@@ -230,12 +230,12 @@ def train_classifier(
     labels = labels[rows]
     if labels.min() < 0 or labels.max() >= K:
         raise ValueError("labels outside [0, K)")
-    return _train(X, rows, np.eye(K)[labels], "classifier", cfg)
+    return _train(X, rows, np.eye(K)[labels], "classifier", cfg, seed)
 
 
 def train_relatedness(
     X: np.ndarray, scores: Sequence[float], K: int, cfg: ProbeConfig,
-    *, rows: Sequence[int] | None = None,
+    *, rows: Sequence[int] | None = None, seed: int = 0,
 ) -> Probe:
     """Fit the distribution regressor on real scores in [1, K], minimizing KL
     divergence to the binned score distributions, on the ``rows`` of ``X``
@@ -246,4 +246,4 @@ def train_relatedness(
         raise ValueError("need at least 2 bins")
     rows = _train_rows(X, len(scores), "scores", rows)
     targets = np.stack([score_to_distribution(y, K) for y in scores[rows]])
-    return _train(X, rows, targets, "distribution", cfg)
+    return _train(X, rows, targets, "distribution", cfg, seed)

@@ -113,6 +113,9 @@ class RunConfig:
 
     def __post_init__(self):
         check_fields("config", self)
+        if not tasks_mod.valid_ratios(self.split_ratios):
+            raise ConfigError("config: split_ratios must be nonnegative and sum to 1, "
+                              f"not {self.split_ratios}")
         object.__setattr__(self, "formats", tuple(self.formats))
         object.__setattr__(self, "split_ratios", tuple(self.split_ratios))
         for what, specs in (("task", self.tasks), ("method", self.methods)):
@@ -155,13 +158,23 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(f"malformed config: {exc}") from exc
 
 
+def read_input(path: str, loader, *args):
+    """``loader(stream, *args)`` on the input file at ``path``, decoded as
+    UTF-8 with a leading byte-order mark dropped: the one place an input file
+    is opened. A malformed, non-UTF-8, missing or unreadable file is a
+    ParseError that names it once."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return loader(fh, *args)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 (byte {exc.object[exc.start]:#04x})") from exc
+    except (ParseError, json.JSONDecodeError, OSError) as exc:  # json.load reads the config
+        # an OSError's strerror, as its str() repeats the path
+        raise ParseError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def load_config(path: str) -> RunConfig:
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return parse_config(data)
+    return parse_config(read_input(path, json.load))
 
 
 def stable_seed(base: int, *labels: str) -> int:
@@ -182,21 +195,25 @@ def _generator(kind: str):
     return tasks_mod.synthetic_relatedness
 
 
-def load_task(spec: TaskSpec, cfg: RunConfig, dim: int | None = None):
+def load_task(spec: TaskSpec, cfg: RunConfig, dim: int | None = None, inputs: Inputs | None = None):
     """Resolve a task spec to (task, lexicon-or-None). Synthetic tasks carry
     their own generated lexicon and are parametric in the vector dim, which a
-    sweep overrides; file tasks have no lexicon. A task whose generator or
-    split rejects its parameters is a config error naming the task."""
+    sweep overrides. File tasks have no lexicon; their file is parsed through
+    ``inputs``, the run's parse cache (a fresh one by default), and a task
+    without complete split annotations gets the seeded split on every call.
+    A task whose generator or split rejects its parameters is a config error
+    naming the task."""
     try:
         if spec.synthetic is not None:
             dims = {} if dim is None else {"dim": dim}
             task, table = _generator(spec.kind)(**{"seed": cfg.seed, **spec.synthetic, **dims})
             return replace(task, name=spec.name), table
-        with open(spec.path, encoding="utf-8-sig") as fh:
-            if spec.kind == "classification":
-                task = tasks_mod.load_classification_tsv(fh, spec.label_set, name=spec.name)
-            else:
-                task = tasks_mod.load_sick_tsv(fh, name=spec.name)
+        if spec.kind == "classification":
+            label_set = None if spec.label_set is None else tuple(spec.label_set)
+            parse = (tasks_mod.load_classification_tsv, label_set, spec.name)
+        else:
+            parse = (tasks_mod.load_sick_tsv, spec.name)
+        task = (inputs or Inputs()).read(spec.path, *parse)
         covered = sum(len(v) for v in task.splits.values())
         if covered < len(task.labels) or not task.splits.get("test"):
             task = tasks_mod.split(task, cfg.split_ratios, seed=stable_seed(cfg.seed, spec.name))
@@ -208,31 +225,23 @@ def load_task(spec: TaskSpec, cfg: RunConfig, dim: int | None = None):
 
 
 class Inputs:
-    """The parse cache of one run. Each input file is parsed on first use, by
-    the first cell that needs it, and kept for every later cell and dim; a
-    file task is loaded once for all dims. Word vectors are kept for one dim:
-    ``run_matrix`` calls ``next_dim`` first, so a sweep holds one dim's table
-    at a time."""
+    """The parse cache of one run. Each input file is parsed once per loader
+    and loader arguments, and kept for every later cell and dim: task files
+    by ``load_task`` before a dim's first cell, other files by the first cell
+    that needs them. Word vectors are kept for one dim: ``run_matrix`` calls
+    ``next_dim`` first, so a sweep holds one dim's table at a time."""
 
     def __init__(self):
         self._lock = threading.Lock()  # held while parsing, so a file is never parsed twice
         self._parsed = {}
-        self._tasks = {}
 
-    def read(self, path: str, loader):
+    def read(self, *key):
+        """``read_input(path, loader, *args)`` for ``key`` = (path, loader, *args),
+        parsed on the first call and kept."""
         with self._lock:
-            if (path, loader) not in self._parsed:
-                with open(path, encoding="utf-8-sig") as fh:
-                    self._parsed[path, loader] = loader(fh)
-            return self._parsed[path, loader]
-
-    def task(self, spec: TaskSpec, cfg: RunConfig, dim: int | None):
-        """``load_task(spec, cfg, dim)``. Only synthetic tasks depend on the dim."""
-        if spec.path is None:
-            return load_task(spec, cfg, dim)
-        if spec.name not in self._tasks:
-            self._tasks[spec.name] = load_task(spec, cfg)
-        return self._tasks[spec.name]
+            if key not in self._parsed:
+                self._parsed[key] = read_input(*key)
+            return self._parsed[key]
 
     def next_dim(self) -> None:
         """Drop the word vectors. Called before a dim's cells start, so no
@@ -339,17 +348,17 @@ def run_task(
     if not test_idx:
         raise ValueError(f"task {task.name!r} has an empty test split")
     S = sentence_matrix(task, method, cfg, synthetic_table, dim, inputs)
-    probe_cfg = replace(cfg.probe, seed=stable_seed(cfg.seed, method.name, task.name))
+    fit = {"rows": train_idx, "seed": stable_seed(cfg.seed, method.name, task.name)}
     X = S if task.pair_ids is None else probe.pair_features(*np.split(S, 2))
     if kind == "relatedness":
         gold = np.array(task.scores)
-        model = probe.train_relatedness(X, gold, RELATEDNESS_BINS, probe_cfg, rows=train_idx)
+        model = probe.train_relatedness(X, gold, RELATEDNESS_BINS, cfg.probe, **fit)
         probs = probe.predict_proba(model, X[test_idx])
         preds = [probe.distribution_to_score(p) for p in probs]
         value = pearson(preds, gold[test_idx])
     else:
         labels = np.array([task.label_set.index(lab) for lab in task.labels])
-        model = probe.train_classifier(X, labels, len(task.label_set), probe_cfg, rows=train_idx)
+        model = probe.train_classifier(X, labels, len(task.label_set), cfg.probe, **fit)
         probs = probe.predict_proba(model, X[test_idx])
         preds = probs.argmax(axis=1)
         value = accuracy(list(preds), list(labels[test_idx]))
@@ -373,7 +382,7 @@ def run_matrix(
     cell."""
     inputs = inputs or Inputs()
     inputs.next_dim()
-    loaded = [(spec, *inputs.task(spec, cfg, dim)) for spec in cfg.tasks]
+    loaded = [(spec, *load_task(spec, cfg, dim, inputs)) for spec in cfg.tasks]
     cells_in = [
         (method, spec, task, table)
         for method in cfg.methods
@@ -406,7 +415,7 @@ def run_metadata(cfg: RunConfig, dims: Sequence[int] | None = None) -> dict:
     meta = {
         "seed": cfg.seed,
         "split_ratios": list(cfg.split_ratios),
-        "probe": {k: v for k, v in asdict(cfg.probe).items() if k != "seed"},
+        "probe": asdict(cfg.probe),
         "methods": [
             {
                 "name": m.name,

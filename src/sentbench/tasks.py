@@ -201,15 +201,18 @@ def load_sick_tsv(stream: IO[str], name: str = "sick") -> Task:
                 pair_ids=tuple(ids), scores=tuple(scores), splits=splits)
 
 
+def valid_ratios(ratios: Sequence[float]) -> bool:
+    """Whether train, dev and test ratios are nonnegative and sum to 1."""
+    return min(ratios) >= 0 and abs(sum(ratios) - 1.0) <= 1e-9
+
+
 def split(task, ratios: tuple[float, float, float] = DEFAULT_RATIOS, seed: int = 0):
     """Assign train/dev/test splits by a seeded shuffle and contiguous
     partition. Sizes of dev and test round to nearest; the remainder goes to
     train; ratios that leave train or test empty are an error. Returns a copy
     of the task; the input is untouched."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("ratios must sum to 1")
-    if any(r < 0 for r in ratios):
-        raise ValueError("ratios must be nonnegative")
+    if not valid_ratios(ratios):
+        raise ValueError(f"ratios {tuple(ratios)} must be nonnegative and sum to 1")
     n = len(task.labels)
     if n < 3:
         raise ValueError("need at least 3 items to split")

@@ -148,13 +148,14 @@ def load_sentence_vectors_by_line(stream: IO[str]) -> VectorTable:
 
 
 def train_probe(
-    X: np.ndarray, rows: np.ndarray, targets: np.ndarray, out_kind: str, cfg: ProbeConfig
+    X: np.ndarray, rows: np.ndarray, targets: np.ndarray, out_kind: str, cfg: ProbeConfig,
+    seed: int,
 ) -> Probe:
     """Mini-batch SGD one parameter array at a time: four separately drawn
     arrays, ``loss_gradients`` on each gathered batch, then ``p -= lr * g``
     for each array. ``targets[i]`` belongs to ``X[rows[i]]``."""
     d, hidden, out = X.shape[1], cfg.hidden_units, targets.shape[1]
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     lim1 = np.sqrt(6.0 / (d + hidden))
     lim2 = np.sqrt(6.0 / (hidden + out))
     probe = Probe(
@@ -164,7 +165,7 @@ def train_probe(
         b2=np.zeros(out),
         out_kind=out_kind,
     )
-    rng = np.random.default_rng(cfg.seed + 1)
+    rng = np.random.default_rng(seed + 1)
     params = (probe.W1, probe.b1, probe.W2, probe.b2)
     for _ in range(cfg.epochs):
         order = rng.permutation(len(rows))

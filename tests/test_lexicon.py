@@ -139,6 +139,12 @@ class TestFrequencyTable:
         with pytest.raises(ParseError):
             load_frequency_table(io.StringIO("a -1"))
 
+    def test_count_above_total_names_its_line(self):
+        with pytest.raises(ParseError) as info:
+            load_frequency_table(io.StringIO("#total 5\na 5\n\ngood 6\n"))
+        assert (str(info.value), info.value.line) == (
+            "line 4: count 6 for 'good' exceeds #total 5", 4)
+
     @pytest.mark.parametrize("text", ["   \na 3\n\t \nb 1\n", "a 3\nb 1\n \r\n"])
     def test_whitespace_only_lines_skipped(self, text):
         assert load_frequency_table(io.StringIO(text)) == load_frequency_table(

@@ -144,8 +144,8 @@ class TestGradients:
         targets = np.eye(2)[labels]
         losses = []
         for epochs in range(1, 11):
-            cfg = ProbeConfig(epochs=epochs, learning_rate=1e-3, batch_size=40, seed=9)
-            model = train_classifier(X, labels, 2, cfg)
+            cfg = ProbeConfig(epochs=epochs, learning_rate=1e-3, batch_size=40)
+            model = train_classifier(X, labels, 2, cfg, seed=9)
             losses.append(cross_entropy_loss(model, X, targets))
         assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -175,8 +175,8 @@ class TestClassifier:
         rng = np.random.default_rng(2)
         X = rng.standard_normal((60, 5))
         y = (X[:, 1] > 0).astype(int)
-        m1 = train_classifier(X, y, 2, ProbeConfig(seed=4))
-        m2 = train_classifier(X, y, 2, ProbeConfig(seed=4))
+        m1 = train_classifier(X, y, 2, ProbeConfig(), seed=4)
+        m2 = train_classifier(X, y, 2, ProbeConfig(), seed=4)
         assert np.array_equal(predict_proba(m1, X), predict_proba(m2, X))
 
     def test_k_below_two_rejected(self):
@@ -244,8 +244,8 @@ class TestRelatedness:
         rng = np.random.default_rng(3)
         X = rng.standard_normal((50, 4))
         scores = rng.uniform(1, 5, 50)
-        m1 = train_relatedness(X, scores, 5, ProbeConfig(seed=11))
-        m2 = train_relatedness(X, scores, 5, ProbeConfig(seed=11))
+        m1 = train_relatedness(X, scores, 5, ProbeConfig(), seed=11)
+        m2 = train_relatedness(X, scores, 5, ProbeConfig(), seed=11)
         assert np.array_equal(predict_proba(m1, X), predict_proba(m2, X))
 
     def test_saturating_logits_hit_boundary_bin(self):
@@ -289,11 +289,11 @@ class TestTrainRows:
     def test_equals_training_on_the_copied_rows(self, data, rows):
         X, labels, scores = data
         r = np.arange(150) if rows is None else np.asarray(rows)
-        cfg = ProbeConfig(seed=6, epochs=3, batch_size=16)
-        assert params(train_classifier(X, labels, 3, cfg, rows=rows)) == params(
-            train_classifier(X[r], labels[r], 3, cfg))
-        assert params(train_relatedness(X, scores, 5, cfg, rows=rows)) == params(
-            train_relatedness(X[r], scores[r], 5, cfg))
+        cfg = ProbeConfig(epochs=3, batch_size=16)
+        assert params(train_classifier(X, labels, 3, cfg, rows=rows, seed=6)) == params(
+            train_classifier(X[r], labels[r], 3, cfg, seed=6))
+        assert params(train_relatedness(X, scores, 5, cfg, rows=rows, seed=6)) == params(
+            train_relatedness(X[r], scores[r], 5, cfg, seed=6))
 
     @pytest.mark.parametrize("rows", [
         [], np.array([], dtype=int), [0, 150], [-1, 2], [[0, 1]], [0.0, 1.0], [True, False],
@@ -364,13 +364,13 @@ class TestMatchesPerArraySgd:
         rows = rng.integers(0, 130, 117)  # unsorted, with repeats; 117 % 16 and 117 % 64 != 0
         assert len(set(rows.tolist())) < len(rows)
         labels, scores = rng.integers(0, 3, 130), rng.uniform(1, 5, 130)
-        cfg = ProbeConfig(seed=width, epochs=epochs, batch_size=batch_size, learning_rate=0.1)
+        cfg = ProbeConfig(epochs=epochs, batch_size=batch_size, learning_rate=0.1)
         one_hot = np.eye(3)[labels[rows]]
-        assert params(train_classifier(X, labels, 3, cfg, rows=rows)) == params(
-            oracles.train_probe(X, rows, one_hot, "classifier", cfg))
+        assert params(train_classifier(X, labels, 3, cfg, rows=rows, seed=width)) == params(
+            oracles.train_probe(X, rows, one_hot, "classifier", cfg, width))
         dists = np.stack([score_to_distribution(y, 5) for y in scores[rows]])
-        assert params(train_relatedness(X, scores, 5, cfg, rows=rows)) == params(
-            oracles.train_probe(X, rows, dists, "distribution", cfg))
+        assert params(train_relatedness(X, scores, 5, cfg, rows=rows, seed=width)) == params(
+            oracles.train_probe(X, rows, dists, "distribution", cfg, width))
 
     def test_parameters_share_one_vector(self):
         rng = np.random.default_rng(1)

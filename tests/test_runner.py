@@ -411,14 +411,15 @@ class TestRunTask:
         n = len(task.labels)
         seen, fit = [], getattr(runner.probe, train)
 
-        def spy(X, targets, K, probe_cfg, *, rows):
-            seen.append((X.shape, len(targets), list(rows)))
-            return fit(X, targets, K, probe_cfg, rows=rows)
+        def spy(X, targets, K, probe_cfg, *, rows, seed):
+            seen.append((X.shape, len(targets), list(rows), seed))
+            return fit(X, targets, K, probe_cfg, rows=rows, seed=seed)
 
         monkeypatch.setattr(runner.probe, train, spy)
         run_task(task, cfg.methods[0], cfg, kind, table)
         width = 8 if task.pair_ids is None else 16
-        assert seen == [((n, width), n, list(task.splits["train"]))]
+        seed = stable_seed(cfg.seed, cfg.methods[0].name, "t")
+        assert seen == [((n, width), n, list(task.splits["train"]), seed)]
 
 
 class TestRunMatrix:
@@ -614,6 +615,32 @@ class TestSweep:
         assert len(matrices) == 3
         assert calls == [str(p)]
 
+    def test_file_tasks_parsed_once_in_a_threaded_sweep(self, tmp_path, monkeypatch):
+        cls, pairs = tmp_path / "cls.tsv", tmp_path / "pairs.tsv"
+        cls.write_text("".join(f"{'ab'[i % 2]}\tw{i % 7} w{i % 5}\n" for i in range(40)),
+                       encoding="utf-8")
+        pairs.write_text(TestByteOrderMark.PAIRS, encoding="utf-8")
+        cfg = base_config(
+            tasks=[{"name": "cls", "path": str(cls)},
+                   {"name": "pairs", "kind": "entailment", "path": str(pairs)}],
+            methods=[{"name": "rand", "lexicon": "random", "dim": 4},
+                     {"name": "rand-max", "strategy": "mean_max", "lexicon": "random", "dim": 4}],
+            output={"dir": str(tmp_path / "out"), "formats": ["csv"]},
+        )
+        calls = []
+
+        def counting(loader):
+            def load(stream, *args):
+                calls.append((loader.__name__, stream.name))
+                return loader(stream, *args)
+            return load
+
+        for loader in (tasks.load_classification_tsv, tasks.load_sick_tsv):
+            monkeypatch.setattr(tasks, loader.__name__, counting(loader))
+        assert len(dim_sweep(cfg, [4, 8, 16], workers=2)) == 3
+        assert sorted(calls) == [("load_classification_tsv", str(cls)),
+                                 ("load_sick_tsv", str(pairs))]
+
     def write_dim_files(self, tmp_path, cfg, dims):
         for d in dims:
             with open(tmp_path / f"v{d}.txt", "w", encoding="utf-8") as fh:
@@ -674,6 +701,66 @@ class TestSweep:
         assert "cls.svg" in files
         meta = json.load(open(os.path.join(cfg.output_dir, "run-metadata.json")))
         assert meta["dims"] == [4, 8]
+
+
+class TestInputErrors:
+    """Every kind of input file fails the same way: exit 1 and one error
+    line that names the file, whether a line is malformed or a byte is not
+    UTF-8, and whichever thread parses it."""
+
+    IDS = [str(i) for i in range(20)] + [f"p{i}_{side}" for side in "AB" for i in range(20)]
+    FILES = {
+        "cls.tsv": "".join(f"{'ab'[i % 2]}\tw{i % 3} w{i % 5}\n" for i in range(20)),
+        "pairs.tsv": TestByteOrderMark.PAIRS,
+        "v.txt": "".join(f"w{i} {1 + i % 2} {1 + i % 3}\n" for i in range(5)),
+        "s.tsv": "".join(f"{sid}\t{i % 3} {i % 2}\n" for i, sid in enumerate(IDS)),
+        "f.txt": "#total 20\nw0 3\nw1 2\n",
+    }
+    MALFORMED = {
+        "cfg.json": ("{\n\"tasks\": [,]\n}\n", "Expecting value: line 2 column 11"),
+        "cls.tsv": ("a\tw0\nb\tw1\ttrain\textra\n", "line 2: too many columns (4)"),
+        "pairs.tsv": (TestByteOrderMark.PAIRS.replace("\t3.0\t", "\tx\t", 1),
+                      "line 4: non-numeric relatedness score"),
+        "v.txt": ("w0 1 0\nw1 1 0 3\n", "line 2: expected 2 components, found 3"),
+        "s.tsv": ("0\t1 0\n1\t1\n", "line 2: expected 2 components, found 1"),
+        "f.txt": ("#total 20\nw0 3\nw1 21\n", "line 3: count 21 for 'w1' exceeds #total 20"),
+    }
+
+    def write_inputs(self, tmp_path):
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        doc = {
+            "tasks": [{"name": "cls", "path": str(tmp_path / "cls.tsv")},
+                      {"name": "pairs", "kind": "entailment", "path": str(tmp_path / "pairs.tsv")}],
+            "methods": [{"name": "sif", "strategy": "sif", "lexicon": str(tmp_path / "v.txt"),
+                         "frequencies": str(tmp_path / "f.txt")},
+                        {"name": "pre", "sentence_vectors": str(tmp_path / "s.tsv")}],
+            "output": {"dir": str(tmp_path / "out"), "formats": ["csv"]},
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(doc, indent=1), encoding="utf-8")
+        return tmp_path / "cfg.json"
+
+    def test_the_inputs_run(self, tmp_path, capsys):
+        assert cli.main(["eval", "--config", str(self.write_inputs(tmp_path))]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("fault", ["malformed", "not-utf-8"])
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_bad_input_file_exit_1_naming_it(self, tmp_path, capsys, name, fault, workers):
+        cfg_path = self.write_inputs(tmp_path)
+        bad = tmp_path / name
+        if fault == "malformed":
+            text, message = self.MALFORMED[name]
+            bad.write_text(text, encoding="utf-8")
+        else:
+            first, rest = bad.read_bytes().split(b"\n", 1)
+            bad.write_bytes(first + b"\n\xe9" + rest)
+            message = "not UTF-8 (byte 0xe9)"
+        assert cli.main(["eval", "--config", str(cfg_path), "--workers", workers]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and line.count(str(bad)) == 1
+        assert f"{bad}: {message}" in line
 
 
 class TestRunMetadata:
@@ -962,10 +1049,16 @@ class TestCli:
          "config: split_ratios is only for file tasks, not synthetic ones"),
         ({"methods": [{"name": "m", "sentence_vectors": "s.tsv", "normalize": False}]},
          "method 'm': normalize is only for lexicon methods"),
+        ({"split_ratios": [0.5, 0.5, 0.5], "tasks": [{"name": "t", "path": "t.tsv"}]},
+         "config: split_ratios must be nonnegative and sum to 1, not [0.5, 0.5, 0.5]"),
+        ({"split_ratios": [1.5, -0.5, 0], "tasks": [{"name": "t", "path": "t.tsv"}]},
+         "config: split_ratios must be nonnegative and sum to 1, not [1.5, -0.5, 0]"),
+        ({"probe": {"seed": 1}},
+         "malformed config: ProbeConfig.__init__() got an unexpected keyword argument 'seed'"),
     ], ids=["float-dim", "float-epochs", "int-name", "string-seed", "string-normalize",
             "bool-hidden_units", "short-split_ratios", "int-path", "string-formats",
             "string-synthetic-items", "directory-path", "synthetic-split_ratios",
-            "precomputed-normalize"])
+            "precomputed-normalize", "split_ratios-sum", "negative-split_ratios", "probe-seed"])
     def test_bad_config_value_exit_1_before_a_task_loads(
         self, tmp_path, capsys, monkeypatch, extra, message
     ):
