@@ -17,6 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .errors import ParseError
 from .lexicon import FrequencyTable, VectorTable, unigram_probability
 
 DEFAULT_SIF_A = 1e-3
@@ -169,7 +170,9 @@ def embed_corpus(
     values (one sentence if L * d alone exceeds it). A reduction over axis 1
     of a block adds each sentence's rows in the order ``mean_pool`` and
     ``max_pool`` do, so every row is bitwise equal to theirs; a sentence with
-    no in-vocabulary token is a zero row. For SIF the common component is
+    no in-vocabulary token is a zero row. A used word whose vector is all
+    zeros cannot be normalised: that is a ParseError naming the first such
+    word in corpus order. For SIF the common component is
     fitted on ``fit_rows`` only (typically the training split) and removed
     from every row, so held-out rows never influence the fit.
     """
@@ -210,7 +213,10 @@ def embed_corpus(
                 out[part, d:] = block.max(axis=1)
             del block  # before the next gather: one block alive at a time
     if not np.all(np.isfinite(out)):
-        raise ValueError("cannot normalize the zero vector")
+        if not normalize_tokens:  # sums of huge rows; normalised rows pool below 1
+            raise ValueError("pooled sentence vectors overflow float64")
+        zero = ids[~table.vectors.any(axis=1)[ids]]  # a normalised zero row is NaN
+        raise ParseError(f"cannot normalize the zero vector of word {table.keys[zero[0]]!r}")
     if isinstance(strat, Sif):
         c = fit_common_component(out[np.asarray(fit_rows, dtype=int)])
         out -= np.outer(out @ c, c)

@@ -11,9 +11,11 @@ Every verb makes these checks before its first task or cell; `sweep` makes
 them for each of its dims.
 
 Exit codes: 0 success, 1 validation/config error, 2 runtime error. A
-failed cell counts by its cause. A missing, unreadable, non-UTF-8 or
+failed cell keeps the class of its fault and names the cell, so it counts
+the same at any worker count. A missing, unreadable, non-UTF-8 or
 malformed input file, the config included, exits 1 with one error line
-that names the file.
+that names the file, and so does a task file whose split annotations cover
+every item but mark no train or no test item.
 """
 
 from __future__ import annotations
@@ -96,12 +98,11 @@ def main(argv: list[str] | None = None) -> int:
         n = runner.export_sentence_vectors(cfg, args.task, args.method, args.out)  # embed
         print(f"wrote {n} sentence vectors to {args.out}")
         return 0
+    except (ConfigError, ParseError) as exc:
+        for line in str(exc).splitlines():  # a config check lists one problem per line
+            print(f"error: {line}", file=sys.stderr)
+        return 1
     except Exception as exc:
-        cause = exc.__cause__ if isinstance(exc, RuntimeError) else exc  # a cell's failure
-        if isinstance(cause, (ConfigError, ParseError)):
-            for line in str(exc).splitlines():  # a config check lists one problem per line
-                print(f"error: {line}", file=sys.stderr)
-            return 1
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,6 +3,7 @@
 import math
 from collections.abc import Sequence
 from dataclasses import fields
+from functools import cache
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -45,10 +46,12 @@ def check_types(owner: str, values: dict, hints: dict, section: str = "") -> Non
             raise ConfigError(f"{owner}: {label}{key} must be {_shown(hints[key])}, not {value!r}")
 
 
+type_hints = cache(get_type_hints)  # resolved once per class; callers must not change the dict
+
+
 def check_fields(owner: str, obj) -> None:
     """`check_types` on the fields of the dataclass instance ``obj``."""
-    hints = get_type_hints(type(obj))
-    check_types(owner, {f.name: getattr(obj, f.name) for f in fields(obj)}, hints)
+    check_types(owner, {f.name: getattr(obj, f.name) for f in fields(obj)}, type_hints(type(obj)))
 
 
 def _conforms(value, hint) -> bool:

@@ -14,12 +14,12 @@ import zlib
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from typing import Sequence, get_type_hints
+from typing import Sequence
 
 import numpy as np
 
 from . import aggregate, probe, tasks as tasks_mod
-from .errors import ConfigError, ParseError, check_fields, check_types
+from .errors import ConfigError, ParseError, check_fields, check_types, type_hints
 from .lexicon import (
     FrequencyTable,
     VectorTable,
@@ -48,6 +48,8 @@ class TaskSpec:
 
     def __post_init__(self):
         check_fields(f"task {self.name!r}", self)
+        if "/" in self.name or "\0" in self.name:  # it names the task's SVG plot file
+            raise ConfigError(f"task {self.name!r}: a task name may not hold '/' or NUL")
         if self.kind not in TASK_KINDS:
             raise ConfigError(f"task {self.name!r}: unknown kind {self.kind!r}")
         if (self.path is None) == (self.synthetic is None):
@@ -56,8 +58,7 @@ class TaskSpec:
             raise ConfigError(
                 f"task {self.name!r}: label_set is only for file classification tasks")
         if self.synthetic is not None:
-            hints = get_type_hints(_generator(self.kind))
-            del hints["return"]
+            hints = {k: v for k, v in type_hints(_generator(self.kind)).items() if k != "return"}
             check_types(f"task {self.name!r}", self.synthetic, hints, "synthetic")
 
 
@@ -145,17 +146,25 @@ def parse_config(data: dict) -> RunConfig:
         unknown += sorted(f"output.{k}" for k in set(output) - set(_OUTPUT_FIELDS))
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-        if "split_ratios" in data and all(t.get("path") is None for t in data.get("tasks", ())):
+        tasks, methods = data.get("tasks", ()), data.get("methods", ())
+        if "split_ratios" in data and all(t.get("path") is None for t in tasks):
             raise ConfigError("config: split_ratios is only for file tasks, not synthetic ones")
         return RunConfig(
-            tasks=tuple(TaskSpec(**t) for t in data.get("tasks", ())),
-            methods=tuple(MethodSpec(**m) for m in data.get("methods", ())),
-            probe=probe.ProbeConfig(**data.get("probe", {})),
+            tasks=tuple(_build(f"task {t.get('name')!r}", TaskSpec, t) for t in tasks),
+            methods=tuple(_build(f"method {m.get('name')!r}", MethodSpec, m) for m in methods),
+            probe=_build("probe", probe.ProbeConfig, data.get("probe", {})),
             **{k: data[k] for k in ("seed", "split_ratios") if k in data},
             **{_OUTPUT_FIELDS[k]: v for k, v in output.items()},
         )
-    except (TypeError, AttributeError) as exc:  # e.g. an unknown task key, or a list for "probe"
+    except (TypeError, AttributeError) as exc:  # e.g. a task without a name, or a list for "probe"
         raise ConfigError(f"malformed config: {exc}") from exc
+
+
+def _build(owner: str, cls, values: dict):
+    """``cls(**values)``, once `check_types` has found every key a field of
+    ``cls``, so an unknown key reads as one for every config block."""
+    check_types(owner, values, type_hints(cls))
+    return cls(**values)
 
 
 def read_input(path: str, loader, *args):
@@ -199,10 +208,12 @@ def load_task(spec: TaskSpec, cfg: RunConfig, dim: int | None = None, inputs: In
     """Resolve a task spec to (task, lexicon-or-None). Synthetic tasks carry
     their own generated lexicon and are parametric in the vector dim, which a
     sweep overrides. File tasks have no lexicon; their file is parsed through
-    ``inputs``, the run's parse cache (a fresh one by default), and a task
-    without complete split annotations gets the seeded split on every call.
-    A task whose generator or split rejects its parameters is a config error
-    naming the task."""
+    ``inputs``, the run's parse cache (a fresh one by default). Split
+    annotations that cover every item are used as given and must hold train
+    and test items; a task with fewer gets the seeded split on every call.
+    This is the one place a split is checked: every task it returns has train
+    and test items. A task whose generator, split or annotations reject its
+    parameters is a config error naming the task."""
     try:
         if spec.synthetic is not None:
             dims = {} if dim is None else {"dim": dim}
@@ -214,9 +225,12 @@ def load_task(spec: TaskSpec, cfg: RunConfig, dim: int | None = None, inputs: In
         else:
             parse = (tasks_mod.load_sick_tsv, spec.name)
         task = (inputs or Inputs()).read(spec.path, *parse)
-        covered = sum(len(v) for v in task.splits.values())
-        if covered < len(task.labels) or not task.splits.get("test"):
-            task = tasks_mod.split(task, cfg.split_ratios, seed=stable_seed(cfg.seed, spec.name))
+        if sum(map(len, task.splits.values())) < len(task.labels):
+            return tasks_mod.split(task, cfg.split_ratios, seed=stable_seed(cfg.seed, spec.name)), None
+        missing = " or ".join(s for s in ("train", "test") if not task.splits.get(s))
+        if missing:
+            raise ValueError(f"{spec.path}: its split annotations cover every item "
+                             f"but mark no {missing} item")
         return task, None
     except ParseError:
         raise
@@ -276,22 +290,17 @@ def _resolve_lexicon(
     return inputs.read(_lexicon_path(method, dim), load_word_vectors)
 
 
-def _frequencies_for(method: MethodSpec, task, inputs: Inputs):
-    """SIF word probabilities: from the configured file, else estimated from
-    the task's training-split tokens."""
-    if method.frequencies is not None:
-        return inputs.read(method.frequencies, load_frequency_table)
-    train = task.rows(task.splits.get("train", range(len(task.labels))))
-    counts = Counter(t for r in train for t in task.sentences[r])
-    return FrequencyTable(counts=counts, total=max(1, sum(counts.values())))
-
-
 def _strategy_for(method: MethodSpec, task, inputs: Inputs) -> aggregate.AggregationStrategy:
-    if method.strategy == "mean":
-        return aggregate.Mean()
-    if method.strategy == "mean_max":
-        return aggregate.MeanMaxConcat()
-    return aggregate.Sif(freq=_frequencies_for(method, task, inputs), a=method.sif_a)
+    """The pooling of a lexicon method. SIF word probabilities come from the
+    configured file, else from the tokens of the task's train split."""
+    if method.strategy != "sif":
+        return aggregate.Mean() if method.strategy == "mean" else aggregate.MeanMaxConcat()
+    if method.frequencies is not None:
+        freq = inputs.read(method.frequencies, load_frequency_table)
+    else:
+        counts = Counter(t for r in task.rows(task.splits["train"]) for t in task.sentences[r])
+        freq = FrequencyTable(counts=counts, total=max(1, sum(counts.values())))
+    return aggregate.Sif(freq=freq, a=method.sif_a)
 
 
 def sentence_matrix(
@@ -316,14 +325,11 @@ def sentence_matrix(
             ) from None
     lex = _resolve_lexicon(method, task, synthetic_table, cfg, dim, inputs)
     strat = _strategy_for(method, task, inputs)
-    fit_rows = None
-    if isinstance(strat, aggregate.Sif):
-        if not task.splits.get("train"):
-            raise ConfigError(f"task {task.name!r}: SIF needs a train split to fit on")
-        fit_rows = task.rows(task.splits["train"])
-    return aggregate.embed_corpus(
-        task.sentences, lex, strat, fit_rows=fit_rows, normalize_tokens=method.normalize
-    )
+    try:
+        return aggregate.embed_corpus(task.sentences, lex, strat, task.rows(task.splits["train"]),
+                                      normalize_tokens=method.normalize)
+    except ParseError as exc:  # a used word has the zero vector
+        raise ParseError(f"{_lexicon_path(method, dim)}: {exc}") from exc
 
 
 def run_task(
@@ -341,14 +347,9 @@ def run_task(
     predicted labels; relatedness reports the Pearson correlation of
     predicted vs gold scores. Pair tasks are probed on ``|u - v| ++ u * v``
     of their A and B sentence vectors."""
-    train_idx = task.splits.get("train", [])
-    test_idx = task.splits.get("test", [])
-    if not train_idx:
-        raise ValueError(f"task {task.name!r} has an empty train split")
-    if not test_idx:
-        raise ValueError(f"task {task.name!r} has an empty test split")
+    test_idx = task.splits["test"]
     S = sentence_matrix(task, method, cfg, synthetic_table, dim, inputs)
-    fit = {"rows": train_idx, "seed": stable_seed(cfg.seed, method.name, task.name)}
+    fit = {"rows": task.splits["train"], "seed": stable_seed(cfg.seed, method.name, task.name)}
     X = S if task.pair_ids is None else probe.pair_features(*np.split(S, 2))
     if kind == "relatedness":
         gold = np.array(task.scores)
@@ -379,7 +380,8 @@ def run_matrix(
     in parallel; results do not depend on the worker count. Tasks and input
     files come from ``inputs``, the run's parse cache (a fresh one by
     default). Any cell failure aborts the whole run with an error naming the
-    cell."""
+    cell: a ConfigError or ParseError as its own class, anything else as a
+    RuntimeError."""
     inputs = inputs or Inputs()
     inputs.next_dim()
     loaded = [(spec, *load_task(spec, cfg, dim, inputs)) for spec in cfg.tasks]
@@ -394,9 +396,8 @@ def run_matrix(
         try:
             return run_task(task, method, cfg, spec.kind, table, dim, inputs)
         except Exception as exc:
-            raise RuntimeError(
-                f"cell (method={method.name!r}, task={spec.name!r}) failed: {exc}"
-            ) from exc
+            cls = type(exc) if isinstance(exc, (ConfigError, ParseError)) else RuntimeError
+            raise cls(f"cell (method={method.name!r}, task={spec.name!r}) failed: {exc}") from exc
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

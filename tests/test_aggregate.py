@@ -18,6 +18,7 @@ from sentbench.aggregate import (
     sif_weight,
     sif_weighted_mean,
 )
+from sentbench.errors import ParseError
 from sentbench.lexicon import FrequencyTable, VectorTable, random_table
 from oracles import sentence_token_vectors
 
@@ -241,6 +242,18 @@ class TestEmbedCorpus:
         assert np.array_equal(embed_corpus([("z",)], table, Mean(), normalize_tokens=False), [[0, 0]])
         with pytest.raises(ValueError, match="zero vector"):
             embed_corpus([("a", "z")], table, MeanMaxConcat())
+
+    def test_used_zero_vector_named_by_its_first_word_in_corpus_order(self):
+        table = table_of({"a": np.ones(2), "y": np.zeros(2), "z": np.zeros(2)})
+        with pytest.raises(ParseError) as info:
+            embed_corpus([("a",), ("a", "z", "y"), ("y",)], table, Mean())
+        assert str(info.value) == "cannot normalize the zero vector of word 'z'"
+
+    def test_unnormalised_sums_past_float64_range_rejected(self):
+        table = table_of({"big": np.full(2, 1e308), "z": np.zeros(2)})
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow") as info:
+            embed_corpus([("z",), ("big", "big")], table, Mean(), normalize_tokens=False)
+        assert not isinstance(info.value, ParseError)
 
     def test_rows_whose_squares_under_or_overflow(self):
         table = table_of({

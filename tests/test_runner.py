@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from sentbench import cli, runner, tasks
-from sentbench.errors import ConfigError, ProbeDivergedError
+from sentbench import errors
+from sentbench.errors import ConfigError, ParseError, ProbeDivergedError
 from sentbench.lexicon import (
     load_frequency_table,
     load_sentence_vector_table,
@@ -113,6 +114,31 @@ class TestParseConfig:
     def test_unknown_task_key(self):
         with pytest.raises(ConfigError, match="synthetc"):
             base_config(tasks=[{"name": "t", "synthetic": SYN_CLS, "synthetc": SYN_CLS}])
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"tasks": [{"name": "t", "synthetic": {}, "synthetc": {}, "knd": "x"}]},
+         "task 't': unknown key(s): knd, synthetc"),
+        ({"methods": [{"name": "m", "lexicon": "synthetic", "stratgey": "sif"}]},
+         "method 'm': unknown key(s): stratgey"),
+        ({"probe": {"seed": 1}}, "probe: unknown key(s): seed"),
+    ], ids=["task", "method", "probe"])
+    def test_unknown_key_reads_the_same_in_every_block(self, overrides, message):
+        with pytest.raises(ConfigError) as info:
+            base_config(**overrides)
+        assert str(info.value) == message
+
+    def test_type_hints_resolved_once_per_class(self):
+        base_config()
+        misses = errors.type_hints.cache_info().misses
+        cfg = base_config()
+        replace(cfg.probe, epochs=3)
+        assert errors.type_hints.cache_info().misses == misses
+
+    @pytest.mark.parametrize("name", ["../escape", "a/b", "/", "nul\0byte"])
+    def test_task_name_must_be_a_file_name(self, name):
+        with pytest.raises(ConfigError) as info:
+            base_config(tasks=[{"name": name, "synthetic": {}}])
+        assert str(info.value) == f"task {name!r}: a task name may not hold '/' or NUL"
 
     @pytest.mark.parametrize("kind, synthetic, bad", [
         ("relatedness", {"items": 50, "itmes": 7}, "items, itmes"),
@@ -364,6 +390,94 @@ class TestByteOrderMark:
         assert capsys.readouterr().out == "config ok\n"
 
 
+class TestSplitRule:
+    """`load_task` alone decides whether a task file's split is usable. Split
+    annotations that cover every item are used as given and must mark train
+    and test items; a file with fewer annotations gets the seeded split.
+    `eval` at any worker count and `embed` under any method agree."""
+
+    N = 40
+    SEMEVAL = {"train": "TRAIN", "dev": "TRIAL", "test": "TEST"}
+
+    def write(self, tmp_path, kind, marks):
+        """A task file of N items, item i marked ``marks[i % len(marks)]``
+        ("" for no annotation, classification files only)."""
+        mark = [marks[i % len(marks)] for i in range(self.N)]
+        if kind == "classification":
+            text = "".join(f"{'ab'[i % 2]}\tw{i % 3} w{i % 5}" + (f"\t{m}" if m else "") + "\n"
+                           for i, m in enumerate(mark))
+        else:
+            text = TestByteOrderMark.PAIRS.splitlines(keepends=True)[0].replace(
+                "\n", "\tSemEval_set\n") + "".join(
+                f"p{i}\ta w{i % 3}\tb w{i % 4}\t{1 + i % 5}.0\tNEUTRAL\t{self.SEMEVAL[m]}\n"
+                for i, m in enumerate(mark))
+        path = tmp_path / "t.tsv"
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def run_verbs(self, tmp_path, capsys, kind, task_file):
+        """(exit code, stderr) of `eval` at 1 and 2 workers and of `embed`
+        under a mean and a SIF method, by run."""
+        doc = {"tasks": [{"name": "t", "kind": kind, "path": str(task_file)}],
+               "methods": [{"name": "mean", "lexicon": "random", "dim": 4},
+                           {"name": "sif", "strategy": "sif", "lexicon": "random", "dim": 4}]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+        runs = {f"eval-w{w}": ["eval", "--workers", w, "--out", str(tmp_path / f"out-w{w}")]
+                for w in ("1", "2")}
+        runs |= {f"embed-{m}": ["embed", "--task", "t", "--method", m,
+                                "--out", str(tmp_path / f"{m}.tsv")] for m in ("mean", "sif")}
+        results = {}
+        for run, (verb, *args) in runs.items():
+            rc = cli.main([verb, "--config", str(cfg_path), *args])
+            results[run] = rc, capsys.readouterr().err
+        return results
+
+    def cell_counts(self, tmp_path):
+        """The test count of each cell of both `eval` runs."""
+        return {cell["n"] for w in ("1", "2")
+                for cell in json.loads((tmp_path / f"out-w{w}" / "results.json").read_text())["results"]}
+
+    @pytest.mark.parametrize("kind", ["classification", "relatedness"])
+    @pytest.mark.parametrize("marks, missing", [
+        (["test", "dev"], "train"), (["train", "dev"], "test"), (["dev"], "train or test"),
+    ], ids=["no-train", "no-test", "dev-only"])
+    def test_annotations_without_train_or_test_exit_1(self, tmp_path, capsys, kind, marks, missing):
+        task_file = self.write(tmp_path, kind, marks)
+        message = (f"error: task 't': {task_file}: its split annotations cover every item "
+                   f"but mark no {missing} item")
+        for run, (rc, err) in self.run_verbs(tmp_path, capsys, kind, task_file).items():
+            assert (rc, err.splitlines()) == (1, [message]), run
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "t.tsv"]
+        cfg = load_config(str(tmp_path / "cfg.json"))
+        with pytest.raises(ConfigError, match=f"mark no {missing} item"):
+            load_task(cfg.tasks[0], cfg)
+
+    @pytest.mark.parametrize("kind", ["classification", "relatedness"])
+    def test_complete_annotations_used_as_given(self, tmp_path, capsys, kind):
+        marks = ["train", "train", "dev", "test"]
+        task_file = self.write(tmp_path, kind, marks)
+        for run, result in self.run_verbs(tmp_path, capsys, kind, task_file).items():
+            assert result == (0, ""), run
+        assert self.cell_counts(tmp_path) == {self.N // 4}
+        cfg = load_config(str(tmp_path / "cfg.json"))
+        task, _ = load_task(cfg.tasks[0], cfg)
+        assert task.splits == {m: [i for i in range(self.N) if marks[i % 4] == m]
+                               for m in ("train", "dev", "test")}
+        res = run_task(task, cfg.methods[1], cfg, kind)
+        assert res.n == self.N // 4
+
+    def test_partial_annotations_get_the_seeded_split(self, tmp_path, capsys):
+        task_file = self.write(tmp_path, "classification", ["train", "test", ""])
+        for run, result in self.run_verbs(tmp_path, capsys, "classification", task_file).items():
+            assert result == (0, ""), run
+        assert self.cell_counts(tmp_path) == {round(self.N * 0.1)}
+        cfg = load_config(str(tmp_path / "cfg.json"))
+        parsed = runner.read_input(str(task_file), tasks.load_classification_tsv, None, "t")
+        seeded = tasks.split(parsed, cfg.split_ratios, seed=stable_seed(cfg.seed, "t"))
+        assert load_task(cfg.tasks[0], cfg)[0] == seeded
+
+
 class TestRunTask:
     def test_clustered_classification_learns(self):
         cfg = base_config()
@@ -533,8 +647,9 @@ class TestRunMatrix:
         cfg = base_config(
             methods=[{"name": "broken", "lexicon": missing}],
         )
-        with pytest.raises(RuntimeError, match="method='broken'"):
+        with pytest.raises(ParseError, match="cell \\(method='broken', task='cls'\\) failed") as info:
             run_matrix(cfg)
+        assert f"{missing}: " in str(info.value)
 
 
 class TestSifAndSentenceVectors:
@@ -974,9 +1089,8 @@ class TestCli:
         assert "'file-cls'" in err
         cfg = base_config(tasks=[{"name": "file-cls", "path": str(tmp_path / "cls.tsv")}],
                           methods=[{"name": "m", "lexicon": "synthetic"}])
-        with pytest.raises(RuntimeError, match="method='m'") as info:
+        with pytest.raises(ConfigError, match="cell \\(method='m', task='file-cls'\\) failed"):
             run_matrix(cfg)
-        assert isinstance(info.value.__cause__, ConfigError)
 
     def test_dim_template_under_eval_exit_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(tasks, "load_classification_tsv", no_cell)
@@ -1053,8 +1167,7 @@ class TestCli:
          "config: split_ratios must be nonnegative and sum to 1, not [0.5, 0.5, 0.5]"),
         ({"split_ratios": [1.5, -0.5, 0], "tasks": [{"name": "t", "path": "t.tsv"}]},
          "config: split_ratios must be nonnegative and sum to 1, not [1.5, -0.5, 0]"),
-        ({"probe": {"seed": 1}},
-         "malformed config: ProbeConfig.__init__() got an unexpected keyword argument 'seed'"),
+        ({"probe": {"seed": 1}}, "probe: unknown key(s): seed"),
     ], ids=["float-dim", "float-epochs", "int-name", "string-seed", "string-normalize",
             "bool-hidden_units", "short-split_ratios", "int-path", "string-formats",
             "string-synthetic-items", "directory-path", "synthetic-split_ratios",
@@ -1117,13 +1230,71 @@ class TestCli:
         assert "error: task 'file-cls': ratios (0.8, 0.1, 0.1) leave the test split empty" in err
 
     def test_runtime_failure_in_a_cell_still_exit_2(self, tmp_path, capsys, monkeypatch):
-        def diverge(*args, **kwargs):
-            raise ProbeDivergedError("probe loss is not finite")
-
-        monkeypatch.setattr(runner.probe, "train_classifier", diverge)
+        monkeypatch.setattr(runner.probe, "train_classifier", self.diverge)
         rc, err = self.run_file_task(tmp_path, capsys, "eval", {"lexicon": "random", "dim": 4})
         assert rc == 2
         assert "runtime error: cell (method='m', task='file-cls')" in err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("fault", ["config", "input", "runtime"])
+    def test_cell_fault_exit_code_at_any_worker_count(
+        self, tmp_path, capsys, monkeypatch, fault, workers
+    ):
+        vectors = tmp_path / "s.tsv"  # sentence ids 0-19 of the task's 40
+        vectors.write_text("".join(f"{i}\t1 {i % 3}\n" for i in range(20)), encoding="utf-8")
+        lex = tmp_path / "v.txt"
+        lex.write_text("w0 1 0\nw1 1 x\n", encoding="utf-8")
+        method, rc, message = {
+            "config": ({"sentence_vectors": str(vectors)}, 1,
+                       f"error: {{cell}}method 'm': sentence id '20' missing from {vectors}"),
+            "input": ({"lexicon": str(lex)}, 1, f"error: {{cell}}{lex}: line 2: non-numeric"),
+            "runtime": ({"lexicon": "random", "dim": 4}, 2,
+                        "runtime error: {cell}probe loss is not finite"),
+        }[fault]
+        monkeypatch.setattr(runner.probe, "train_classifier", self.diverge)
+        result = self.run_file_task(tmp_path, capsys, "eval", method, args=["--workers", workers])
+        assert result[0] == rc
+        (line,) = result[1].splitlines()
+        assert line.startswith(message.format(cell="cell (method='m', task='file-cls') failed: "))
+
+    @staticmethod
+    def diverge(*args, **kwargs):
+        raise ProbeDivergedError("probe loss is not finite")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_used_zero_word_vector_exit_1_naming_file_and_word(self, tmp_path, capsys, workers):
+        lex = tmp_path / "v.txt"
+        lex.write_text("w0 1 0\nw1 0 0\nw2 1 1\n", encoding="utf-8")
+        fault = f"{lex}: cannot normalize the zero vector of word 'w1'"
+        rc, err = self.run_file_task(tmp_path, capsys, "eval", {"lexicon": str(lex)},
+                                     args=["--workers", workers])
+        assert (rc, err) == (1, f"error: cell (method='m', task='file-cls') failed: {fault}\n")
+        embed = ["--task", "file-cls", "--method", "m", "--out", str(tmp_path / "e.tsv")]
+        rc, err = self.run_file_task(tmp_path, capsys, "embed", {"lexicon": str(lex)}, args=embed)
+        assert (rc, err) == (1, f"error: {fault}\n")
+        assert not (tmp_path / "out").exists() and not (tmp_path / "e.tsv").exists()
+
+    @pytest.mark.parametrize("text, normalize", [
+        ("w0 1 0\nw1 0 1\nw2 1 1\nunused 0 0\n", True),
+        ("w0 1 0\nw1 0 0\nw2 1 1\n", False),
+    ], ids=["unused-zero-vector", "no-normalization"])
+    def test_zero_word_vector_runs_when_never_normalised(self, tmp_path, capsys, text, normalize):
+        lex = tmp_path / "v.txt"
+        lex.write_text(text, encoding="utf-8")
+        method = {"lexicon": str(lex), "normalize": normalize}
+        assert self.run_file_task(tmp_path, capsys, "eval", method) == (0, "")
+
+    def test_task_name_that_is_not_a_file_name_exit_1_writing_nothing(self, tmp_path, capsys):
+        doc = {"tasks": [{"name": "../escape", "synthetic": {}}],
+               "methods": [{"name": "m", "lexicon": "random", "dim": 4}],
+               "output": {"dir": str(tmp_path / "out"), "formats": ["csv", "svg"]}}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        for verb, args in [("validate", []), ("sweep", ["--dims", "4,8"])]:
+            assert cli.main([verb, "--config", str(p), *args]) == 1, verb
+            assert capsys.readouterr().err == (
+                "error: task '../escape': a task name may not hold '/' or NUL\n"), verb
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
     def test_unknown_task_for_embed_exit_1(self, tmp_path):
         cfg_path = self.write_config(tmp_path, tmp_path / "out")
