@@ -4,11 +4,14 @@ Verbs:
   eval      run the method x task evaluation matrix from a config
   sweep     run the matrix once per vector dimensionality and plot the trend
   embed     export sentence vectors for one task/method pair as TSV
-  validate  check a config as `eval` runs it, without loading a task: schema,
-            combinations and input files (a `{dim}` lexicon template fails)
+  validate  check a config as `eval` runs it, without running a cell: schema,
+            combinations and input files (a `{dim}` lexicon template fails),
+            then load every task, which generates the synthetic ones and
+            parses and splits the task files; no vector or frequency file
+            is read
 
-Every verb makes these checks before its first task or cell; `sweep` makes
-them for each of its dims.
+Every verb makes the schema, combination and input-file checks before it
+loads a task; `sweep` makes them for each of its dims.
 
 Exit codes: 0 success, 1 validation/config error, 2 runtime error. A
 failed cell keeps the class of its fault and names the cell, so it counts
@@ -79,6 +82,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load(args)
         if args.command == "validate":
             runner.check_config(cfg)
+            for spec in cfg.tasks:  # the generators, task-file parse and split rules
+                runner.load_task(spec, cfg)
             print("config ok")
             return 0
         if args.command == "eval":

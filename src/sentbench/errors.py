@@ -1,8 +1,9 @@
-"""Shared exception types, and the type check every config object makes."""
+"""Shared exception types, and the type check of a config block's values:
+`runner._build` runs it on every block it builds, and `runner.TaskSpec` on
+its ``synthetic`` block."""
 
 import math
 from collections.abc import Sequence
-from dataclasses import fields
 from functools import cache
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
@@ -47,11 +48,6 @@ def check_types(owner: str, values: dict, hints: dict, section: str = "") -> Non
 
 
 type_hints = cache(get_type_hints)  # resolved once per class; callers must not change the dict
-
-
-def check_fields(owner: str, obj) -> None:
-    """`check_types` on the fields of the dataclass instance ``obj``."""
-    check_types(owner, {f.name: getattr(obj, f.name) for f in fields(obj)}, type_hints(type(obj)))
 
 
 def _conforms(value, hint) -> bool:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ProbeDivergedError, check_fields
+from .errors import ConfigError, ProbeDivergedError
 
 _CHECK_FLOATS = 2**17  # float64 values per block of the non-finite check (1 MB)
 
@@ -25,7 +25,6 @@ class ProbeConfig:
     batch_size: int = 64
 
     def __post_init__(self):
-        check_fields("probe", self)
         if min(self.hidden_units, self.epochs, self.batch_size) <= 0:
             raise ConfigError("probe: hidden_units, epochs and batch_size must be positive")
         if self.learning_rate <= 0:

@@ -13,13 +13,13 @@ import threading
 import zlib
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import aggregate, probe, tasks as tasks_mod
-from .errors import ConfigError, ParseError, check_fields, check_types, type_hints
+from .errors import ConfigError, ParseError, check_types, type_hints
 from .lexicon import (
     FrequencyTable,
     VectorTable,
@@ -47,7 +47,6 @@ class TaskSpec:
     label_set: Sequence[str] | None = None
 
     def __post_init__(self):
-        check_fields(f"task {self.name!r}", self)
         if "/" in self.name or "\0" in self.name:  # it names the task's SVG plot file
             raise ConfigError(f"task {self.name!r}: a task name may not hold '/' or NUL")
         if self.kind not in TASK_KINDS:
@@ -74,7 +73,6 @@ class MethodSpec:
     normalize: bool | None = None  # lexicon methods only, where it defaults to True
 
     def __post_init__(self):
-        check_fields(f"method {self.name!r}", self)
         if (self.lexicon is None) == (self.sentence_vectors is None):
             raise ConfigError(
                 f"method {self.name!r}: exactly one of lexicon/sentence_vectors required"
@@ -113,7 +111,6 @@ class RunConfig:
     split_ratios: tuple[float, float, float] = tasks_mod.DEFAULT_RATIOS
 
     def __post_init__(self):
-        check_fields("config", self)
         if not tasks_mod.valid_ratios(self.split_ratios):
             raise ConfigError("config: split_ratios must be nonnegative and sum to 1, "
                               f"not {self.split_ratios}")
@@ -133,37 +130,45 @@ class RunConfig:
 _OUTPUT_FIELDS = {"dir": "output_dir", "formats": "formats"}  # "output" key -> RunConfig field
 
 
-def parse_config(data: dict) -> RunConfig:
-    """Build a validated RunConfig from a decoded JSON document. An omitted
-    key takes its dataclass default; an unknown key is an error, and so is
-    ``split_ratios`` when no task is read from a file."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be an object")
-    try:
-        output = data.get("output", {})
-        known = {"tasks", "methods", "probe", "output", "seed", "split_ratios"}
-        unknown = sorted(set(data) - known)
-        unknown += sorted(f"output.{k}" for k in set(output) - set(_OUTPUT_FIELDS))
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-        tasks, methods = data.get("tasks", ()), data.get("methods", ())
-        if "split_ratios" in data and all(t.get("path") is None for t in tasks):
-            raise ConfigError("config: split_ratios is only for file tasks, not synthetic ones")
-        return RunConfig(
-            tasks=tuple(_build(f"task {t.get('name')!r}", TaskSpec, t) for t in tasks),
-            methods=tuple(_build(f"method {m.get('name')!r}", MethodSpec, m) for m in methods),
-            probe=_build("probe", probe.ProbeConfig, data.get("probe", {})),
-            **{k: data[k] for k in ("seed", "split_ratios") if k in data},
-            **{_OUTPUT_FIELDS[k]: v for k, v in output.items()},
-        )
-    except (TypeError, AttributeError) as exc:  # e.g. a task without a name, or a list for "probe"
-        raise ConfigError(f"malformed config: {exc}") from exc
+def parse_config(data) -> RunConfig:
+    """Build a validated RunConfig from a decoded JSON document. Every block,
+    the top level included, is checked by `_build`; ``output`` is flattened
+    into the top level first, its other keys kept as ``output.<key>`` so
+    they read as unknown, and ``output_dir`` or ``formats`` outside it read
+    as unknown too. ``split_ratios`` is only for a config with a file task."""
+    values = dict(_object("config", data))
+    output = _object("output", values.pop("output", {}))
+    for key in set(values) & set(_OUTPUT_FIELDS.values()):
+        values[f"{key} (outside output)"] = values.pop(key)
+    values |= {_OUTPUT_FIELDS.get(k, f"output.{k}"): v for k, v in output.items()}
+    for key, what, cls in (("tasks", "task", TaskSpec), ("methods", "method", MethodSpec)):
+        if isinstance(values.get(key), list):  # else `_build` reports its type
+            values[key] = tuple(_build(what, cls, block) for block in values[key])
+    if "probe" in values:
+        values["probe"] = _build("probe", probe.ProbeConfig, values["probe"])
+    cfg = _build("config", RunConfig, values)
+    if "split_ratios" in values and all(t.path is None for t in cfg.tasks):
+        raise ConfigError("config: split_ratios is only for file tasks, not synthetic ones")
+    return cfg
 
 
-def _build(owner: str, cls, values: dict):
-    """``cls(**values)``, once `check_types` has found every key a field of
-    ``cls``, so an unknown key reads as one for every config block."""
+def _object(owner: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{owner}: must be an object, not {value!r}")
+    return value
+
+
+def _build(what: str, cls, values):
+    """``cls(**values)`` once ``values`` is found to be an object whose keys
+    are all fields of ``cls``, that holds every field without a default, and
+    whose values have their annotated types: the one check of a config
+    block's shape, keys and types. Errors name the block as ``what``, with
+    its name when it has one, as in "task 't'"."""
+    owner = f"{what} {values['name']!r}" if "name" in _object(what, values) else what
     check_types(owner, values, type_hints(cls))
+    missing = [f.name for f in fields(cls) if f.name not in values and f.default is MISSING]
+    if missing:
+        raise ConfigError(f"{owner}: missing key(s): {', '.join(missing)}")
     return cls(**values)
 
 
@@ -270,7 +275,7 @@ def _lexicon_path(method: MethodSpec, dim: int | None) -> str | None:
         return None
     if dim is None and "{dim}" in method.lexicon:
         raise ConfigError(f"method {method.name!r}: lexicon template needs a sweep dim")
-    return method.lexicon.format(dim=dim) if "{dim}" in method.lexicon else method.lexicon
+    return method.lexicon.replace("{dim}", str(dim))
 
 
 def _resolve_lexicon(

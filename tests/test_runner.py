@@ -239,10 +239,28 @@ class TestParseConfig:
     @pytest.mark.parametrize("overrides", [
         {"sed": 3},
         {"output": {"dir": "out", "format": ["csv"]}},
+        {"output_dir": "out"},
+        {"formats": ["csv"]},
     ])
     def test_unknown_top_level_and_output_keys(self, overrides):
-        with pytest.raises(ConfigError, match="unknown config key"):
+        (key,) = overrides
+        unknown = {"sed": "sed", "output": "output.format"}.get(key, f"{key} (outside output)")
+        with pytest.raises(ConfigError) as info:
             base_config(**overrides)
+        assert str(info.value) == f"config: unknown key(s): {unknown}"
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "config: must be an object, not []"),
+        ({"tasks": [{"name": "t", "synthetic": {}}]}, "config: missing key(s): methods"),
+        ({}, "config: missing key(s): tasks, methods"),
+        ({"tasks": {"name": "t"}, "methods": []},
+         "config: tasks must be tuple[TaskSpec, ...], not {'name': 't'}"),
+        ({"tasks": [{"synthetic": {}, "knd": 1}], "methods": []}, "task: unknown key(s): knd"),
+    ], ids=["root-list", "no-methods", "empty", "tasks-object", "unknown-before-missing"])
+    def test_block_shape_and_missing_keys(self, doc, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert str(info.value) == message
 
     def test_omitted_keys_take_dataclass_defaults(self):
         cfg = parse_config({
@@ -1189,6 +1207,68 @@ class TestCli:
             assert cli.main([verb, "--config", str(p)]) == 1, verb
             assert capsys.readouterr().err == f"error: {message}\n", verb
         assert not list(tmp_path.glob("out/results.*"))
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"tasks": ["t"]}, "task: must be an object, not 't'"),
+        ({"tasks": [{"synthetic": {}}]}, "task: missing key(s): name"),
+        ({"methods": [{"lexicon": "synthetic"}]}, "method: missing key(s): name"),
+        ({"probe": None}, "probe: must be an object, not None"),
+        ({"output": []}, "output: must be an object, not []"),
+        ({"sed": 1}, "config: unknown key(s): sed"),
+        ({"output": {"format": ["csv"]}}, "config: unknown key(s): output.format"),
+        ({"methods": "m"}, "config: methods must be tuple[MethodSpec, ...], not 'm'"),
+    ], ids=["string-task", "nameless-task", "nameless-method", "null-probe",
+            "list-output", "unknown-top-level", "unknown-output", "string-methods"])
+    def test_malformed_block_exit_1_naming_it(self, tmp_path, capsys, monkeypatch, extra,
+                                              message):
+        monkeypatch.setattr(runner, "load_task", no_cell)
+        monkeypatch.chdir(tmp_path)  # the default output directory is "out"
+        doc = {"tasks": [{"name": "cls", "synthetic": dict(SYN_CLS)}],
+               "methods": [{"name": "m", "lexicon": "synthetic"}], **extra}
+        (tmp_path / "cfg.json").write_text(json.dumps(doc), encoding="utf-8")
+        for verb in ("validate", "eval"):
+            assert cli.main([verb, "--config", "cfg.json"]) == 1, verb
+            assert capsys.readouterr().err == f"error: {message}\n", verb
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"seed": -1}, "task 'cls': expected non-negative integer"),
+        ({"tasks": [{"name": "cls", "synthetic": {"items": 4}}]},
+         "task 'cls': ratios (0.8, 0.1, 0.1) leave the test split empty for 4 items"),
+    ], ids=["negative-seed", "too-few-items"])
+    def test_validate_loads_every_task(self, tmp_path, capsys, extra, message):
+        doc = {"tasks": [{"name": "cls", "synthetic": {}}],
+               "methods": [{"name": "m", "lexicon": "synthetic"}], **extra}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        for verb in ("validate", "eval"):
+            assert cli.main([verb, "--config", str(p)]) == 1, verb
+            assert capsys.readouterr().err == f"error: {message}\n", verb
+
+    def test_validate_runs_no_cell_and_reads_no_vectors(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(runner, "run_task", no_cell)
+        monkeypatch.setattr(runner, "sentence_matrix", no_cell)
+        monkeypatch.setattr(runner, "load_word_vectors", no_cell)
+        lex = tmp_path / "v.txt"
+        lex.write_text("w0 1 0\n", encoding="utf-8")
+        rc, err = self.run_file_task(tmp_path, capsys, "validate", {"lexicon": str(lex)})
+        assert (rc, err) == (0, "")
+        rc, err = self.run_file_task(tmp_path, capsys, "validate", {"lexicon": str(lex)}, rows=5)
+        assert rc == 1
+        assert err == "error: task 'file-cls': ratios (0.8, 0.1, 0.1) leave the test split empty " \
+                      "for 5 items\n"
+
+    @pytest.mark.parametrize("template", ["v-{dim}-{x}.txt", "v{dim}}.txt", "v{{dim}}.txt"])
+    def test_lexicon_template_with_other_braces(self, tmp_path, capsys, template):
+        lex = tmp_path / template.replace("{dim}", "4")
+        lex.write_text("".join(f"w{i} {i} 1 0 1\n" for i in range(3)), encoding="utf-8")
+        sweep = ["--dims", "4", "--out", str(tmp_path / "out")]
+        method = {"lexicon": str(tmp_path / template)}
+        rc, err = self.run_file_task(tmp_path, capsys, "sweep", method, args=sweep)
+        assert (rc, err) == (0, "")
+        lex.unlink()
+        rc, err = self.run_file_task(tmp_path, capsys, "sweep", method, args=sweep)
+        assert (rc, err) == (1, f"error: method 'm': lexicon file not found: {lex}\n")
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_1(self, tmp_path, capsys, workers):
