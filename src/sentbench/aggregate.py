@@ -17,7 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ConfigError, ParseError
 from .lexicon import FrequencyTable, VectorTable, unigram_probability
 
 DEFAULT_SIF_A = 1e-3
@@ -170,11 +170,12 @@ def embed_corpus(
     values (one sentence if L * d alone exceeds it). A reduction over axis 1
     of a block adds each sentence's rows in the order ``mean_pool`` and
     ``max_pool`` do, so every row is bitwise equal to theirs; a sentence with
-    no in-vocabulary token is a zero row. A used word whose vector is all
-    zeros cannot be normalised: that is a ParseError naming the first such
-    word in corpus order. For SIF the common component is
-    fitted on ``fit_rows`` only (typically the training split) and removed
-    from every row, so held-out rows never influence the fit.
+    no in-vocabulary token is a zero row, and a corpus with no such token at
+    all is a ConfigError. A used word whose vector is all zeros cannot be
+    normalised: that is a ParseError naming the first such word in corpus
+    order. For SIF the common component is fitted on ``fit_rows`` only
+    (typically the training split) and removed from every row, so held-out
+    rows never influence the fit.
     """
     if not isinstance(strat, (Mean, Sif, MeanMaxConcat)):
         raise TypeError(f"unknown strategy {strat!r}")
@@ -202,6 +203,8 @@ def embed_corpus(
     known = ids >= 0  # -1 marks an out-of-vocabulary token
     lengths = np.bincount(np.repeat(np.arange(counts.size), counts)[known], minlength=counts.size)
     ids, starts = ids[known], np.cumsum(lengths) - lengths
+    if not ids.size:
+        raise ConfigError("no token of the corpus is in the vector table")
     for L in np.unique(lengths[lengths > 0]).tolist():
         members = np.flatnonzero(lengths == L)
         idx = ids[starts[members, None] + np.arange(L)]  # (m, L) row ids, in token order

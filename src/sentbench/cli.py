@@ -37,7 +37,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output directory (overrides config)")
     p.add_argument("--format", help="comma-separated output formats: csv,json,md,svg")
     p.add_argument("--seed", type=int, help="run seed (overrides config)")
-    p.add_argument("--workers", type=int, default=1, help="parallel cells (default 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes that run cells, this one included (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import json
 import os
-import threading
+import pickle
+import signal
+import sys
 import zlib
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Sequence
 
@@ -164,7 +166,8 @@ def _build(what: str, cls, values):
     whose values have their annotated types: the one check of a config
     block's shape, keys and types. Errors name the block as ``what``, with
     its name when it has one, as in "task 't'"."""
-    owner = f"{what} {values['name']!r}" if "name" in _object(what, values) else what
+    named = "name" in _object(what, values) and "name" in type_hints(cls)
+    owner = f"{what} {values['name']!r}" if named else what
     check_types(owner, values, type_hints(cls))
     missing = [f.name for f in fields(cls) if f.name not in values and f.default is MISSING]
     if missing:
@@ -247,24 +250,26 @@ class Inputs:
     """The parse cache of one run. Each input file is parsed once per loader
     and loader arguments, and kept for every later cell and dim: task files
     by ``load_task`` before a dim's first cell, other files by the first cell
-    that needs them. Word vectors are kept for one dim: ``run_matrix`` calls
-    ``next_dim`` first, so a sweep holds one dim's table at a time."""
+    that needs them, or by a forking ``run_matrix`` before it forks, so that
+    its workers share them. A file that fails to parse keeps its error, and
+    every read of it raises that error. Word vectors are kept for one dim:
+    ``run_matrix`` calls ``next_dim`` first, so a sweep holds one dim's table
+    at a time."""
 
     def __init__(self):
-        self._lock = threading.Lock()  # held while parsing, so a file is never parsed twice
         self._parsed = {}
 
     def read(self, *key):
         """``read_input(path, loader, *args)`` for ``key`` = (path, loader, *args),
-        parsed on the first call and kept."""
-        with self._lock:
-            if key not in self._parsed:
-                self._parsed[key] = read_input(*key)
-            return self._parsed[key]
+        parsed on the first call and kept, or its error kept and raised."""
+        if key not in self._parsed:
+            self._parsed[key] = _attempt(read_input, *key)
+        if isinstance(self._parsed[key], Exception):
+            raise self._parsed[key]
+        return self._parsed[key]
 
     def next_dim(self) -> None:
-        """Drop the word vectors. Called before a dim's cells start, so no
-        other thread reads the cache."""
+        """Drop the word vectors. Called before a dim's cells start."""
         self._parsed = {k: v for k, v in self._parsed.items() if k[1] is not load_word_vectors}
 
 
@@ -276,6 +281,16 @@ def _lexicon_path(method: MethodSpec, dim: int | None) -> str | None:
     if dim is None and "{dim}" in method.lexicon:
         raise ConfigError(f"method {method.name!r}: lexicon template needs a sweep dim")
     return method.lexicon.replace("{dim}", str(dim))
+
+
+def _method_inputs(m: MethodSpec, dims: Sequence[int | None]) -> list[tuple]:
+    """(path, loader) of each input file method ``m`` reads at ``dims``: its
+    word vectors at each dim, then its sentence vectors and word frequencies.
+    The one list of a method's files, which `validate_config` checks and a
+    forking ``run_matrix`` parses before its cells run."""
+    files = [(_lexicon_path(m, d), load_word_vectors) for d in dims] + [
+        (m.sentence_vectors, load_sentence_vector_table), (m.frequencies, load_frequency_table)]
+    return [(path, loader) for path, loader in files if path is not None]
 
 
 def _resolve_lexicon(
@@ -335,6 +350,10 @@ def sentence_matrix(
                                       normalize_tokens=method.normalize)
     except ParseError as exc:  # a used word has the zero vector
         raise ParseError(f"{_lexicon_path(method, dim)}: {exc}") from exc
+    except ConfigError as exc:  # no token of the task is in the lexicon
+        lexicon = _lexicon_path(method, dim) or method.lexicon
+        raise ConfigError(f"method {method.name!r}: lexicon {lexicon} holds no word "
+                          f"of task {task.name!r}") from exc
 
 
 def run_task(
@@ -381,12 +400,13 @@ def _measure_for(kind: str) -> str:
 def run_matrix(
     cfg: RunConfig, workers: int = 1, dim: int | None = None, inputs: Inputs | None = None
 ) -> ResultMatrix:
-    """Evaluate every method on every task. Cells are independent and may run
-    in parallel; results do not depend on the worker count. Tasks and input
-    files come from ``inputs``, the run's parse cache (a fresh one by
-    default). Any cell failure aborts the whole run with an error naming the
-    cell: a ConfigError or ParseError as its own class, anything else as a
-    RuntimeError."""
+    """Evaluate every method on every task. Cells are independent; with
+    ``workers`` > 1 on Linux they run in that many processes (see `_forked`),
+    and results do not depend on the worker count. Tasks and input files come
+    from ``inputs``, the run's parse cache (a fresh one by default). Any cell
+    failure aborts the whole run with an error naming the cell, the one of
+    the lowest index in method-major order: a ConfigError or ParseError as
+    its own class, anything else as a RuntimeError."""
     inputs = inputs or Inputs()
     inputs.next_dim()
     loaded = [(spec, *load_task(spec, cfg, dim, inputs)) for spec in cfg.tasks]
@@ -395,26 +415,76 @@ def run_matrix(
         for method in cfg.methods
         for spec, task, table in loaded
     ]
+    names = [f"cell (method={m.name!r}, task={spec.name!r}) failed" for m, spec, *_ in cells_in]
 
-    def compute(args):
-        method, spec, task, table = args
+    def compute(i):
+        method, spec, task, table = cells_in[i]
         try:
             return run_task(task, method, cfg, spec.kind, table, dim, inputs)
         except Exception as exc:
             cls = type(exc) if isinstance(exc, (ConfigError, ParseError)) else RuntimeError
-            raise cls(f"cell (method={method.name!r}, task={spec.name!r}) failed: {exc}") from exc
+            raise cls(f"{names[i]}: {exc}") from exc
 
+    # serial off Linux: Windows has no fork, and macOS libraries may not survive one
+    workers = min(workers, len(cells_in)) if sys.platform == "linux" else 1
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(compute, cells_in))
+        for method in cfg.methods:  # parsed before the fork, so every worker shares them
+            with suppress(Exception):  # raised again by the first cell that meets it
+                for key in _method_inputs(method, [dim]):
+                    inputs.read(*key)
+        results = _forked(compute, names, workers)
     else:
-        results = [compute(c) for c in cells_in]
+        results = [compute(i) for i in range(len(cells_in))]
     cells = {(r.method_name, r.task_name): r for r in results}
     return ResultMatrix(
         methods=tuple(m.name for m in cfg.methods),
         tasks=tuple(t.name for t in cfg.tasks),
         cells=cells,
     )
+
+
+def _attempt(fn, *args):
+    """``fn(*args)``, or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _forked(compute, names: list[str], workers: int) -> list:
+    """``[compute(i) for i, _ in enumerate(names)]`` in ``workers`` processes:
+    this one and ``workers - 1`` forked children, worker k running every
+    cell k, k + workers, … Each child pickles one (i, result or exception)
+    record per cell into its own pipe and exits. As in a serial run, the
+    exception of the lowest index is raised; a cell that no record reports,
+    because its worker died, is a RuntimeError under its name in ``names``.
+    Every child is reaped before this returns or raises."""
+    records, children = {}, []
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:  # the child: it never returns
+                try:
+                    for i in range(k, len(names), workers):
+                        os.write(w, pickle.dumps((i, _attempt(compute, i))))
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        records.update((i, _attempt(compute, i)) for i in range(0, len(names), workers))
+        for _, pipe in children:
+            with pipe, suppress(EOFError, pickle.UnpicklingError):  # the end, or a cut record
+                while True:
+                    records.update([pickle.load(pipe)])
+    finally:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)  # a no-op unless this process raised early
+            os.waitpid(pid, 0)
+    for i, name in enumerate(names):
+        records.setdefault(i, RuntimeError(f"{name}: its worker process died before reporting it"))
+        if isinstance(records[i], Exception):
+            raise records[i]
+    return [records[i] for i in range(len(names))]
 
 
 def run_metadata(cfg: RunConfig, dims: Sequence[int] | None = None) -> dict:
@@ -534,13 +604,14 @@ def validate_config(cfg: RunConfig, dims: Sequence[int] | None = None) -> list[s
                 f"method {m.name!r}: lexicon 'synthetic' only works with synthetic tasks, "
                 f"not file task(s) {', '.join(map(repr, file_tasks))}"
             )
-        for d in [None] if dims is None else dims:
-            try:
-                reads.setdefault(_lexicon_path(m, d), f"method {m.name!r}: lexicon file not found")
-            except ConfigError as exc:
-                problems.append(str(exc))
-        for path in (m.sentence_vectors, m.frequencies):
-            reads.setdefault(path, f"method {m.name!r}: file not found")
+        try:
+            files = _method_inputs(m, [None] if dims is None else dims)
+        except ConfigError as exc:  # a {dim} template outside a sweep
+            problems.append(str(exc))
+            files = _method_inputs(m, [])
+        for path, loader in files:
+            what = "lexicon file" if loader is load_word_vectors else "file"
+            reads.setdefault(path, f"method {m.name!r}: {what} not found")
     return problems + [
         f"{reader}: {path}" for path, reader in reads.items()
         if path is not None and not os.path.isfile(path)

@@ -18,7 +18,7 @@ from sentbench.aggregate import (
     sif_weight,
     sif_weighted_mean,
 )
-from sentbench.errors import ParseError
+from sentbench.errors import ConfigError, ParseError
 from sentbench.lexicon import FrequencyTable, VectorTable, random_table
 from oracles import sentence_token_vectors
 
@@ -227,8 +227,15 @@ class TestEmbedCorpus:
         assert out.shape == (1, 4)
 
     def test_all_oov_row_is_zero(self):
-        out = embed_corpus([("zzz",)], self.TABLE, Mean())
+        out = embed_corpus([("zzz",), ("a",)], self.TABLE, Mean())
         assert np.array_equal(out[0], [0, 0])
+
+    @pytest.mark.parametrize("sents", [[("zzz",)], [(), ("x", "y")], []])
+    def test_corpus_with_no_table_word_rejected(self, sents):
+        freq = FrequencyTable(counts={"a": 1}, total=2)
+        for strat in (Mean(), MeanMaxConcat(), Sif(freq=freq)):
+            with pytest.raises(ConfigError, match="no token of the corpus is in the vector table"):
+                embed_corpus(sents, self.TABLE, strat, fit_rows=[0])
 
     def test_sif_rank_one_corpus_collapses(self):
         table = table_of({"x": np.array([1.0, 2.0, 2.0])})
@@ -315,6 +322,10 @@ class TestEmbedCorpusMatchesOracles:
     def test_pooling_strategies(self, vecs, sents, strat_and_oracle, normalize):
         strat, oracle = strat_and_oracle
         table = VectorTable(VOCAB, vecs)
+        if not any(t in table.row for s in sents for t in s):
+            with pytest.raises(ConfigError):
+                embed_corpus(sents, table, strat, normalize_tokens=normalize)
+            return
         out = embed_corpus(sents, table, strat, normalize_tokens=normalize)
         expected = [oracle(sentence_token_vectors(table, s, normalize), 3) for s in sents]
         assert out.shape == (len(sents), len(expected[0]))

@@ -1,7 +1,8 @@
 import gc
 import json
 import os
-import sys
+import signal
+import time
 import weakref
 import zlib
 from dataclasses import replace
@@ -572,7 +573,7 @@ class TestRunMatrix:
         for key in m1.cells:
             assert m1.cells[key].value == m4.cells[key].value
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_each_vector_file_parsed_once(self, tmp_path, monkeypatch, workers):
         lex = tmp_path / "vectors.txt"
         cfg = base_config(
@@ -588,9 +589,10 @@ class TestRunMatrix:
         with open(lex, "w", encoding="utf-8") as fh:
             for spec in cfg.tasks:
                 serialize_word_vectors(load_task(spec, cfg)[1], fh, header=False)
-        calls = []
+        calls, pid = [], os.getpid()
 
         def counting_load(stream, *args, **kwargs):
+            assert os.getpid() == pid, "parsed in a worker process"
             calls.append(stream.name)
             return load_word_vectors(stream, *args, **kwargs)
 
@@ -599,7 +601,7 @@ class TestRunMatrix:
         assert len(matrix.cells) == 4
         assert calls == [str(lex)]
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_shared_frequency_and_sentence_vector_files_parsed_once(
         self, tmp_path, monkeypatch, workers
     ):
@@ -619,10 +621,11 @@ class TestRunMatrix:
                 {"name": "pre", "sentence_vectors": str(vecs)},
             ],
         )
-        calls = []
+        calls, pid = [], os.getpid()
 
         def counting(loader):
             def load(stream, *args, **kwargs):
+                assert os.getpid() == pid, "parsed in a worker process"
                 calls.append((loader.__name__, stream.name))
                 return loader(stream, *args, **kwargs)
             return load
@@ -636,7 +639,7 @@ class TestRunMatrix:
             ("load_sentence_vector_table", str(vecs)),
         ]
 
-    def test_parse_cache_under_thread_contention(self, tmp_path, monkeypatch):
+    def test_pre_fork_read_parses_each_file_once_in_the_main_process(self, tmp_path, monkeypatch):
         freqs = tmp_path / "freq.txt"
         freqs.write_text("w0_0 5\nw1_0 3\n", encoding="utf-8")
         cfg = base_config(methods=[
@@ -644,20 +647,40 @@ class TestRunMatrix:
              "frequencies": str(freqs), "sif_a": 10.0 ** -i}
             for i in range(1, 9)
         ])
-        calls = []
+        calls, pid = [], os.getpid()
 
         def counting_load(stream):
+            assert os.getpid() == pid, "parsed in a worker process"
             calls.append(stream.name)
             return load_frequency_table(stream)
 
         monkeypatch.setattr(runner, "load_frequency_table", counting_load)
-        old_interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            matrix = run_matrix(cfg, workers=8)
-        finally:
-            sys.setswitchinterval(old_interval)
+        matrix = run_matrix(cfg, workers=8)
         assert len(matrix.cells) == 8
+        assert calls == [str(freqs)]
+        assert matrix.cells == run_matrix(cfg).cells
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_failed_read_kept_as_its_error(self, tmp_path, monkeypatch, workers):
+        freqs = tmp_path / "freq.txt"
+        freqs.write_text("w0_0 5\nw1_0 x\n", encoding="utf-8")
+        cfg = base_config(methods=[
+            {"name": "mean", "lexicon": "synthetic"},
+            *({"name": f"sif-{i}", "strategy": "sif", "lexicon": "synthetic",
+               "frequencies": str(freqs)} for i in range(3)),
+        ])
+        calls, pid = [], os.getpid()
+
+        def counting_load(stream):
+            assert os.getpid() == pid, "parsed in a worker process"
+            calls.append(stream.name)
+            return load_frequency_table(stream)
+
+        monkeypatch.setattr(runner, "load_frequency_table", counting_load)
+        with pytest.raises(ParseError) as info:
+            run_matrix(cfg, workers=workers)
+        assert str(info.value).startswith(
+            f"cell (method='sif-0', task='cls') failed: {freqs}: line 2: ")
         assert calls == [str(freqs)]
 
     def test_cell_failure_names_cell(self, tmp_path):
@@ -1186,10 +1209,13 @@ class TestCli:
         ({"split_ratios": [1.5, -0.5, 0], "tasks": [{"name": "t", "path": "t.tsv"}]},
          "config: split_ratios must be nonnegative and sum to 1, not [1.5, -0.5, 0]"),
         ({"probe": {"seed": 1}}, "probe: unknown key(s): seed"),
+        ({"probe": {"name": 3}}, "probe: unknown key(s): name"),
+        ({"name": "run"}, "config: unknown key(s): name"),
     ], ids=["float-dim", "float-epochs", "int-name", "string-seed", "string-normalize",
             "bool-hidden_units", "short-split_ratios", "int-path", "string-formats",
             "string-synthetic-items", "directory-path", "synthetic-split_ratios",
-            "precomputed-normalize", "split_ratios-sum", "negative-split_ratios", "probe-seed"])
+            "precomputed-normalize", "split_ratios-sum", "negative-split_ratios", "probe-seed",
+            "probe-name", "top-level-name"])
     def test_bad_config_value_exit_1_before_a_task_loads(
         self, tmp_path, capsys, monkeypatch, extra, message
     ):
@@ -1353,6 +1379,108 @@ class TestCli:
         rc, err = self.run_file_task(tmp_path, capsys, "embed", {"lexicon": str(lex)}, args=embed)
         assert (rc, err) == (1, f"error: {fault}\n")
         assert not (tmp_path / "out").exists() and not (tmp_path / "e.tsv").exists()
+
+    @pytest.mark.parametrize("strategy", ["mean", "sif", "mean_max"])
+    def test_lexicon_with_none_of_the_task_words_exit_1(self, tmp_path, capsys, strategy):
+        lex = tmp_path / "v.txt"
+        lex.write_text("zz 1 0\nyy 0 1\n", encoding="utf-8")
+        method = {"strategy": strategy, "lexicon": str(lex)}
+        fault = f"method 'm': lexicon {lex} holds no word of task 'file-cls'"
+        for workers in ("1", "2"):
+            rc, err = self.run_file_task(tmp_path, capsys, "eval", method,
+                                         args=["--workers", workers])
+            assert (rc, err) == (1, f"error: cell (method='m', task='file-cls') failed: {fault}\n")
+        embed = ["--task", "file-cls", "--method", "m", "--out", str(tmp_path / "e.tsv")]
+        rc, err = self.run_file_task(tmp_path, capsys, "embed", method, args=embed)
+        assert (rc, err) == (1, f"error: {fault}\n")
+        assert not (tmp_path / "out").exists() and not (tmp_path / "e.tsv").exists()
+
+    def run_cells(self, tmp_path, capsys, method_b, workers):
+        """(exit code, stderr) of `eval` at each worker count on a 2 x 2
+        matrix: cells (a, rel), (a, file-cls), (b, rel), (b, file-cls) in
+        that order, with the keys of method b given by ``method_b``."""
+        task_file = tmp_path / "cls.tsv"
+        task_file.write_text("".join(f"{'ab'[i % 2]}\tw{i % 3}\n" for i in range(40)),
+                             encoding="utf-8")
+        doc = {"tasks": [{"name": "rel", "kind": "relatedness", "synthetic": dict(SYN_REL)},
+                         {"name": "file-cls", "path": str(task_file)}],
+               "methods": [{"name": "a", "lexicon": "random", "dim": 4}, {"name": "b", **method_b}]}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        results = {}
+        for w in workers:
+            out = ["--out", str(tmp_path / f"out-w{w}")]
+            results[w] = cli.main(["eval", "--config", str(p), "--workers", w, *out]), \
+                capsys.readouterr().err
+        return results
+
+    @pytest.mark.parametrize("fault, rc, line", [
+        ("config", 1, "error: cell (method='b', task='rel') failed: method 'b': sentence id "),
+        ("input", 1, "error: cell (method='b', task='rel') failed: {dir}/bad.txt: line 2: "
+                     "non-numeric"),
+        ("coverage", 1, "error: cell (method='b', task='rel') failed: method 'b': lexicon "
+                        "{dir}/none.txt holds no word of task 'rel'"),
+        ("runtime", 2, "runtime error: cell (method='a', task='file-cls') failed: "
+                       "probe loss is not finite"),
+        ("runtime-before-input", 2, "runtime error: cell (method='a', task='file-cls') failed: "
+                                    "probe loss is not finite"),
+    ])
+    def test_lowest_cell_fault_wins_at_any_worker_count(
+        self, tmp_path, capsys, monkeypatch, fault, rc, line
+    ):
+        (tmp_path / "s.tsv").write_text("".join(f"{i}\t1 {i % 3}\n" for i in range(40)),
+                                        encoding="utf-8")
+        (tmp_path / "bad.txt").write_text("w0 1 0\nw1 1 x\n", encoding="utf-8")
+        (tmp_path / "none.txt").write_text("zz 1 0\nyy 0 1\n", encoding="utf-8")
+        method = {"config": {"sentence_vectors": str(tmp_path / "s.tsv")},
+                  "input": {"lexicon": str(tmp_path / "bad.txt")},
+                  "coverage": {"lexicon": str(tmp_path / "none.txt")},
+                  "runtime": {"lexicon": "random", "dim": 4},
+                  "runtime-before-input": {"lexicon": str(tmp_path / "bad.txt")}}[fault]
+        if fault.startswith("runtime"):
+            monkeypatch.setattr(runner.probe, "train_classifier", self.diverge)
+        results = self.run_cells(tmp_path, capsys, method, ["1", "2", "4"])
+        assert len(set(results.values())) == 1, results
+        code, err = results["1"]
+        assert code == rc
+        (first,) = err.splitlines()
+        assert first.startswith(line.format(dir=tmp_path))
+        assert not (tmp_path / "out-w1").exists()
+
+    def test_killed_worker_exit_2_naming_its_cell(self, tmp_path, capsys, monkeypatch):
+        pid, real = os.getpid(), runner.run_task
+
+        def run_task(*args, **kwargs):
+            if os.getpid() != pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_task", run_task)
+        results = self.run_cells(tmp_path, capsys, {"lexicon": "random", "dim": 4}, ["2", "1"])
+        assert results["2"] == (2, "runtime error: cell (method='a', task='file-cls') failed: "
+                                   "its worker process died before reporting it\n")
+        assert results["1"] == (0, "")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_workers_reaped_when_the_main_process_raises(self, tmp_path, capsys, monkeypatch):
+        class Abort(BaseException):
+            pass
+
+        pid = os.getpid()
+
+        def run_task(*args, **kwargs):
+            if os.getpid() == pid:
+                raise Abort
+            time.sleep(30)  # killed, not waited for
+
+        monkeypatch.setattr(runner, "run_task", run_task)
+        start = time.monotonic()
+        with pytest.raises(Abort):
+            self.run_cells(tmp_path, capsys, {"lexicon": "random", "dim": 4}, ["4"])
+        assert time.monotonic() - start < 10
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("text, normalize", [
         ("w0 1 0\nw1 0 1\nw2 1 1\nunused 0 0\n", True),
