@@ -170,12 +170,13 @@ def embed_corpus(
     values (one sentence if L * d alone exceeds it). A reduction over axis 1
     of a block adds each sentence's rows in the order ``mean_pool`` and
     ``max_pool`` do, so every row is bitwise equal to theirs; a sentence with
-    no in-vocabulary token is a zero row, and a corpus with no such token at
-    all is a ConfigError. A used word whose vector is all zeros cannot be
-    normalised: that is a ParseError naming the first such word in corpus
-    order. For SIF the common component is fitted on ``fit_rows`` only
-    (typically the training split) and removed from every row, so held-out
-    rows never influence the fit.
+    no in-vocabulary token is a zero row, and ``fit_rows`` (every row when it
+    is None) with no such token at all are a ConfigError, as a probe or a SIF
+    fit on them would see only zero rows. A used word whose vector is all
+    zeros cannot be normalised: that is a ParseError naming the first such
+    word in corpus order. For SIF the common component is fitted on
+    ``fit_rows`` only (typically the training split) and removed from every
+    row, so held-out rows never influence the fit.
     """
     if not isinstance(strat, (Mean, Sif, MeanMaxConcat)):
         raise TypeError(f"unknown strategy {strat!r}")
@@ -203,8 +204,9 @@ def embed_corpus(
     known = ids >= 0  # -1 marks an out-of-vocabulary token
     lengths = np.bincount(np.repeat(np.arange(counts.size), counts)[known], minlength=counts.size)
     ids, starts = ids[known], np.cumsum(lengths) - lengths
-    if not ids.size:
-        raise ConfigError("no token of the corpus is in the vector table")
+    fit = np.arange(counts.size) if fit_rows is None else np.asarray(fit_rows, dtype=np.intp)
+    if not np.isin(fit, np.flatnonzero(lengths)).any():  # isin: indexing fails on an empty corpus
+        raise ConfigError("no token of the fit rows is in the vector table")
     for L in np.unique(lengths[lengths > 0]).tolist():
         members = np.flatnonzero(lengths == L)
         idx = ids[starts[members, None] + np.arange(L)]  # (m, L) row ids, in token order
@@ -221,6 +223,6 @@ def embed_corpus(
         zero = ids[~table.vectors.any(axis=1)[ids]]  # a normalised zero row is NaN
         raise ParseError(f"cannot normalize the zero vector of word {table.keys[zero[0]]!r}")
     if isinstance(strat, Sif):
-        c = fit_common_component(out[np.asarray(fit_rows, dtype=int)])
+        c = fit_common_component(out[fit])
         out -= np.outer(out @ c, c)
     return out

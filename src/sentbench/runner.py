@@ -249,12 +249,12 @@ def load_task(spec: TaskSpec, cfg: RunConfig, dim: int | None = None, inputs: In
 class Inputs:
     """The parse cache of one run. Each input file is parsed once per loader
     and loader arguments, and kept for every later cell and dim: task files
-    by ``load_task`` before a dim's first cell, other files by the first cell
-    that needs them, or by a forking ``run_matrix`` before it forks, so that
-    its workers share them. A file that fails to parse keeps its error, and
-    every read of it raises that error. Word vectors are kept for one dim:
-    ``run_matrix`` calls ``next_dim`` first, so a sweep holds one dim's table
-    at a time."""
+    by ``load_task`` before a dim's first cell, a method's files by
+    `_method_tables`, in the first cell that needs them, or before the fork
+    when ``run_matrix`` forks workers, so that they share them. A file that
+    fails to parse keeps its error, and every read of it raises that error.
+    Word vectors are kept for one dim: ``run_matrix`` calls ``next_dim``
+    first, so a sweep holds one dim's table at a time."""
 
     def __init__(self):
         self._parsed = {}
@@ -284,17 +284,27 @@ def _lexicon_path(method: MethodSpec, dim: int | None) -> str | None:
 
 
 def _method_inputs(m: MethodSpec, dims: Sequence[int | None]) -> list[tuple]:
-    """(path, loader) of each input file method ``m`` reads at ``dims``: its
-    word vectors at each dim, then its sentence vectors and word frequencies.
-    The one list of a method's files, which `validate_config` checks and a
-    forking ``run_matrix`` parses before its cells run."""
-    files = [(_lexicon_path(m, d), load_word_vectors) for d in dims] + [
-        (m.sentence_vectors, load_sentence_vector_table), (m.frequencies, load_frequency_table)]
-    return [(path, loader) for path, loader in files if path is not None]
+    """(field, path, loader) of each input file method ``m`` reads at
+    ``dims``, keyed by the field of ``m`` that names the file: its
+    ``lexicon`` word vectors at each dim, then its ``sentence_vectors`` and
+    word ``frequencies``. The one list of a method's files: `validate_config`
+    checks it, and `_method_tables` is its one reader. Loaders are looked up
+    on each call, so a replaced module global is the one that parses."""
+    files = [("lexicon", _lexicon_path(m, d), load_word_vectors) for d in dims] + [
+        ("sentence_vectors", m.sentence_vectors, load_sentence_vector_table),
+        ("frequencies", m.frequencies, load_frequency_table)]
+    return [(field, path, loader) for field, path, loader in files if path is not None]
+
+
+def _method_tables(m: MethodSpec, dim: int | None, inputs: Inputs) -> dict:
+    """The parsed files of `_method_inputs` for method ``m`` at ``dim``, by
+    field, read through ``inputs``: the only code that parses a method's
+    files."""
+    return {field: inputs.read(path, loader) for field, path, loader in _method_inputs(m, [dim])}
 
 
 def _resolve_lexicon(
-    method: MethodSpec, task, synthetic_table, cfg: RunConfig, dim: int | None, inputs: Inputs
+    method: MethodSpec, task, synthetic_table, cfg: RunConfig, dim: int | None, tables: dict
 ) -> VectorTable:
     if method.lexicon == "random":
         d = dim if dim is not None else method.dim
@@ -307,17 +317,16 @@ def _resolve_lexicon(
                 f"method {method.name!r}: lexicon 'synthetic' only works with synthetic tasks"
             )
         return synthetic_table
-    return inputs.read(_lexicon_path(method, dim), load_word_vectors)
+    return tables["lexicon"]
 
 
-def _strategy_for(method: MethodSpec, task, inputs: Inputs) -> aggregate.AggregationStrategy:
+def _strategy_for(method: MethodSpec, task, tables: dict) -> aggregate.AggregationStrategy:
     """The pooling of a lexicon method. SIF word probabilities come from the
     configured file, else from the tokens of the task's train split."""
     if method.strategy != "sif":
         return aggregate.Mean() if method.strategy == "mean" else aggregate.MeanMaxConcat()
-    if method.frequencies is not None:
-        freq = inputs.read(method.frequencies, load_frequency_table)
-    else:
+    freq = tables.get("frequencies")
+    if freq is None:
         counts = Counter(t for r in task.rows(task.splits["train"]) for t in task.sentences[r])
         freq = FrequencyTable(counts=counts, total=max(1, sum(counts.values())))
     return aggregate.Sif(freq=freq, a=method.sif_a)
@@ -333,9 +342,9 @@ def sentence_matrix(
 ) -> np.ndarray:
     """Sentence vectors for every sentence of the task, in corpus order.
     Input files are parsed through ``inputs``, a fresh cache by default."""
-    inputs = inputs or Inputs()
+    tables = _method_tables(method, dim, inputs or Inputs())
     if method.sentence_vectors is not None:
-        table = inputs.read(method.sentence_vectors, load_sentence_vector_table)
+        table = tables["sentence_vectors"]
         try:
             return table.vectors[[table.row[sid] for sid in task.sentence_ids()]]
         except KeyError as exc:
@@ -343,17 +352,17 @@ def sentence_matrix(
                 f"method {method.name!r}: sentence id {exc.args[0]!r} missing from "
                 f"{method.sentence_vectors}"
             ) from None
-    lex = _resolve_lexicon(method, task, synthetic_table, cfg, dim, inputs)
-    strat = _strategy_for(method, task, inputs)
+    lex = _resolve_lexicon(method, task, synthetic_table, cfg, dim, tables)
+    strat = _strategy_for(method, task, tables)
     try:
         return aggregate.embed_corpus(task.sentences, lex, strat, task.rows(task.splits["train"]),
                                       normalize_tokens=method.normalize)
     except ParseError as exc:  # a used word has the zero vector
         raise ParseError(f"{_lexicon_path(method, dim)}: {exc}") from exc
-    except ConfigError as exc:  # no token of the task is in the lexicon
+    except ConfigError as exc:  # no token of the train split is in the lexicon
         lexicon = _lexicon_path(method, dim) or method.lexicon
         raise ConfigError(f"method {method.name!r}: lexicon {lexicon} holds no word "
-                          f"of task {task.name!r}") from exc
+                          f"of task {task.name!r} in its train split") from exc
 
 
 def run_task(
@@ -400,13 +409,16 @@ def _measure_for(kind: str) -> str:
 def run_matrix(
     cfg: RunConfig, workers: int = 1, dim: int | None = None, inputs: Inputs | None = None
 ) -> ResultMatrix:
-    """Evaluate every method on every task. Cells are independent; with
-    ``workers`` > 1 on Linux they run in that many processes (see `_forked`),
-    and results do not depend on the worker count. Tasks and input files come
-    from ``inputs``, the run's parse cache (a fresh one by default). Any cell
-    failure aborts the whole run with an error naming the cell, the one of
-    the lowest index in method-major order: a ConfigError or ParseError as
-    its own class, anything else as a RuntimeError."""
+    """Evaluate every method on every task. Cells are independent, and one
+    loop, `_forked`, runs them at every worker count: in ``workers``
+    processes on Linux, and in this process alone at one worker, for a
+    single cell or off Linux. Results do not depend on the worker count.
+    Tasks and input files come from ``inputs``, the run's parse cache (a
+    fresh one by default). A method's files are parsed by the first cell
+    that needs them, or before the fork when there is one, so that no worker
+    parses. Any cell failure aborts the whole run with an error naming the
+    cell, the one of the lowest index in method-major order: a ConfigError
+    or ParseError as its own class, anything else as a RuntimeError."""
     inputs = inputs or Inputs()
     inputs.next_dim()
     loaded = [(spec, *load_task(spec, cfg, dim, inputs)) for spec in cfg.tasks]
@@ -425,16 +437,12 @@ def run_matrix(
             cls = type(exc) if isinstance(exc, (ConfigError, ParseError)) else RuntimeError
             raise cls(f"{names[i]}: {exc}") from exc
 
-    # serial off Linux: Windows has no fork, and macOS libraries may not survive one
+    # no fork off Linux: Windows has no fork, and macOS libraries may not survive one
     workers = min(workers, len(cells_in)) if sys.platform == "linux" else 1
-    if workers > 1:
-        for method in cfg.methods:  # parsed before the fork, so every worker shares them
-            with suppress(Exception):  # raised again by the first cell that meets it
-                for key in _method_inputs(method, [dim]):
-                    inputs.read(*key)
-        results = _forked(compute, names, workers)
-    else:
-        results = [compute(i) for i in range(len(cells_in))]
+    if workers > 1:  # parsed before the fork, so every worker shares them
+        for method in cfg.methods:  # a failed read is kept for the first cell that meets it
+            _attempt(_method_tables, method, dim, inputs)
+    results = _forked(compute, names, workers)
     cells = {(r.method_name, r.task_name): r for r in results}
     return ResultMatrix(
         methods=tuple(m.name for m in cfg.methods),
@@ -451,27 +459,38 @@ def _attempt(fn, *args):
         return exc
 
 
+def _stride(compute, k: int, n: int, workers: int):
+    """(i, ``compute(i)`` or its exception) for cells i = k, k + workers, …
+    below ``n``, up to and including the first exception."""
+    for i in range(k, n, workers):
+        yield i, (record := _attempt(compute, i))
+        if isinstance(record, Exception):
+            return
+
+
 def _forked(compute, names: list[str], workers: int) -> list:
     """``[compute(i) for i, _ in enumerate(names)]`` in ``workers`` processes:
-    this one and ``workers - 1`` forked children, worker k running every
-    cell k, k + workers, … Each child pickles one (i, result or exception)
-    record per cell into its own pipe and exits. As in a serial run, the
-    exception of the lowest index is raised; a cell that no record reports,
-    because its worker died, is a RuntimeError under its name in ``names``.
-    Every child is reaped before this returns or raises."""
+    this one and ``workers - 1`` forked children, so none at one worker.
+    Worker k runs its `_stride`, cells k, k + workers, …, and stops at its
+    first failed cell. Each child pickles one (i, result or exception) record
+    per cell it ran into its own pipe and exits. The exception of the lowest
+    index is raised: a cell skipped by a stopped stride comes after that
+    stride's failure, so it is never the lowest. A cell that no record
+    reports otherwise, because its worker died, is a RuntimeError under its
+    name in ``names``. Every child is reaped before this returns or raises."""
     records, children = {}, []
     try:
         for k in range(1, workers):
             r, w = os.pipe()
             if (pid := os.fork()) == 0:  # the child: it never returns
                 try:
-                    for i in range(k, len(names), workers):
-                        os.write(w, pickle.dumps((i, _attempt(compute, i))))
+                    for record in _stride(compute, k, len(names), workers):
+                        os.write(w, pickle.dumps(record))
                 finally:
                     os._exit(0)
             os.close(w)
             children.append((pid, open(r, "rb")))
-        records.update((i, _attempt(compute, i)) for i in range(0, len(names), workers))
+        records.update(_stride(compute, 0, len(names), workers))
         for _, pipe in children:
             with pipe, suppress(EOFError, pickle.UnpicklingError):  # the end, or a cut record
                 while True:
@@ -609,8 +628,8 @@ def validate_config(cfg: RunConfig, dims: Sequence[int] | None = None) -> list[s
         except ConfigError as exc:  # a {dim} template outside a sweep
             problems.append(str(exc))
             files = _method_inputs(m, [])
-        for path, loader in files:
-            what = "lexicon file" if loader is load_word_vectors else "file"
+        for field, path, _ in files:
+            what = "lexicon file" if field == "lexicon" else "file"
             reads.setdefault(path, f"method {m.name!r}: {what} not found")
     return problems + [
         f"{reader}: {path}" for path, reader in reads.items()

@@ -230,11 +230,11 @@ class TestEmbedCorpus:
         out = embed_corpus([("zzz",), ("a",)], self.TABLE, Mean())
         assert np.array_equal(out[0], [0, 0])
 
-    @pytest.mark.parametrize("sents", [[("zzz",)], [(), ("x", "y")], []])
+    @pytest.mark.parametrize("sents", [[("zzz",)], [(), ("x", "y")], [], [("zzz",), ("a",)]])
     def test_corpus_with_no_table_word_rejected(self, sents):
         freq = FrequencyTable(counts={"a": 1}, total=2)
         for strat in (Mean(), MeanMaxConcat(), Sif(freq=freq)):
-            with pytest.raises(ConfigError, match="no token of the corpus is in the vector table"):
+            with pytest.raises(ConfigError, match="no token of the fit rows is in the vector table"):
                 embed_corpus(sents, self.TABLE, strat, fit_rows=[0])
 
     def test_sif_rank_one_corpus_collapses(self):

@@ -6,9 +6,11 @@ import time
 import weakref
 import zlib
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sentbench import cli, runner, tasks
 from sentbench import errors
@@ -18,7 +20,7 @@ from sentbench.lexicon import (
     load_sentence_vector_table,
     load_word_vectors,
 )
-from sentbench.metrics import majority_baseline
+from sentbench.metrics import EvalResult, majority_baseline
 from oracles import serialize_word_vectors
 from sentbench.runner import (
     MethodSpec,
@@ -682,6 +684,75 @@ class TestRunMatrix:
         assert str(info.value).startswith(
             f"cell (method='sif-0', task='cls') failed: {freqs}: line 2: ")
         assert calls == [str(freqs)]
+
+    @staticmethod
+    def small_matrix(methods, tasks):
+        """A config of ``methods`` x ``tasks`` cheap cells, m0..., t0..."""
+        return base_config(
+            tasks=[{"name": f"t{j}", "synthetic": dict(SYN_CLS, items=20)} for j in range(tasks)],
+            methods=[{"name": f"m{i}", "lexicon": "synthetic"} for i in range(methods)])
+
+    @pytest.mark.parametrize("workers, methods, platform", [
+        (1, 3, "linux"), (4, 1, "linux"), (4, 3, "darwin"),
+    ], ids=["one-worker", "one-cell", "off-linux"])
+    def test_no_fork_without_a_second_worker(self, monkeypatch, workers, methods, platform):
+        def no_fork():
+            raise AssertionError("forked")
+
+        cfg = self.small_matrix(methods, 1)
+        monkeypatch.setattr(runner.os, "fork", no_fork)
+        monkeypatch.setattr(runner.sys, "platform", platform)
+        matrix = run_matrix(cfg, workers=workers)
+        monkeypatch.undo()
+        assert len(matrix.cells) == methods
+        assert matrix.cells == run_matrix(cfg, workers=2).cells
+
+    def test_a_worker_stops_at_its_first_failed_cell(self, tmp_path, monkeypatch):
+        log = tmp_path / "calls.txt"
+
+        def run_task(task, method, *args):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {method.name} {task.name}\n")
+            if (method.name, task.name) == ("m0", "t0"):
+                raise ConfigError("fault")
+            return EvalResult(task.name, method.name, "accuracy", 0.5, 1)
+
+        monkeypatch.setattr(runner, "run_task", run_task)
+        with pytest.raises(ConfigError, match=r"^cell \(method='m0', task='t0'\) failed: fault$"):
+            run_matrix(self.small_matrix(2, 2), workers=2)
+        calls = {}
+        for line in log.read_text(encoding="utf-8").splitlines():
+            pid, cell = line.split(" ", 1)
+            calls.setdefault(int(pid) == os.getpid(), []).append(cell)
+        # cells in order (m0, t0), (m0, t1), (m1, t0), (m1, t1): the main
+        # process's stride is 0, 2 and the forked worker's 1, 3
+        assert calls == {True: ["m0 t0"], False: ["m0 t1", "m1 t1"]}
+
+    @settings(max_examples=40)
+    @given(methods=st.integers(1, 3), tasks=st.integers(1, 3), workers=st.integers(1, 4),
+           data=st.data())
+    def test_lowest_failing_cell_wins(self, methods, tasks, workers, data):
+        n = methods * tasks
+        failing = data.draw(st.dictionaries(
+            st.integers(0, n - 1), st.sampled_from([ConfigError, ParseError, RuntimeError])))
+        cfg = self.small_matrix(methods, tasks)
+
+        def run_task(task, method, *args):
+            i = int(method.name[1:]) * tasks + int(task.name[1:])
+            if i in failing:
+                raise failing[i](f"fault {i}")
+            return EvalResult(task.name, method.name, "accuracy", i / n, 1)
+
+        with mock.patch.object(runner, "run_task", run_task):
+            if not failing:
+                assert run_matrix(cfg, workers).cells == run_matrix(cfg, 1).cells
+                return
+            with pytest.raises(Exception) as info:
+                run_matrix(cfg, workers)
+        first = min(failing)
+        assert type(info.value) is failing[first]
+        method, task = divmod(first, tasks)
+        assert str(info.value) == f"cell (method='m{method}', task='t{task}') failed: fault {first}"
 
     def test_cell_failure_names_cell(self, tmp_path):
         missing = str(tmp_path / "nope.txt")
@@ -1385,7 +1456,7 @@ class TestCli:
         lex = tmp_path / "v.txt"
         lex.write_text("zz 1 0\nyy 0 1\n", encoding="utf-8")
         method = {"strategy": strategy, "lexicon": str(lex)}
-        fault = f"method 'm': lexicon {lex} holds no word of task 'file-cls'"
+        fault = f"method 'm': lexicon {lex} holds no word of task 'file-cls' in its train split"
         for workers in ("1", "2"):
             rc, err = self.run_file_task(tmp_path, capsys, "eval", method,
                                          args=["--workers", workers])
@@ -1393,6 +1464,29 @@ class TestCli:
         embed = ["--task", "file-cls", "--method", "m", "--out", str(tmp_path / "e.tsv")]
         rc, err = self.run_file_task(tmp_path, capsys, "embed", method, args=embed)
         assert (rc, err) == (1, f"error: {fault}\n")
+        assert not (tmp_path / "out").exists() and not (tmp_path / "e.tsv").exists()
+
+    @pytest.mark.parametrize("strategy", ["mean", "sif", "mean_max"])
+    def test_lexicon_with_none_of_the_train_words_exit_1(self, tmp_path, capsys, strategy):
+        task_file, lex = tmp_path / "cls.tsv", tmp_path / "v.txt"
+        train = [f"{'ab'[i % 2]}\tx{i % 2}\ttrain\n" for i in range(30)]
+        held_out = [f"{'ab'[i % 2]}\tw{i % 2}\t{('dev', 'test')[i % 2]}\n" for i in range(10)]
+        task_file.write_text("".join(train + held_out), encoding="utf-8")
+        lex.write_text("w0 1 0\nw1 0 1\n", encoding="utf-8")
+        doc = {"tasks": [{"name": "t", "path": str(task_file)}],
+               "methods": [{"name": "r", "lexicon": "random", "dim": 4},
+                           {"name": "m", "strategy": strategy, "lexicon": str(lex)}],
+               "output": {"dir": str(tmp_path / "out")}}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        fault = f"method 'm': lexicon {lex} holds no word of task 't' in its train split"
+        for workers in ("1", "2"):  # at 2 the cell runs in the forked worker
+            rc = cli.main(["eval", "--config", str(p), "--workers", workers])
+            assert (rc, capsys.readouterr().err) == (
+                1, f"error: cell (method='m', task='t') failed: {fault}\n"), workers
+        embed = ["--task", "t", "--method", "m", "--out", str(tmp_path / "e.tsv")]
+        assert cli.main(["embed", "--config", str(p), *embed]) == 1
+        assert capsys.readouterr().err == f"error: {fault}\n"
         assert not (tmp_path / "out").exists() and not (tmp_path / "e.tsv").exists()
 
     def run_cells(self, tmp_path, capsys, method_b, workers):
