@@ -129,26 +129,26 @@ class RunConfig:
                 raise ConfigError(f"unknown output format {f!r}")
 
 
-_OUTPUT_FIELDS = {"dir": "output_dir", "formats": "formats"}  # "output" key -> RunConfig field
+_OUTPUT_KEYS = {"output_dir": "output.dir", "formats": "output.formats"}  # field -> key
 
 
 def parse_config(data) -> RunConfig:
     """Build a validated RunConfig from a decoded JSON document. Every block,
     the top level included, is checked by `_build`; ``output`` is flattened
-    into the top level first, its other keys kept as ``output.<key>`` so
-    they read as unknown, and ``output_dir`` or ``formats`` outside it read
-    as unknown too. ``split_ratios`` is only for a config with a file task."""
+    into the top level first, each key as ``output.<key>``, and
+    ``output_dir`` or ``formats`` outside it read as unknown. ``split_ratios``
+    is only for a config with a file task."""
     values = dict(_object("config", data))
     output = _object("output", values.pop("output", {}))
-    for key in set(values) & set(_OUTPUT_FIELDS.values()):
+    for key in set(values) & set(_OUTPUT_KEYS):
         values[f"{key} (outside output)"] = values.pop(key)
-    values |= {_OUTPUT_FIELDS.get(k, f"output.{k}"): v for k, v in output.items()}
+    values |= {f"output.{k}": v for k, v in output.items()}
     for key, what, cls in (("tasks", "task", TaskSpec), ("methods", "method", MethodSpec)):
         if isinstance(values.get(key), list):  # else `_build` reports its type
             values[key] = tuple(_build(what, cls, block) for block in values[key])
     if "probe" in values:
         values["probe"] = _build("probe", probe.ProbeConfig, values["probe"])
-    cfg = _build("config", RunConfig, values)
+    cfg = _build("config", RunConfig, values, _OUTPUT_KEYS)
     if "split_ratios" in values and all(t.path is None for t in cfg.tasks):
         raise ConfigError("config: split_ratios is only for file tasks, not synthetic ones")
     return cfg
@@ -160,19 +160,23 @@ def _object(owner: str, value) -> dict:
     return value
 
 
-def _build(what: str, cls, values):
+def _build(what: str, cls, values, keys: dict[str, str] | None = None):
     """``cls(**values)`` once ``values`` is found to be an object whose keys
     are all fields of ``cls``, that holds every field without a default, and
     whose values have their annotated types: the one check of a config
-    block's shape, keys and types. Errors name the block as ``what``, with
-    its name when it has one, as in "task 't'"."""
+    block's shape, keys and types. ``keys`` maps a field to the key that
+    stands for it in ``values`` where the two differ. Errors name keys as
+    ``values`` does, and the block as ``what``, with its name when it has
+    one, as in "task 't'"."""
+    keys = {f.name: f.name for f in fields(cls)} | (keys or {})
     named = "name" in _object(what, values) and "name" in type_hints(cls)
     owner = f"{what} {values['name']!r}" if named else what
-    check_types(owner, values, type_hints(cls))
-    missing = [f.name for f in fields(cls) if f.name not in values and f.default is MISSING]
+    check_types(owner, values, {keys[f]: hint for f, hint in type_hints(cls).items()})
+    missing = [keys[f.name] for f in fields(cls) if keys[f.name] not in values
+               and f.default is MISSING]
     if missing:
         raise ConfigError(f"{owner}: missing key(s): {', '.join(missing)}")
-    return cls(**values)
+    return cls(**{f: values[key] for f, key in keys.items() if key in values})
 
 
 def read_input(path: str, loader, *args):
@@ -473,11 +477,14 @@ def _forked(compute, names: list[str], workers: int) -> list:
     this one and ``workers - 1`` forked children, so none at one worker.
     Worker k runs its `_stride`, cells k, k + workers, …, and stops at its
     first failed cell. Each child pickles one (i, result or exception) record
-    per cell it ran into its own pipe and exits. The exception of the lowest
-    index is raised: a cell skipped by a stopped stride comes after that
-    stride's failure, so it is never the lowest. A cell that no record
-    reports otherwise, because its worker died, is a RuntimeError under its
-    name in ``names``. Every child is reaped before this returns or raises."""
+    per cell it ran into its own pipe and exits. Once this process's stride
+    ends, the children are read in turn, each only while it owes a cell
+    below the lowest failed one so far, and then killed: a later cell cannot
+    change the error. The exception of the lowest index is raised, since
+    every cell left unread or skipped by a stopped stride comes after a
+    failure. A cell that no record reports otherwise, because its worker
+    died, is a RuntimeError under its name in ``names``. Every child is
+    reaped before this returns or raises."""
     records, children = {}, []
     try:
         for k in range(1, workers):
@@ -491,10 +498,16 @@ def _forked(compute, names: list[str], workers: int) -> list:
             os.close(w)
             children.append((pid, open(r, "rb")))
         records.update(_stride(compute, 0, len(names), workers))
-        for _, pipe in children:
+        lowest = min((i for i, r in records.items() if isinstance(r, Exception)),
+                     default=len(names))
+        for k, (pid, pipe) in enumerate(children, 1):
             with pipe, suppress(EOFError, pickle.UnpicklingError):  # the end, or a cut record
-                while True:
-                    records.update([pickle.load(pipe)])
+                for _ in range(k, lowest, workers):  # the cells it owes below `lowest`
+                    i, record = pickle.load(pipe)
+                    records[i] = record
+                    if isinstance(record, Exception):
+                        lowest = i
+            os.kill(pid, signal.SIGKILL)
     finally:
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)  # a no-op unless this process raised early

@@ -1,7 +1,10 @@
+import ctypes
 import gc
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 import weakref
 import zlib
@@ -715,6 +718,8 @@ class TestRunMatrix:
                 fh.write(f"{os.getpid()} {method.name} {task.name}\n")
             if (method.name, task.name) == ("m0", "t0"):
                 raise ConfigError("fault")
+            if (method.name, task.name) == ("m0", "t1"):  # outlasts the failure of cell 0
+                time.sleep(10)
             return EvalResult(task.name, method.name, "accuracy", 0.5, 1)
 
         monkeypatch.setattr(runner, "run_task", run_task)
@@ -725,8 +730,10 @@ class TestRunMatrix:
             pid, cell = line.split(" ", 1)
             calls.setdefault(int(pid) == os.getpid(), []).append(cell)
         # cells in order (m0, t0), (m0, t1), (m1, t0), (m1, t1): the main
-        # process's stride is 0, 2 and the forked worker's 1, 3
-        assert calls == {True: ["m0 t0"], False: ["m0 t1", "m1 t1"]}
+        # process's stride is 0, 2 and the forked worker's 1, 3. Once cell 0
+        # has failed, the worker owes no cell below it and is killed in cell 1.
+        assert calls[True] == ["m0 t0"]
+        assert "m1 t1" not in calls.get(False, [])
 
     @settings(max_examples=40)
     @given(methods=st.integers(1, 3), tasks=st.integers(1, 3), workers=st.integers(1, 4),
@@ -1265,7 +1272,9 @@ class TestCli:
         ({"split_ratios": [0.8, 0.2], "tasks": [{"name": "t", "path": "t.tsv"}]},
          "config: split_ratios must be tuple[float, float, float], not [0.8, 0.2]"),
         ({"tasks": [{"name": "t", "path": 0}]}, "task 't': path must be str | None, not 0"),
-        ({"output": {"formats": "csv"}}, "config: formats must be tuple[str, ...], not 'csv'"),
+        ({"output": {"formats": "csv"}},
+         "config: output.formats must be tuple[str, ...], not 'csv'"),
+        ({"output": {"dir": 3}}, "config: output.dir must be str, not 3"),
         ({"tasks": [{"name": "t", "synthetic": {"items": "200"}}]},
          "task 't': synthetic items must be int, not '200'"),
         ({"tasks": [{"name": "t", "path": TESTS_DIR}],
@@ -1283,7 +1292,7 @@ class TestCli:
         ({"probe": {"name": 3}}, "probe: unknown key(s): name"),
         ({"name": "run"}, "config: unknown key(s): name"),
     ], ids=["float-dim", "float-epochs", "int-name", "string-seed", "string-normalize",
-            "bool-hidden_units", "short-split_ratios", "int-path", "string-formats",
+            "bool-hidden_units", "short-split_ratios", "int-path", "string-formats", "int-dir",
             "string-synthetic-items", "directory-path", "synthetic-split_ratios",
             "precomputed-normalize", "split_ratios-sum", "negative-split_ratios", "probe-seed",
             "probe-name", "top-level-name"])
@@ -1606,3 +1615,55 @@ class TestCli:
             "--out", str(tmp_path / "v.tsv"),
         ])
         assert rc == 1
+
+
+class TestBlasThreads:
+    """The CLI runs NumPy's OpenBLAS on one thread per process."""
+
+    @staticmethod
+    def openblas_threads():
+        """(set, get) of the OpenBLAS thread count in this process, or None."""
+        if sys.platform != "linux":
+            return None
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
+            paths = sorted({line.split(maxsplit=5)[-1].rstrip() for line in fh
+                            if "openblas" in line})
+        for lib in map(ctypes.CDLL, paths):
+            for name in cli._BLAS_SETTERS:
+                if hasattr(lib, name):
+                    return getattr(lib, name), getattr(lib, name.replace("_set_", "_get_"))
+        return None
+
+    def test_cli_leaves_one_blas_thread(self, tmp_path):
+        threads = self.openblas_threads()
+        if threads is None:
+            pytest.skip("NumPy has loaded no OpenBLAS")
+        set_threads, get_threads = threads
+        before = get_threads()
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"tasks": [{"name": "t", "synthetic": {}}],
+                                      "methods": [{"name": "m", "lexicon": "synthetic"}]}))
+        set_threads(2)
+        try:
+            assert cli.main(["validate", "--config", str(config)]) == 0
+            assert get_threads() == 1
+        finally:
+            set_threads(before)
+
+    def test_embed_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # SIF's M.T @ M at d = 300 is large enough for OpenBLAS to split
+        # across threads, which changes its last bits
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "tasks": [{"name": "cls", "synthetic": {"items": 2000}}],
+            "methods": [{"name": "sif", "strategy": "sif", "lexicon": "random", "dim": 300}]}))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        vectors = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"v{threads}.tsv"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "sentbench.cli", "embed", "--config",
+                            str(config), "--task", "cls", "--method", "sif", "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            vectors.append(out.read_bytes())
+        assert vectors[0] == vectors[1]
