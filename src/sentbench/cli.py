@@ -13,8 +13,11 @@ Verbs:
 Every verb makes the schema, combination and input-file checks before it
 loads a task; `sweep` makes them for each of its dims.
 
-Each process runs NumPy's OpenBLAS on one thread, so `--workers` alone sets
-how many CPUs a run keeps busy.
+On Linux, importing this module sets OPENBLAS_NUM_THREADS=1 before the
+package imports NumPy, so OpenBLAS loads with one thread and forked workers
+inherit it: `--workers` alone sets how many CPUs a run keeps busy. A
+process that loaded NumPy before it imported this module keeps its BLAS
+threads.
 
 Exit codes: 0 success, 1 validation/config error, 2 runtime error. A
 failed cell keeps the class of its fault and names the cell, so it counts
@@ -27,10 +30,14 @@ every item but mark no train or no test item.
 from __future__ import annotations
 
 import argparse
-import ctypes
+import os
 import sys
-from contextlib import suppress
 from dataclasses import replace
+
+# OpenBLAS reads this once, when it loads, so it is set before .report imports NumPy.
+# It is set, not defaulted: the thread count changes the last bits of SIF's M.T @ M.
+if sys.platform == "linux":
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .errors import ConfigError, ParseError
 from .report import format_value
@@ -82,29 +89,7 @@ def _load(args) -> runner.RunConfig:
     return cfg
 
 
-_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                 "openblas_set_num_threads64_", "openblas_set_num_threads")
-
-
-def _one_blas_thread() -> None:
-    """Run the OpenBLAS that NumPy loaded on one thread in this process, and
-    so in every worker it forks. The probe's small products gain nothing
-    from a second thread, which spins between calls, and the thread count
-    changes the bytes of SIF's ``M.T @ M``. Nothing is done off Linux (as
-    for the fork) or without OpenBLAS (MKL, Accelerate)."""
-    if sys.platform != "linux":
-        return
-    with suppress(OSError):  # no /proc, or a mapping that is not a library
-        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
-            paths = {line.split(maxsplit=5)[-1].rstrip() for line in fh if "openblas" in line}
-        for lib in map(ctypes.CDLL, paths):
-            setter = next((getattr(lib, n) for n in _BLAS_SETTERS if hasattr(lib, n)), None)
-            if setter is not None:
-                setter(1)
-
-
 def main(argv: list[str] | None = None) -> int:
-    _one_blas_thread()
     args = build_parser().parse_args(argv)
     try:
         cfg = _load(args)

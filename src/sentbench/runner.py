@@ -118,15 +118,16 @@ class RunConfig:
                               f"not {self.split_ratios}")
         object.__setattr__(self, "formats", tuple(self.formats))
         object.__setattr__(self, "split_ratios", tuple(self.split_ratios))
-        for what, specs in (("task", self.tasks), ("method", self.methods)):
+        for key, specs in (("tasks", self.tasks), ("methods", self.methods)):
             if not specs:
-                raise ConfigError(f"config needs at least one {what}")
+                raise ConfigError(f"config: {key}: needs at least one")
             names = [spec.name for spec in specs]
-            if len(set(names)) != len(names):
-                raise ConfigError(f"duplicate {what} names")
+            for name in names:
+                if names.count(name) > 1:
+                    raise ConfigError(f"config: {key}: duplicate name {name!r}")
         for f in self.formats:
             if f not in FORMATS:
-                raise ConfigError(f"unknown output format {f!r}")
+                raise ConfigError(f"config: output.formats: unknown format {f!r}")
 
 
 _OUTPUT_KEYS = {"output_dir": "output.dir", "formats": "output.formats"}  # field -> key

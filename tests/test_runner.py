@@ -1,10 +1,10 @@
-import ctypes
 import gc
 import json
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import weakref
 import zlib
@@ -24,7 +24,7 @@ from sentbench.lexicon import (
     load_word_vectors,
 )
 from sentbench.metrics import EvalResult, majority_baseline
-from oracles import serialize_word_vectors
+from oracles import components, serialize_word_vectors
 from sentbench.runner import (
     MethodSpec,
     RunConfig,
@@ -55,6 +55,71 @@ def base_config(**overrides):
     }
     doc.update(overrides)
     return parse_config(doc)
+
+
+PAIR_HEADER = "pair_ID\tsentence_A\tsentence_B\trelatedness_score\tentailment_judgment"
+FILE_KEYS = ("path", "lexicon", "frequencies")
+
+
+@st.composite
+def file_runs(draw):
+    """A small run that reads every input from a file: a classification and
+    a pair task over the words w0, w1, …, a word-vector file that holds each
+    word once, a frequency file, and 1–3 methods that read them. Returns the
+    files as {name: lines} and the config document, which names them by
+    file name."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    words = [f"w{i}" for i in range(draw(st.integers(4, 10)))]
+    dim = draw(st.integers(2, 5))
+
+    def sentence():
+        return " ".join(rng.choice(words, rng.integers(1, 5)))
+
+    files = {
+        "cls.tsv": [f"{('pos', 'neg')[i % 2]}\t{sentence()}"
+                    for i in range(draw(st.integers(20, 40)))],
+        "pairs.tsv": [PAIR_HEADER] + [
+            f"p{i}\t{sentence()}\t{sentence()}\t{rng.uniform(1, 5)!r}\tNEUTRAL"
+            for i in range(draw(st.integers(40, 60)))],
+        "v.txt": [f"{w} {components(rng.standard_normal(dim))}" for w in words],
+        "freq.txt": [f"{w} {rng.integers(1, 100)}" for w in words],
+    }
+    methods = {
+        "mean": {"lexicon": "v.txt"},
+        "sif": {"strategy": "sif", "lexicon": "v.txt", "frequencies": "freq.txt"},
+        "mean-max": {"strategy": "mean_max", "lexicon": "v.txt", "normalize": False},
+    }
+    names = draw(st.lists(st.sampled_from(sorted(methods)), min_size=1, unique=True))
+    doc = {"seed": draw(st.integers(0, 99)),
+           "tasks": [{"name": "cls", "kind": "classification", "path": "cls.tsv"},
+                     {"name": "rel", "kind": "relatedness", "path": "pairs.tsv"}],
+           "methods": [{"name": name, **methods[name]} for name in names],
+           "probe": {"hidden_units": 8, "epochs": 2, "batch_size": 16}}
+    return files, doc
+
+
+def write_run(root, files, doc, newline="\n", bom=False) -> RunConfig:
+    """Write a `file_runs` run and its config under ``root``, each file with
+    the given line ending and optional byte-order mark, and load the
+    config."""
+    def at(block):
+        return {k: os.path.join(root, v) if k in FILE_KEYS else v for k, v in block.items()}
+
+    doc = {**doc, "tasks": [at(t) for t in doc["tasks"]], "methods": [at(m) for m in doc["methods"]]}
+    files = {**files, "cfg.json": json.dumps(doc, indent=1).splitlines()}
+    for name, lines in files.items():
+        with open(os.path.join(root, name), "w", encoding="utf-8", newline="") as fh:
+            fh.write("\ufeff" * bom + "".join(line + newline for line in lines))
+    return load_config(os.path.join(root, "cfg.json"))
+
+
+def outcome(cfg: RunConfig, workers: int = 1) -> dict | str:
+    """Each cell's EvalResult.value (results.* round them to 6 places), or
+    the error of a run whose probe collapsed on a drawn task."""
+    try:
+        return {key: cell.value for key, cell in run_matrix(cfg, workers).cells.items()}
+    except RuntimeError as exc:
+        return str(exc)
 
 
 def no_cell(*args, **kwargs):
@@ -95,18 +160,23 @@ class TestParseConfig:
             base_config(methods=[{"name": "m", **method}])
 
     def test_duplicate_method_names(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^config: methods: duplicate name 'm'$"):
             base_config(methods=[
                 {"name": "m", "lexicon": "synthetic"},
+                {"name": "n", "lexicon": "synthetic"},
                 {"name": "m", "lexicon": "synthetic"},
             ])
 
+    def test_duplicate_task_names(self):
+        with pytest.raises(ConfigError, match="^config: tasks: duplicate name 't'$"):
+            base_config(tasks=[{"name": "t", "synthetic": {}}, {"name": "t", "synthetic": {}}])
+
     def test_unknown_format(self):
-        with pytest.raises(ConfigError):
-            base_config(output={"dir": "out", "formats": ["xlsx"]})
+        with pytest.raises(ConfigError, match="^config: output.formats: unknown format 'xlsx'$"):
+            base_config(output={"dir": "out", "formats": ["csv", "xlsx"]})
 
     def test_empty_tasks(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^config: tasks: needs at least one$"):
             base_config(tasks=[])
 
     def test_bad_probe_field(self):
@@ -561,22 +631,49 @@ class TestRunTask:
 
 
 class TestRunMatrix:
-    def test_shape_and_workers_equivalence(self):
-        cfg = base_config(
-            tasks=[
-                {"name": "cls", "kind": "classification", "synthetic": dict(SYN_CLS)},
-                {"name": "rel", "kind": "relatedness", "synthetic": dict(SYN_REL)},
-            ],
-            methods=[
-                {"name": "clustered-mean", "lexicon": "synthetic"},
-                {"name": "clustered-maxpool", "strategy": "mean_max", "lexicon": "synthetic"},
-            ],
-        )
-        m1 = run_matrix(cfg, workers=1)
-        m4 = run_matrix(cfg, workers=4)
-        assert len(m1.cells) == 4
-        for key in m1.cells:
-            assert m1.cells[key].value == m4.cells[key].value
+    @settings(max_examples=15)
+    @given(run=file_runs(), workers=st.integers(2, 4))
+    def test_shape_and_workers_equivalence(self, run, workers):
+        files, doc = run
+        with tempfile.TemporaryDirectory() as root:
+            cfg = write_run(root, files, doc)
+            expected = outcome(cfg)
+            assert outcome(cfg, workers) == expected
+        assert isinstance(expected, str) or len(expected) == 2 * len(doc["methods"])
+
+    @settings(max_examples=40)
+    @given(run=file_runs(), data=st.data())
+    def test_vector_file_rewrites_keep_values(self, run, data):
+        """Unused words, later duplicates of used words, a `count dim`
+        header, a permutation that keeps each word's first line first, and
+        CRLF or a byte-order mark on every file leave every value as it is."""
+        files, doc = run
+        lines = list(files["v.txt"])
+        dim = len(lines[0].split()) - 1
+
+        def numbers():
+            return " ".join(map(repr, data.draw(st.lists(
+                st.floats(-10, 10), min_size=dim, max_size=dim))))
+
+        for i in range(data.draw(st.integers(0, 3), label="unused words")):
+            lines.insert(data.draw(st.integers(0, len(lines))), f"u{i} {numbers()}")
+        for _ in range(data.draw(st.integers(0, 3), label="duplicates")):
+            first = data.draw(st.integers(0, len(lines) - 1))
+            word = lines[first].split()[0]
+            lines.insert(data.draw(st.integers(first + 1, len(lines))), f"{word} {numbers()}")
+        if data.draw(st.booleans(), label="permute"):
+            by_word = {}
+            for line in lines:
+                by_word.setdefault(line.split()[0], []).append(line)
+            own = {word: iter(group) for word, group in by_word.items()}
+            lines = [next(own[line.split()[0]]) for line in data.draw(st.permutations(lines))]
+        if data.draw(st.booleans(), label="header"):
+            lines.insert(0, f"{len(lines)} {dim}")
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
+        bom = data.draw(st.booleans(), label="bom")
+        with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
+            expected = outcome(write_run(a, files, doc))
+            assert outcome(write_run(b, {**files, "v.txt": lines}, doc, newline, bom)) == expected
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_each_vector_file_parsed_once(self, tmp_path, monkeypatch, workers):
@@ -781,21 +878,26 @@ class TestSifAndSentenceVectors:
         res = run_task(task, cfg.methods[0], cfg, "classification", table)
         assert 0.0 <= res.value <= 1.0
 
-    def test_precomputed_vectors_reproduce_lexicon_method(self, tmp_path):
-        cfg = base_config()
-        out = tmp_path / "vecs.tsv"
-        n = export_sentence_vectors(cfg, "cls", "clustered-mean", out)
-        assert n == 120
-        table = load_sentence_vector_table(open(out, encoding="utf-8"))
-        assert table.dim == 8
-
-        cfg2 = base_config(
-            methods=[{"name": "precomputed", "sentence_vectors": str(out)}],
-        )
-        task, syn_table = load_task(cfg.tasks[0], cfg)
-        direct = sentence_matrix(task, cfg.methods[0], cfg, syn_table)
-        via_file = sentence_matrix(task, cfg2.methods[0], cfg2)
-        assert np.array_equal(direct, via_file)
+    @settings(max_examples=15)
+    @given(run=file_runs())
+    def test_precomputed_vectors_reproduce_lexicon_method(self, run):
+        """`embed` each (task, method), then `eval` a method of the same name
+        that reads that file as its sentence vectors: the same sentence
+        matrix and the same value."""
+        files, doc = run
+        with tempfile.TemporaryDirectory() as root:
+            cfg = write_run(root, files, doc)
+            for spec in cfg.tasks:
+                task, _ = load_task(spec, cfg)
+                methods = []
+                for m in cfg.methods:
+                    out = os.path.join(root, f"{spec.name}-{m.name}.tsv")
+                    assert export_sentence_vectors(cfg, spec.name, m.name, out) == len(task.sentence_ids())
+                    methods.append(MethodSpec(m.name, sentence_vectors=out))
+                    assert np.array_equal(sentence_matrix(task, methods[-1], cfg),
+                                          sentence_matrix(task, m, cfg))
+                one_task = replace(cfg, tasks=(spec,))
+                assert outcome(replace(one_task, methods=tuple(methods))) == outcome(one_task)
 
     def test_missing_sentence_id_rejected(self, tmp_path):
         out = tmp_path / "short.tsv"
@@ -1620,35 +1722,29 @@ class TestCli:
 class TestBlasThreads:
     """The CLI runs NumPy's OpenBLAS on one thread per process."""
 
-    @staticmethod
-    def openblas_threads():
-        """(set, get) of the OpenBLAS thread count in this process, or None."""
-        if sys.platform != "linux":
-            return None
-        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
-            paths = sorted({line.split(maxsplit=5)[-1].rstrip() for line in fh
-                            if "openblas" in line})
-        for lib in map(ctypes.CDLL, paths):
-            for name in cli._BLAS_SETTERS:
-                if hasattr(lib, name):
-                    return getattr(lib, name), getattr(lib, name.replace("_set_", "_get_"))
-        return None
+    # run under OPENBLAS_NUM_THREADS=2: import the CLI, then NumPy, and print
+    # this process's thread count and, when NumPy loaded an OpenBLAS, its own
+    THREADS = """
+import ctypes, os
+import sentbench.cli, numpy
+with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
+    paths = sorted({line.split(maxsplit=5)[-1].rstrip() for line in fh if "openblas" in line})
+getters = [getattr(lib, name) for lib in map(ctypes.CDLL, paths)
+           for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                        "openblas_get_num_threads64_", "openblas_get_num_threads")
+           if hasattr(lib, name)]
+print(len(os.listdir("/proc/self/task")), getters[0]() if getters else None)
+"""
 
-    def test_cli_leaves_one_blas_thread(self, tmp_path):
-        threads = self.openblas_threads()
-        if threads is None:
+    @pytest.mark.skipif(sys.platform != "linux", reason="the CLI pins OpenBLAS on Linux only")
+    def test_cli_import_loads_one_blas_thread(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2")
+        out = subprocess.run([sys.executable, "-c", self.THREADS], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        if out[1] == "None":
             pytest.skip("NumPy has loaded no OpenBLAS")
-        set_threads, get_threads = threads
-        before = get_threads()
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"tasks": [{"name": "t", "synthetic": {}}],
-                                      "methods": [{"name": "m", "lexicon": "synthetic"}]}))
-        set_threads(2)
-        try:
-            assert cli.main(["validate", "--config", str(config)]) == 0
-            assert get_threads() == 1
-        finally:
-            set_threads(before)
+        assert out == ["1", "1"]  # no second thread was ever started
 
     def test_embed_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # SIF's M.T @ M at d = 300 is large enough for OpenBLAS to split
