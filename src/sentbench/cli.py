@@ -6,12 +6,13 @@ Verbs:
   embed     export sentence vectors for one task/method pair as TSV
   validate  check a config as `eval` runs it, without running a cell: schema,
             combinations and input files (a `{dim}` lexicon template fails),
-            then load every task, which generates the synthetic ones and
-            parses and splits the task files; no vector or frequency file
-            is read
+            then build the cells through `runner.plan`, as `eval` does, which
+            loads every task: it generates the synthetic ones and parses and
+            splits the task files; no vector or frequency file is read
 
 Every verb makes the schema, combination and input-file checks before it
-loads a task; `sweep` makes them for each of its dims.
+loads a task; `sweep` makes them for each of its dims. Every verb then takes
+its cells from `runner.plan`.
 
 On Linux, importing this module sets OPENBLAS_NUM_THREADS=1 before the
 package imports NumPy, so OpenBLAS loads with one thread and forked workers
@@ -81,7 +82,11 @@ def _load(args) -> runner.RunConfig:
     if getattr(args, "out", None):
         cfg = replace(cfg, output_dir=args.out)
     if getattr(args, "format", None):
-        cfg = replace(cfg, formats=tuple(args.format.split(",")))
+        formats = tuple(args.format.split(","))
+        for f in formats:  # checked here, so that the error names the flag, not a config key
+            if f not in runner.FORMATS:
+                raise ConfigError(f"--format: unknown format {f!r}")
+        cfg = replace(cfg, formats=formats)
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "workers", 1) < 1:
@@ -95,8 +100,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load(args)
         if args.command == "validate":
             runner.check_config(cfg)
-            for spec in cfg.tasks:  # the generators, task-file parse and split rules
-                runner.load_task(spec, cfg)
+            runner.plan(cfg, None, runner.Inputs())  # generators, task-file parse and split rules
             print("config ok")
             return 0
         if args.command == "eval":

@@ -66,7 +66,7 @@ class TaskSpec:
 @dataclass(frozen=True)
 class MethodSpec:
     name: str
-    strategy: str = "mean"
+    strategy: str | None = None  # lexicon methods only, where it defaults to "mean"
     lexicon: str | None = None  # "random", a path, or a path template with {dim}
     sentence_vectors: str | None = None
     dim: int | None = None  # random-lexicon dimensionality; a sweep overrides it
@@ -79,8 +79,11 @@ class MethodSpec:
             raise ConfigError(
                 f"method {self.name!r}: exactly one of lexicon/sentence_vectors required"
             )
-        if self.strategy not in STRATEGY_NAMES:
+        if self.strategy not in (None, *STRATEGY_NAMES):
             raise ConfigError(f"method {self.name!r}: unknown strategy {self.strategy!r}")
+        if self.lexicon is not None:  # a lexicon method's defaults
+            object.__setattr__(self, "strategy", self.strategy or "mean")
+            object.__setattr__(self, "normalize", self.normalize is None or self.normalize)
         if self.lexicon == "random" and (self.dim is None or self.dim <= 0):
             raise ConfigError(f"method {self.name!r}: random lexicon needs a positive dim")
         if self.lexicon != "random" and self.dim is not None:
@@ -91,10 +94,9 @@ class MethodSpec:
         if self.frequencies is not None and self.kind != "sif":
             raise ConfigError(f"method {self.name!r}: frequencies is only for sif methods, "
                               f"not strategy {self.kind!r}")
-        if self.sentence_vectors is not None and self.normalize is not None:
-            raise ConfigError(f"method {self.name!r}: normalize is only for lexicon methods")
-        if self.lexicon is not None and self.normalize is None:
-            object.__setattr__(self, "normalize", True)
+        for key in ("strategy", "normalize"):
+            if self.sentence_vectors is not None and getattr(self, key) is not None:
+                raise ConfigError(f"method {self.name!r}: {key} is only for lexicon methods")
 
     @property
     def kind(self) -> str:
@@ -280,11 +282,11 @@ class Inputs:
 
 def _lexicon_path(method: MethodSpec, dim: int | None) -> str | None:
     """The word-vector file a method reads at ``dim``: its lexicon path with
-    ``{dim}`` filled in, or None when it reads none."""
-    if method.lexicon in (None, "random", "synthetic"):
+    ``{dim}`` filled in, or None when it reads none. A template at no dim
+    reads none: `plan` rejects it."""
+    if method.lexicon in (None, "random", "synthetic") or (
+            dim is None and "{dim}" in method.lexicon):
         return None
-    if dim is None and "{dim}" in method.lexicon:
-        raise ConfigError(f"method {method.name!r}: lexicon template needs a sweep dim")
     return method.lexicon.replace("{dim}", str(dim))
 
 
@@ -308,23 +310,6 @@ def _method_tables(m: MethodSpec, dim: int | None, inputs: Inputs) -> dict:
     return {field: inputs.read(path, loader) for field, path, loader in _method_inputs(m, [dim])}
 
 
-def _resolve_lexicon(
-    method: MethodSpec, task, synthetic_table, cfg: RunConfig, dim: int | None, tables: dict
-) -> VectorTable:
-    if method.lexicon == "random":
-        d = dim if dim is not None else method.dim
-        return random_table(
-            task.vocabulary(), d, seed=stable_seed(cfg.seed, "random-lexicon", method.name)
-        )
-    if method.lexicon == "synthetic":
-        if synthetic_table is None:
-            raise ConfigError(
-                f"method {method.name!r}: lexicon 'synthetic' only works with synthetic tasks"
-            )
-        return synthetic_table
-    return tables["lexicon"]
-
-
 def _strategy_for(method: MethodSpec, task, tables: dict) -> aggregate.AggregationStrategy:
     """The pooling of a lexicon method. SIF word probabilities come from the
     configured file, else from the tokens of the task's train split."""
@@ -346,7 +331,10 @@ def sentence_matrix(
     inputs: Inputs | None = None,
 ) -> np.ndarray:
     """Sentence vectors for every sentence of the task, in corpus order.
-    Input files are parsed through ``inputs``, a fresh cache by default."""
+    Input files are parsed through ``inputs``, a fresh cache by default. The
+    word vectors of a lexicon method are drawn at random over the task's
+    vocabulary, are ``synthetic_table``, generated with the task, or are
+    read from its lexicon file."""
     tables = _method_tables(method, dim, inputs or Inputs())
     if method.sentence_vectors is not None:
         table = tables["sentence_vectors"]
@@ -357,7 +345,11 @@ def sentence_matrix(
                 f"method {method.name!r}: sentence id {exc.args[0]!r} missing from "
                 f"{method.sentence_vectors}"
             ) from None
-    lex = _resolve_lexicon(method, task, synthetic_table, cfg, dim, tables)
+    if method.lexicon == "random":
+        lex = random_table(task.vocabulary(), dim if dim is not None else method.dim,
+                           seed=stable_seed(cfg.seed, "random-lexicon", method.name))
+    else:
+        lex = synthetic_table if method.lexicon == "synthetic" else tables["lexicon"]
     strat = _strategy_for(method, task, tables)
     try:
         return aggregate.embed_corpus(task.sentences, lex, strat, task.rows(task.splits["train"]),
@@ -411,6 +403,20 @@ def _measure_for(kind: str) -> str:
     return "pearson" if kind == "relatedness" else "accuracy"
 
 
+def plan(cfg: RunConfig, dim: int | None, inputs: Inputs) -> list[tuple]:
+    """The cells of ``cfg`` at ``dim``: one (method, task spec, task,
+    synthetic table or None) record per cell, in method-major order, every
+    task loaded once through ``inputs``. The one place a run's cells are
+    built, and the only caller of `load_task`. Before any task loads, the
+    config's `_combination_problems` at ``dim`` are raised as one
+    ConfigError, one problem per line."""
+    problems = _combination_problems(cfg, swept=dim is not None)
+    if problems:
+        raise ConfigError("\n".join(problems))
+    loaded = [(spec, *load_task(spec, cfg, dim, inputs)) for spec in cfg.tasks]
+    return [(method, *cell) for method in cfg.methods for cell in loaded]
+
+
 def run_matrix(
     cfg: RunConfig, workers: int = 1, dim: int | None = None, inputs: Inputs | None = None
 ) -> ResultMatrix:
@@ -418,20 +424,16 @@ def run_matrix(
     loop, `_forked`, runs them at every worker count: in ``workers``
     processes on Linux, and in this process alone at one worker, for a
     single cell or off Linux. Results do not depend on the worker count.
-    Tasks and input files come from ``inputs``, the run's parse cache (a
-    fresh one by default). A method's files are parsed by the first cell
-    that needs them, or before the fork when there is one, so that no worker
-    parses. Any cell failure aborts the whole run with an error naming the
-    cell, the one of the lowest index in method-major order: a ConfigError
-    or ParseError as its own class, anything else as a RuntimeError."""
+    The cells come from `plan`, and tasks and input files from ``inputs``,
+    the run's parse cache (a fresh one by default). A method's files are
+    parsed by the first cell that needs them, or before the fork when there
+    is one, so that no worker parses. Any cell failure aborts the whole run
+    with an error naming the cell, the one of the lowest index in
+    method-major order: a ConfigError or ParseError as its own class,
+    anything else as a RuntimeError."""
     inputs = inputs or Inputs()
     inputs.next_dim()
-    loaded = [(spec, *load_task(spec, cfg, dim, inputs)) for spec in cfg.tasks]
-    cells_in = [
-        (method, spec, task, table)
-        for method in cfg.methods
-        for spec, task, table in loaded
-    ]
+    cells_in = plan(cfg, dim, inputs)
     names = [f"cell (method={m.name!r}, task={spec.name!r}) failed" for m, spec, *_ in cells_in]
 
     def compute(i):
@@ -603,8 +605,9 @@ def export_sentence_vectors(
     method = next((m for m in cfg.methods if m.name == method_name), None)
     if method is None:
         raise ConfigError(f"no method named {method_name!r}")
-    check_config(replace(cfg, tasks=(spec,), methods=(method,)))
-    task, table = load_task(spec, cfg)
+    cfg = replace(cfg, tasks=(spec,), methods=(method,))
+    check_config(cfg)
+    ((_, _, task, table),) = plan(cfg, None, Inputs())
     S = sentence_matrix(task, method, cfg, table)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         save_sentence_vector_table(VectorTable(task.sentence_ids(), S), fh)
@@ -628,27 +631,32 @@ def validate_config(cfg: RunConfig, dims: Sequence[int] | None = None) -> list[s
                     f"method {m.name!r}: sweep needs a parametric lexicon "
                     "(random, synthetic, or a path template with {dim})"
                 )
-    file_tasks = [t.name for t in cfg.tasks if t.path is not None]
+    problems += _combination_problems(cfg, swept=dims is not None)
     # path -> a reader to name, so each missing file is reported once
     reads = {t.path: f"task {t.name!r}: file not found" for t in cfg.tasks}
     for m in cfg.methods:
-        if m.lexicon == "synthetic" and file_tasks:
-            problems.append(
-                f"method {m.name!r}: lexicon 'synthetic' only works with synthetic tasks, "
-                f"not file task(s) {', '.join(map(repr, file_tasks))}"
-            )
-        try:
-            files = _method_inputs(m, [None] if dims is None else dims)
-        except ConfigError as exc:  # a {dim} template outside a sweep
-            problems.append(str(exc))
-            files = _method_inputs(m, [])
-        for field, path, _ in files:
+        for field, path, _ in _method_inputs(m, [None] if dims is None else dims):
             what = "lexicon file" if field == "lexicon" else "file"
             reads.setdefault(path, f"method {m.name!r}: {what} not found")
     return problems + [
         f"{reader}: {path}" for path, reader in reads.items()
         if path is not None and not os.path.isfile(path)
     ]
+
+
+def _combination_problems(cfg: RunConfig, swept: bool) -> list[str]:
+    """The rules on which inputs a cell may combine, method by method: the
+    ``"synthetic"`` lexicon needs synthetic tasks, and a lexicon template
+    needs a sweep dim. `validate_config` and `plan` both report them."""
+    file_tasks = ", ".join(repr(t.name) for t in cfg.tasks if t.path is not None)
+    problems = []
+    for m in cfg.methods:
+        if m.lexicon == "synthetic" and file_tasks:
+            problems.append(f"method {m.name!r}: lexicon 'synthetic' only works with synthetic "
+                            f"tasks, not file task(s) {file_tasks}")
+        if not swept and "{dim}" in (m.lexicon or ""):
+            problems.append(f"method {m.name!r}: lexicon template needs a sweep dim")
+    return problems
 
 
 def check_config(cfg: RunConfig, dims: Sequence[int] | None = None) -> None:

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -170,6 +171,11 @@ class TestParseConfig:
     def test_duplicate_task_names(self):
         with pytest.raises(ConfigError, match="^config: tasks: duplicate name 't'$"):
             base_config(tasks=[{"name": "t", "synthetic": {}}, {"name": "t", "synthetic": {}}])
+
+    @pytest.mark.parametrize("strategy", ["sif", "mean"])
+    def test_strategy_only_on_lexicon_methods(self, strategy):
+        with pytest.raises(ConfigError, match="^method 'p': strategy is only for lexicon methods$"):
+            base_config(methods=[{"name": "p", "sentence_vectors": "v.tsv", "strategy": strategy}])
 
     def test_unknown_format(self):
         with pytest.raises(ConfigError, match="^config: output.formats: unknown format 'xlsx'$"):
@@ -428,6 +434,54 @@ class TestLoadTask:
         assert len(cls_table.keys) == 2 * 20 and cls_table.dim == 16
         assert len(rel.labels) == 300 and rel_table.dim == 16
         assert cls == replace(tasks.synthetic_classification(seed=11)[0], name="c")
+
+
+class TestPlan:
+    """`runner.plan` is the one builder of a run's cells."""
+
+    def test_cells_in_method_major_order_with_the_loaded_tasks(self, tmp_path):
+        p = tmp_path / "cls.tsv"
+        p.write_text("".join(f"{'ab'[i % 2]}\tw{i % 3}\n" for i in range(40)), encoding="utf-8")
+        cfg = base_config(
+            tasks=[{"name": "file", "path": str(p)},
+                   {"name": "rel", "kind": "relatedness", "synthetic": dict(SYN_REL)}],
+            methods=[{"name": "a", "lexicon": "random", "dim": 4},
+                     {"name": "b", "lexicon": "random", "dim": 4}])
+        for dim in (None, 16):
+            cells = runner.plan(cfg, dim, runner.Inputs())
+            assert [(m.name, spec.name) for m, spec, _, _ in cells] == [
+                ("a", "file"), ("a", "rel"), ("b", "file"), ("b", "rel")]
+            assert [m for m, *_ in cells] == [cfg.methods[0]] * 2 + [cfg.methods[1]] * 2
+            for _, spec, task, table in cells:
+                want_task, want_table = load_task(spec, cfg, dim)
+                assert spec in cfg.tasks and task == want_task
+                if want_table is None:
+                    assert table is None
+                else:
+                    assert table.keys == want_table.keys
+                    assert np.array_equal(table.vectors, want_table.vectors)
+            assert cells[0][2] is cells[2][2]  # each task is loaded once, for every method
+            assert cells[1][3].dim == (SYN_REL["dim"] if dim is None else dim)
+
+    def test_combination_problems_raised_together_before_a_task_loads(self, monkeypatch):
+        cfg = base_config(
+            tasks=[{"name": "cls", "synthetic": dict(SYN_CLS)}, {"name": "f", "path": "f.tsv"}],
+            methods=[{"name": "s", "lexicon": "synthetic"}, {"name": "ok", "lexicon": "v.txt"},
+                     {"name": "t", "lexicon": "v{dim}.txt"}])
+        for module, name in [(runner, "load_task"), (tasks, "load_classification_tsv"),
+                             (tasks, "synthetic_classification")]:
+            monkeypatch.setattr(module, name, no_cell)
+        synthetic = "method 's': lexicon 'synthetic' only works with synthetic tasks, " \
+                    "not file task(s) 'f'"
+        with pytest.raises(ConfigError) as info:
+            runner.plan(cfg, None, runner.Inputs())
+        assert str(info.value).splitlines() == [
+            synthetic, "method 't': lexicon template needs a sweep dim"]
+        with pytest.raises(ConfigError) as info:  # a sweep dim fills the template
+            runner.plan(cfg, 8, runner.Inputs())
+        assert str(info.value) == synthetic
+        assert validate_config(cfg)[:2] == [
+            synthetic, "method 't': lexicon template needs a sweep dim"]
 
 
 class TestByteOrderMark:
@@ -1136,7 +1190,7 @@ class TestRunMetadata:
 
     def test_sif_a_only_on_methods_that_embed_with_sif(self):
         cfg = base_config(methods=[
-            {"name": "pre", "strategy": "sif", "sentence_vectors": "s.tsv"},
+            {"name": "pre", "sentence_vectors": "s.tsv"},
             {"name": "sif", "strategy": "sif", "lexicon": "synthetic", "sif_a": 0.01},
             {"name": "mean", "lexicon": "synthetic"},
             {"name": "raw", "lexicon": "synthetic", "normalize": False},
@@ -1303,14 +1357,20 @@ class TestCli:
         rc = cli.main([verb, "--config", str(p), *args])
         return rc, capsys.readouterr().err
 
-    def test_synthetic_lexicon_with_file_task_exit_1(self, tmp_path, capsys):
-        rc, err = self.run_file_task(tmp_path, capsys, "validate", {"lexicon": "synthetic"})
-        assert rc == 1
-        assert "error: method 'm': lexicon 'synthetic' only works with synthetic tasks" in err
-        assert "'file-cls'" in err
+    def test_synthetic_lexicon_with_file_task_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(runner, "load_task", no_cell)
+        message = ("method 'm': lexicon 'synthetic' only works with synthetic tasks, "
+                   "not file task(s) 'file-cls'")
+        embed = ["--task", "file-cls", "--method", "m", "--out", str(tmp_path / "v.tsv")]
+        for verb, args in [("validate", []), ("eval", []), ("embed", embed)]:
+            rc, err = self.run_file_task(tmp_path, capsys, verb, {"lexicon": "synthetic"},
+                                         args=args)
+            assert (rc, err) == (1, f"error: {message}\n"), verb
+        assert not (tmp_path / "out").exists() and not (tmp_path / "v.tsv").exists()
+        # a library call meets the rule in `plan`, before a task loads, not in a cell
         cfg = base_config(tasks=[{"name": "file-cls", "path": str(tmp_path / "cls.tsv")}],
                           methods=[{"name": "m", "lexicon": "synthetic"}])
-        with pytest.raises(ConfigError, match="cell \\(method='m', task='file-cls'\\) failed"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             run_matrix(cfg)
 
     def test_dim_template_under_eval_exit_1(self, tmp_path, capsys, monkeypatch):
@@ -1321,6 +1381,14 @@ class TestCli:
                                          args=args)
             assert rc == 1, verb
             assert err == "error: method 'm': lexicon template needs a sweep dim\n", verb
+
+    def test_unknown_format_flag_names_the_flag(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(runner, "load_task", no_cell)
+        for verb, args in [("eval", []), ("sweep", ["--dims", "4"])]:
+            rc, err = self.run_file_task(tmp_path, capsys, verb, {"lexicon": "random", "dim": 4},
+                                         args=["--format", "csv,xlsx", *args])
+            assert (rc, err) == (1, "error: --format: unknown format 'xlsx'\n"), verb
+        assert not (tmp_path / "out").exists()
 
     def test_sif_frequency_file_with_whitespace_only_lines(self, tmp_path, capsys):
         lex, freqs = tmp_path / "v.txt", tmp_path / "freq.txt"
@@ -1386,6 +1454,8 @@ class TestCli:
          "config: split_ratios is only for file tasks, not synthetic ones"),
         ({"methods": [{"name": "m", "sentence_vectors": "s.tsv", "normalize": False}]},
          "method 'm': normalize is only for lexicon methods"),
+        ({"methods": [{"name": "m", "sentence_vectors": "s.tsv", "strategy": "sif"}]},
+         "method 'm': strategy is only for lexicon methods"),
         ({"split_ratios": [0.5, 0.5, 0.5], "tasks": [{"name": "t", "path": "t.tsv"}]},
          "config: split_ratios must be nonnegative and sum to 1, not [0.5, 0.5, 0.5]"),
         ({"split_ratios": [1.5, -0.5, 0], "tasks": [{"name": "t", "path": "t.tsv"}]},
@@ -1396,8 +1466,8 @@ class TestCli:
     ], ids=["float-dim", "float-epochs", "int-name", "string-seed", "string-normalize",
             "bool-hidden_units", "short-split_ratios", "int-path", "string-formats", "int-dir",
             "string-synthetic-items", "directory-path", "synthetic-split_ratios",
-            "precomputed-normalize", "split_ratios-sum", "negative-split_ratios", "probe-seed",
-            "probe-name", "top-level-name"])
+            "precomputed-normalize", "precomputed-strategy", "split_ratios-sum",
+            "negative-split_ratios", "probe-seed", "probe-name", "top-level-name"])
     def test_bad_config_value_exit_1_before_a_task_loads(
         self, tmp_path, capsys, monkeypatch, extra, message
     ):
