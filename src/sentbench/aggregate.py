@@ -38,21 +38,14 @@ class MeanMaxConcat:
 class Sif:
     """Weighted mean with weights a/(a+p(w)) plus common-component removal.
 
+    ``a`` must be positive, as ``MethodSpec`` checks for ``sif_a``.
     ``component`` is the fitted unit principal direction; it is absent until
-    fitted on a corpus.
+    fitted on a corpus, and `remove_common_component` checks its length.
     """
 
     freq: FrequencyTable
     a: float = DEFAULT_SIF_A
     component: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("smoothing parameter a must be positive")
-        if self.component is not None:
-            norm = np.linalg.norm(self.component)
-            if abs(norm - 1.0) > 1e-9:
-                raise ValueError("component must be a unit vector")
 
 
 AggregationStrategy = Union[Mean, Sif, MeanMaxConcat]
@@ -97,11 +90,9 @@ def mean_max_concat(vs: Sequence[np.ndarray], dim: int | None = None) -> np.ndar
 
 
 def sif_weight(a: float, p: float) -> float:
-    """Smooth inverse-frequency weight a/(a+p), in (0, 1]."""
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be a probability")
+    """Smooth inverse-frequency weight a/(a+p), in (0, 1] for a > 0 and a
+    probability p. Neither is checked here: ``MethodSpec`` checks ``sif_a``,
+    and a `FrequencyTable`'s rules keep every word probability in [0, 1]."""
     return a / (a + p)
 
 

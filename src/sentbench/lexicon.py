@@ -34,7 +34,12 @@ _LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"  # loadtxt strips them around a number
 @dataclass(frozen=True, eq=False)
 class VectorTable:
     """Word or sentence-id vectors: ``keys[i]`` owns row i of ``vectors``, one
-    read-only (n, d) float64 matrix, and ``row`` maps each key to its row."""
+    read-only (n, d) float64 matrix, and ``row`` maps each key to its row.
+
+    The vector loaders check that every component is finite and name the
+    line of the first that is not. A table built in code must hold finite
+    vectors itself; the constructor checks only the shape and that keys are
+    unique."""
 
     keys: tuple[str, ...]
     vectors: np.ndarray
@@ -48,8 +53,6 @@ class VectorTable:
             raise ValueError("vectors must be a matrix with one row per key")
         if vectors.shape[1] <= 0:
             raise ValueError("dim must be positive")
-        if not np.isfinite(vectors).all():
-            raise ValueError("vectors must be finite")
         row = {key: i for i, key in enumerate(keys)}
         if len(row) != len(keys):
             raise ValueError("keys must be unique")
@@ -69,19 +72,14 @@ class FrequencyTable:
 
     ``total`` may exceed the sum of counts (the counts can cover only a
     vocabulary subset of the corpus) but never falls below any single count.
+    ``load_frequency_table`` checks that, that no count is negative and that
+    the total is positive, and names the line at fault. A table built in
+    code is not checked: it must meet the same rules, so that every word
+    probability lies in [0, 1].
     """
 
     counts: dict[str, int]
     total: int
-
-    def __post_init__(self):
-        if self.total <= 0:
-            raise ValueError("total must be positive")
-        for word, c in self.counts.items():
-            if c < 0:
-                raise ValueError(f"negative count for {word!r}")
-            if c > self.total:
-                raise ValueError(f"count for {word!r} exceeds total")
 
 
 def _fields(raw: str) -> list[str]:
@@ -215,7 +213,9 @@ def load_word_vectors(stream: IO[str]) -> VectorTable:
 
 def load_frequency_table(stream: IO[str]) -> FrequencyTable:
     """Parse ``word count`` lines; an optional first ``#total N`` line overrides
-    the total, which otherwise is the sum of counts."""
+    the total, which otherwise is the sum of counts. A duplicate word, a
+    negative count, a count above ``#total`` and a total that is not
+    positive are errors."""
     counts: dict[str, int] = {}
     total_override: int | None = None
     for lineno, raw in enumerate(stream, start=1):
@@ -230,6 +230,8 @@ def load_frequency_table(stream: IO[str]) -> FrequencyTable:
         if len(parts) != 2:
             raise ParseError("expected `word count`", lineno)
         word, count_tok = parts
+        if word in counts:
+            raise ParseError(f"duplicate word {word!r}", lineno)
         if not _is_int(count_tok):
             raise ParseError(f"non-integer count {count_tok!r}", lineno)
         count = int(count_tok)

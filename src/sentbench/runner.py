@@ -58,6 +58,8 @@ class TaskSpec:
         if self.label_set is not None and (self.kind != "classification" or self.path is None):
             raise ConfigError(
                 f"task {self.name!r}: label_set is only for file classification tasks")
+        if self.label_set is not None and len(set(self.label_set)) != len(self.label_set):
+            raise ConfigError(f"task {self.name!r}: label_set contains duplicates")
         if self.synthetic is not None:
             hints = {k: v for k, v in type_hints(_generator(self.kind)).items() if k != "return"}
             check_types(f"task {self.name!r}", self.synthetic, hints, "synthetic")
@@ -70,7 +72,7 @@ class MethodSpec:
     lexicon: str | None = None  # "random", a path, or a path template with {dim}
     sentence_vectors: str | None = None
     dim: int | None = None  # random-lexicon dimensionality; a sweep overrides it
-    sif_a: float = aggregate.DEFAULT_SIF_A
+    sif_a: float = None  # sif methods only, default DEFAULT_SIF_A; the hint rejects JSON null
     frequencies: str | None = None
     normalize: bool | None = None  # lexicon methods only, where it defaults to True
 
@@ -88,12 +90,15 @@ class MethodSpec:
             raise ConfigError(f"method {self.name!r}: random lexicon needs a positive dim")
         if self.lexicon != "random" and self.dim is not None:
             raise ConfigError(f"method {self.name!r}: dim is only for the random lexicon")
-        if self.sif_a <= 0:
+        if self.sif_a is not None and self.sif_a <= 0:
             raise ConfigError(
                 f"method {self.name!r}: sif_a must be a positive number, not {self.sif_a!r}")
-        if self.frequencies is not None and self.kind != "sif":
-            raise ConfigError(f"method {self.name!r}: frequencies is only for sif methods, "
-                              f"not strategy {self.kind!r}")
+        for key in ("frequencies", "sif_a"):
+            if getattr(self, key) is not None and self.kind != "sif":
+                raise ConfigError(f"method {self.name!r}: {key} is only for sif methods, "
+                                  f"not strategy {self.kind!r}")
+        if self.kind == "sif" and self.sif_a is None:
+            object.__setattr__(self, "sif_a", aggregate.DEFAULT_SIF_A)
         for key in ("strategy", "normalize"):
             if self.sentence_vectors is not None and getattr(self, key) is not None:
                 raise ConfigError(f"method {self.name!r}: {key} is only for lexicon methods")
@@ -115,7 +120,7 @@ class RunConfig:
     split_ratios: tuple[float, float, float] = tasks_mod.DEFAULT_RATIOS
 
     def __post_init__(self):
-        if not tasks_mod.valid_ratios(self.split_ratios):
+        if min(self.split_ratios) < 0 or abs(sum(self.split_ratios) - 1.0) > 1e-9:
             raise ConfigError("config: split_ratios must be nonnegative and sum to 1, "
                               f"not {self.split_ratios}")
         object.__setattr__(self, "formats", tuple(self.formats))
@@ -534,7 +539,7 @@ def run_metadata(cfg: RunConfig, dims: Sequence[int] | None = None) -> dict:
                 "lexicon": m.lexicon,
                 "sentence_vectors": m.sentence_vectors,
                 "dim": m.dim,
-                "sif_a": m.sif_a if m.kind == "sif" else None,
+                "sif_a": m.sif_a,
                 "normalize": m.normalize,
             }
             for m in cfg.methods

@@ -37,6 +37,13 @@ class Task:
     (``pair_ids`` set) holds its n A sentences, then its n B sentences, so
     item i owns rows i and n + i; ``rows`` states that layout for the rest of
     the program. A pair task's labels are its entailment judgments.
+
+    The loaders check the rules a file can break, each at its line: every
+    label is in ``label_set``, every score in [1, 5], pair ids are unique
+    and split names known. ``TaskSpec`` keeps ``label_set`` free of
+    duplicates. A task built in code must meet these rules itself; the
+    constructor checks only the layout: one or two sentences, one score and
+    one pair id per item, and split indices in range, each in one split.
     """
 
     name: str
@@ -49,22 +56,13 @@ class Task:
 
     def __post_init__(self):
         n = len(self.labels)
-        if len(set(self.label_set)) != len(self.label_set):
-            raise ValueError("label_set contains duplicates")
-        outside = next((lab for lab in self.labels if lab not in self.label_set), None)
-        if outside is not None:
-            raise ValueError(f"item label {outside!r} not in label_set")
         per_item = 1 if self.pair_ids is None else 2
         if len(self.sentences) != per_item * n:
             raise ValueError(f"{n} items need {per_item * n} sentences, not {len(self.sentences)}")
-        if self.pair_ids is not None and len(set(self.pair_ids)) != n:
-            raise ValueError("pair ids must be unique, one per item")
-        if self.scores is not None:
-            if len(self.scores) != n:
-                raise ValueError(f"expected {n} scores, found {len(self.scores)}")
-            outside = next((s for s in self.scores if not 1.0 <= s <= 5.0), None)
-            if outside is not None:
-                raise ValueError(f"relatedness {outside} outside [1, 5]")
+        if self.pair_ids is not None and len(self.pair_ids) != n:
+            raise ValueError(f"expected {n} pair ids, found {len(self.pair_ids)}")
+        if self.scores is not None and len(self.scores) != n:
+            raise ValueError(f"expected {n} scores, found {len(self.scores)}")
         _check_splits(self.splits, n)
 
     def rows(self, items: Sequence[int]) -> list[int]:
@@ -91,12 +89,8 @@ class Task:
 
 
 def _check_splits(splits: dict[str, list[int]], n: int) -> None:
-    if not splits:
-        return
     seen: set[int] = set()
-    for split_name, idxs in splits.items():
-        if split_name not in SPLIT_NAMES:
-            raise ValueError(f"unknown split {split_name!r}")
+    for idxs in splits.values():
         for i in idxs:
             if not 0 <= i < n:
                 raise ValueError(f"split index {i} out of range")
@@ -201,18 +195,12 @@ def load_sick_tsv(stream: IO[str], name: str = "sick") -> Task:
                 pair_ids=tuple(ids), scores=tuple(scores), splits=splits)
 
 
-def valid_ratios(ratios: Sequence[float]) -> bool:
-    """Whether train, dev and test ratios are nonnegative and sum to 1."""
-    return min(ratios) >= 0 and abs(sum(ratios) - 1.0) <= 1e-9
-
-
 def split(task, ratios: tuple[float, float, float] = DEFAULT_RATIOS, seed: int = 0):
     """Assign train/dev/test splits by a seeded shuffle and contiguous
     partition. Sizes of dev and test round to nearest; the remainder goes to
-    train; ratios that leave train or test empty are an error. Returns a copy
+    train; ratios that leave train or test empty are an error. The ratios
+    must be nonnegative and sum to 1, as ``RunConfig`` checks. Returns a copy
     of the task; the input is untouched."""
-    if not valid_ratios(ratios):
-        raise ValueError(f"ratios {tuple(ratios)} must be nonnegative and sum to 1")
     n = len(task.labels)
     if n < 3:
         raise ValueError("need at least 3 items to split")

@@ -100,12 +100,6 @@ class TestSifWeight:
         ws = [sif_weight(0.01, p) for p in ps]
         assert all(a > b for a, b in zip(ws, ws[1:]))
 
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            sif_weight(0.0, 0.5)
-        with pytest.raises(ValueError):
-            sif_weight(0.1, 1.5)
-
 
 class TestSifWeightedMean:
     FREQ = FrequencyTable(counts={"common": 2, "rare": 0}, total=4)

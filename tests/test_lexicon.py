@@ -45,8 +45,6 @@ class TestVectorTable:
         (["a"], [1.0], "one row per key"),
         (["a"], np.zeros((1, 0)), "dim must be positive"),
         (["a", "a"], [[1.0], [2.0]], "unique"),
-        (["a"], [[np.nan]], "finite"),
-        (["a"], [[np.inf]], "finite"),
     ])
     def test_rejects_malformed_input(self, keys, vectors, message):
         with pytest.raises(ValueError, match=message):
@@ -138,6 +136,19 @@ class TestFrequencyTable:
     def test_negative_count(self):
         with pytest.raises(ParseError):
             load_frequency_table(io.StringIO("a -1"))
+
+    def test_negative_count_names_its_line(self):
+        with pytest.raises(ParseError, match="^line 2: negative count for 'b'$"):
+            load_frequency_table(io.StringIO("a 1\nb -2\n"))
+
+    @pytest.mark.parametrize("text", ["#total 0\n", "#total 0\na 0\n", "a 0\nb 0\n"])
+    def test_no_tokens(self, text):
+        with pytest.raises(ParseError, match="^frequency table has no tokens$"):
+            load_frequency_table(io.StringIO(text))
+
+    def test_duplicate_word_names_its_line(self):
+        with pytest.raises(ParseError, match="^line 3: duplicate word 'a'$"):
+            load_frequency_table(io.StringIO("a 3\nb 1\na 5\n"))
 
     def test_count_above_total_names_its_line(self):
         with pytest.raises(ParseError) as info:

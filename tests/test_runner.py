@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from sentbench import cli, runner, tasks
 from sentbench import errors
+from sentbench.aggregate import DEFAULT_SIF_A
 from sentbench.errors import ConfigError, ParseError, ProbeDivergedError
 from sentbench.lexicon import (
     load_frequency_table,
@@ -260,6 +261,26 @@ class TestParseConfig:
         shown = "a positive number" if sif_a in (-1, 0, -1e-9) else "float"  # else a wrong type
         with pytest.raises(ConfigError, match=f"^method 's': sif_a must be {shown}, not "):
             base_config(methods=[method])
+
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(ConfigError, match="^task 't': label_set contains duplicates$"):
+            base_config(tasks=[{"name": "t", "path": "c.tsv", "label_set": ["a", "b", "a"]}])
+
+    @pytest.mark.parametrize("method, kind", [
+        ({"lexicon": "synthetic"}, "mean"),
+        ({"strategy": "mean_max", "lexicon": "v.txt"}, "mean_max"),
+        ({"sentence_vectors": "s.tsv"}, "precomputed"),
+    ])
+    def test_sif_a_only_on_sif_methods(self, method, kind):
+        with pytest.raises(ConfigError) as info:
+            base_config(methods=[{"name": "m", "sif_a": 0.01, **method}])
+        assert str(info.value) == (
+            f"method 'm': sif_a is only for sif methods, not strategy {kind!r}")
+
+    def test_sif_a_defaults_on_sif_methods_only(self):
+        cfg = base_config(methods=[{"name": "s", "strategy": "sif", "lexicon": "synthetic"},
+                                   {"name": "m", "lexicon": "synthetic"}])
+        assert [m.sif_a for m in cfg.methods] == [DEFAULT_SIF_A, None]
 
     @pytest.mark.parametrize("sif_a", [1e-3, 1, 10.0])
     def test_positive_sif_a_accepted(self, sif_a):
@@ -1405,7 +1426,9 @@ class TestCli:
          "error: method 'm': sif_a must be float, not '1e-3'\n"),
         ({"lexicon": "random", "dim": 4, "frequencies": "freq.txt"},
          "error: method 'm': frequencies is only for sif methods, not strategy 'mean'\n"),
-    ], ids=["negative-sif_a", "string-sif_a", "frequencies-on-mean"])
+        ({"lexicon": "random", "dim": 4, "sif_a": 0.01},
+         "error: method 'm': sif_a is only for sif methods, not strategy 'mean'\n"),
+    ], ids=["negative-sif_a", "string-sif_a", "frequencies-on-mean", "sif_a-on-mean"])
     def test_sif_option_errors_exit_1_before_a_task_loads(
         self, tmp_path, capsys, monkeypatch, method, message
     ):
