@@ -38,14 +38,13 @@ class MeanMaxConcat:
 class Sif:
     """Weighted mean with weights a/(a+p(w)) plus common-component removal.
 
-    ``a`` must be positive, as ``MethodSpec`` checks for ``sif_a``.
-    ``component`` is the fitted unit principal direction; it is absent until
-    fitted on a corpus, and `remove_common_component` checks its length.
+    ``a`` must be positive, as ``MethodSpec`` checks for ``sif_a``. The
+    common component is not part of the strategy: ``embed_corpus`` fits it
+    on its fit rows and removes it from every row.
     """
 
     freq: FrequencyTable
     a: float = DEFAULT_SIF_A
-    component: np.ndarray | None = None
 
 
 AggregationStrategy = Union[Mean, Sif, MeanMaxConcat]
@@ -99,23 +98,17 @@ def sif_weight(a: float, p: float) -> float:
 def sif_weighted_mean(
     tokens: Sequence[str], vs: Sequence[np.ndarray], strat: Sif
 ) -> np.ndarray:
-    """Weighted arithmetic mean (1/n) sum_i w(p(token_i)) * v_i, with the fitted
-    common component removed when present. Empty input yields a zero vector of
-    the component's dim (no removal)."""
+    """Weighted arithmetic mean (1/n) sum_i w(p(token_i)) * v_i, before
+    common-component removal, which needs a corpus: `embed_corpus` fits the
+    component and `remove_common_component` subtracts it. Empty input is an
+    error, as it gives no dim."""
     if len(tokens) != len(vs):
         raise ValueError("tokens and vectors must have equal length")
-    if len(vs) == 0:
-        if strat.component is None:
-            raise ValueError("empty input needs a fitted component for the dim")
-        return np.zeros(len(strat.component))
     arr = _stack(vs, None)
     weights = np.array(
         [sif_weight(strat.a, unigram_probability(strat.freq, tok)) for tok in tokens]
     )
-    result = (weights[:, None] * arr).sum(axis=0) / len(vs)
-    if strat.component is not None:
-        result = remove_common_component(result, strat.component)
-    return result
+    return (weights[:, None] * arr).sum(axis=0) / len(vs)
 
 
 def fit_common_component(M: np.ndarray) -> np.ndarray:

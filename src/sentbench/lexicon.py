@@ -112,21 +112,21 @@ def _vector_table(
     strip: Callable[[str], str],
     dim: int | None,
     sep: str,
-    split: Callable[[str, int], list[str]],
     kind: str,
     count: int | None = None,
 ) -> VectorTable:
     """The ``kind`` ("word" or "sentence") vectors of a stream's lines, read
     ``_BLOCK`` non-blank ``strip``ped lines at a time.
 
-    ``split`` gives a line's key and component fields, or raises the line's
-    ParseError. In a block, ``line.partition(sep)`` splits off each key and
-    one ``_block_rows`` call parses the numbers. A block that does not parse
-    that way goes through ``split``, ``float()`` and the checks one line at a
-    time, so the first error names its line. A duplicate word is dropped and
-    counted; a duplicate sentence id is an error. ``count`` is the number of
-    lines a header announced. A non-finite component is an error naming its
-    line."""
+    ``line.partition(sep)`` splits each line once, into its key, the
+    separator and the rest, whose `_fields` are the components. In a block,
+    one ``_block_rows`` call parses the numbers of every rest. A block that
+    does not parse that way goes through `_fields`, ``float()`` and the
+    checks one line at a time, so the first error names its line. A sentence
+    line needs its separator; a word line without one has no components. A
+    duplicate word is dropped and counted; a duplicate sentence id is an
+    error. ``count`` is the number of lines a header announced. A non-finite
+    component is an error naming its line."""
     keys: list[str] = []
     seen: set[str] = set()
     flat, lines, duplicates = array("d"), [], 0
@@ -135,7 +135,7 @@ def _vector_table(
     split_lines = ((lineno, line.partition(sep)) for lineno, line in numbered if line)
     while block := list(itertools.islice(split_lines, _BLOCK)):
         if dim is None:
-            dim = len(split("".join(block[0][1]), block[0][0])) - 1
+            dim = len(_fields(block[0][1][2]))
         fresh: dict[str, int] = {}  # new key -> index of its first line
         for i, (_, (key, _, _)) in enumerate(block):
             if key not in seen:
@@ -150,8 +150,10 @@ def _vector_table(
             lines += [block[i][0] for i in fresh.values()]
             duplicates += len(block) - len(fresh)
             continue
-        for lineno, parts in block:
-            key, *comps = split("".join(parts), lineno)
+        for lineno, (key, gap, rest) in block:
+            if not gap and kind == "sentence":
+                raise ParseError("expected `id<TAB>components`", lineno)
+            comps = _fields(rest)
             if len(comps) != dim:
                 raise ParseError(f"expected {dim} components, found {len(comps)}", lineno)
             if key in seen and kind == "sentence":
@@ -208,7 +210,8 @@ def load_word_vectors(stream: IO[str]) -> VectorTable:
             raise ParseError("header dimension must be positive", 1)
         count, dim, first = int(parts[0]), header_dim, ""  # a blank line 1 keeps the numbering
     lines = itertools.chain([first], rest)
-    return _vector_table(lines, str.rstrip, dim, " ", lambda line, _: _fields(line), "word", count)
+    # leading spaces go before the partition, as `_fields` drops them
+    return _vector_table(lines, lambda raw: raw.rstrip().lstrip(" "), dim, " ", "word", count)
 
 
 def load_frequency_table(stream: IO[str]) -> FrequencyTable:
@@ -260,19 +263,10 @@ def random_table(vocab: Iterable[str], dim: int, seed: int) -> VectorTable:
     return VectorTable(words, np.random.default_rng(seed).standard_normal((len(words), dim)))
 
 
-def _sentence_fields(line: str, lineno: int) -> list[str]:
-    if "\t" not in line:
-        raise ParseError("expected `id<TAB>components`", lineno)
-    sid, rest = line.split("\t", 1)
-    return [sid, *_fields(rest)]
-
-
 def load_sentence_vector_table(stream: IO[str]) -> VectorTable:
     """Parse ``id<TAB>v1 v2 ... vd`` lines. Duplicate ids and inconsistent
     dimensions are errors."""
-    return _vector_table(
-        stream, lambda raw: raw.rstrip("\r\n"), None, "\t", _sentence_fields, "sentence"
-    )
+    return _vector_table(stream, lambda raw: raw.rstrip("\r\n"), None, "\t", "sentence")
 
 
 def save_sentence_vector_table(table: VectorTable, stream: IO[str]) -> None:

@@ -97,6 +97,8 @@ def predict_proba(probe: Probe, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != probe.input_dim:
         raise ValueError(f"feature dim {X.shape[1]} != probe input {probe.input_dim}")
+    if not np.isfinite(X).all():  # `_train` checks only the train rows
+        raise ValueError("non-finite features")
     return _forward(probe, X)[1]
 
 

@@ -367,26 +367,22 @@ def sentence_matrix(
                           f"of task {task.name!r} in its train split") from exc
 
 
-def run_task(
-    task,
-    method: MethodSpec,
-    cfg: RunConfig,
-    kind: str,
-    synthetic_table: VectorTable | None = None,
-    dim: int | None = None,
-    inputs: Inputs | None = None,
-) -> EvalResult:
-    """Embed, train the probe on the train rows of the task's feature matrix,
+def run_task(cell: tuple, cfg: RunConfig, dim: int | None = None,
+             inputs: Inputs | None = None) -> EvalResult:
+    """Run one `plan` record, ``cell`` = (method, task spec, task, synthetic
+    table or None), at ``dim``, its input files parsed through ``inputs``.
+    Embed, train the probe on the train rows of the task's feature matrix,
     which it reads in place rather than as a copied split, and evaluate on
     the test split. Classification and entailment report the accuracy of
     predicted labels; relatedness reports the Pearson correlation of
     predicted vs gold scores. Pair tasks are probed on ``|u - v| ++ u * v``
     of their A and B sentence vectors."""
+    method, spec, task, table = cell
     test_idx = task.splits["test"]
-    S = sentence_matrix(task, method, cfg, synthetic_table, dim, inputs)
+    S = sentence_matrix(task, method, cfg, table, dim, inputs)
     fit = {"rows": task.splits["train"], "seed": stable_seed(cfg.seed, method.name, task.name)}
     X = S if task.pair_ids is None else probe.pair_features(*np.split(S, 2))
-    if kind == "relatedness":
+    if spec.kind == "relatedness":
         gold = np.array(task.scores)
         model = probe.train_relatedness(X, gold, RELATEDNESS_BINS, cfg.probe, **fit)
         probs = probe.predict_proba(model, X[test_idx])
@@ -399,7 +395,7 @@ def run_task(
         preds = probs.argmax(axis=1)
         value = accuracy(list(preds), list(labels[test_idx]))
     return EvalResult(
-        task_name=task.name, method_name=method.name, measure=_measure_for(kind),
+        task_name=task.name, method_name=method.name, measure=_measure_for(spec.kind),
         value=value, n=len(test_idx),
     )
 
@@ -442,9 +438,8 @@ def run_matrix(
     names = [f"cell (method={m.name!r}, task={spec.name!r}) failed" for m, spec, *_ in cells_in]
 
     def compute(i):
-        method, spec, task, table = cells_in[i]
         try:
-            return run_task(task, method, cfg, spec.kind, table, dim, inputs)
+            return run_task(cells_in[i], cfg, dim, inputs)
         except Exception as exc:
             cls = type(exc) if isinstance(exc, (ConfigError, ParseError)) else RuntimeError
             raise cls(f"{names[i]}: {exc}") from exc
@@ -532,23 +527,8 @@ def run_metadata(cfg: RunConfig, dims: Sequence[int] | None = None) -> dict:
         "seed": cfg.seed,
         "split_ratios": list(cfg.split_ratios),
         "probe": asdict(cfg.probe),
-        "methods": [
-            {
-                "name": m.name,
-                "strategy": m.kind,
-                "lexicon": m.lexicon,
-                "sentence_vectors": m.sentence_vectors,
-                "dim": m.dim,
-                "sif_a": m.sif_a,
-                "normalize": m.normalize,
-            }
-            for m in cfg.methods
-        ],
-        "tasks": [
-            {"name": t.name, "kind": t.kind}
-            | ({} if t.label_set is None else {"label_set": list(t.label_set)})
-            for t in cfg.tasks
-        ],
+        "methods": [asdict(m) | {"strategy": m.kind} for m in cfg.methods],
+        "tasks": [asdict(t) for t in cfg.tasks],
     }
     if dims is not None:
         meta["dims"] = list(dims)

@@ -119,16 +119,13 @@ class TestSifWeightedMean:
         w = sif_weight(0.1, 0.25)
         assert np.allclose(out, w * mean_pool(vs), atol=1e-12)
 
-    def test_component_removed_from_result(self):
-        strat = Sif(freq=self.FREQ, a=0.5, component=np.array([1.0, 0.0]))
-        out = sif_weighted_mean(
-            ["unknown", "common"], [np.array([1.0, 0]), np.array([0, 1.0])], strat
-        )
-        assert np.allclose(out, [0.0, 0.25], atol=1e-15)
-
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             sif_weighted_mean(["a"], [], Sif(freq=self.FREQ))
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="empty sequence"):
+            sif_weighted_mean([], [], Sif(freq=self.FREQ))
 
     @given(st.randoms())
     def test_order_invariance(self, rnd):

@@ -94,6 +94,11 @@ class TestLoadWordVectors:
         with pytest.raises(ParseError, match="line 3: non-finite"):
             load_word_vectors(io.StringIO(f"2 2\nkot 1 0\npies 0 {bad}\n"))
 
+    @pytest.mark.parametrize("text", ["2 0\na\nb\n", "2 -3\n"])
+    def test_non_positive_header_dimension_names_line_1(self, text):
+        with pytest.raises(ParseError, match="^line 1: header dimension must be positive$"):
+            load_word_vectors(io.StringIO(text))
+
     def test_header_with_trailing_space_still_checked(self):
         with pytest.raises(ParseError, match="line 2: expected 3 components, found 2"):
             load_word_vectors(io.StringIO("2 3 \nkot 1 0 \npies 0 1\n"))
@@ -144,6 +149,15 @@ class TestFrequencyTable:
     @pytest.mark.parametrize("text", ["#total 0\n", "#total 0\na 0\n", "a 0\nb 0\n"])
     def test_no_tokens(self, text):
         with pytest.raises(ParseError, match="^frequency table has no tokens$"):
+            load_frequency_table(io.StringIO(text))
+
+    @pytest.mark.parametrize("text, message", [
+        ("#total x\na 1\n", "line 1: malformed #total line"),
+        ("#total 5 6\na 1\n", "line 1: malformed #total line"),
+        ("b 1\na 1 2\n", "line 2: expected `word count`"),
+    ])
+    def test_malformed_line_names_it(self, text, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
             load_frequency_table(io.StringIO(text))
 
     def test_duplicate_word_names_its_line(self):

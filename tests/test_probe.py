@@ -338,6 +338,15 @@ class TestTrainRows:
             with pytest.raises(ValueError, match="non-finite features"):
                 train_classifier(Xb, labels, 3, ProbeConfig(), rows=rows)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_predicted_row_rejected(self, data, bad):
+        X, labels, _ = data
+        model = train_classifier(X, labels, 3, ProbeConfig(epochs=1))
+        Xb = X[:10].copy()
+        Xb[9, 0] = bad
+        with pytest.raises(ValueError, match="non-finite features"):
+            predict_proba(model, Xb)
+
     def test_train_rows_are_not_copied(self):
         X = np.random.default_rng(0).standard_normal((4000, 600))
         rows = np.random.default_rng(1).permutation(4000)[:3200]

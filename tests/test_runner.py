@@ -9,7 +9,7 @@ import tempfile
 import time
 import weakref
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -633,7 +633,7 @@ class TestSplitRule:
         task, _ = load_task(cfg.tasks[0], cfg)
         assert task.splits == {m: [i for i in range(self.N) if marks[i % 4] == m]
                                for m in ("train", "dev", "test")}
-        res = run_task(task, cfg.methods[1], cfg, kind)
+        res = run_task((cfg.methods[1], cfg.tasks[0], task, None), cfg)
         assert res.n == self.N // 4
 
     def test_partial_annotations_get_the_seeded_split(self, tmp_path, capsys):
@@ -651,7 +651,7 @@ class TestRunTask:
     def test_clustered_classification_learns(self):
         cfg = base_config()
         task, table = load_task(cfg.tasks[0], cfg)
-        res = run_task(task, cfg.methods[0], cfg, "classification", table)
+        res = run_task((cfg.methods[0], cfg.tasks[0], task, table), cfg)
         assert res.measure == "accuracy"
         assert res.n == len(task.splits["test"])
         assert res.value >= 0.9
@@ -662,7 +662,7 @@ class TestRunTask:
             methods=[{"name": "random-mean", "lexicon": "random", "dim": 8}],
         )
         task, table = load_task(cfg.tasks[0], cfg)
-        res = run_task(task, cfg.methods[0], cfg, "classification", table)
+        res = run_task((cfg.methods[0], cfg.tasks[0], task, table), cfg)
         test_labels = [task.labels[i] for i in task.splits["test"]]
         assert abs(res.value - majority_baseline(test_labels)) <= 0.25
 
@@ -671,7 +671,7 @@ class TestRunTask:
             tasks=[{"name": "rel", "kind": "relatedness", "synthetic": dict(SYN_REL)}]
         )
         task, table = load_task(cfg.tasks[0], cfg)
-        res = run_task(task, cfg.methods[0], cfg, "relatedness", table)
+        res = run_task((cfg.methods[0], cfg.tasks[0], task, table), cfg)
         assert res.measure == "pearson"
         assert -1.0 <= res.value <= 1.0
 
@@ -680,7 +680,7 @@ class TestRunTask:
             tasks=[{"name": "ent", "kind": "entailment", "synthetic": dict(SYN_REL)}]
         )
         task, table = load_task(cfg.tasks[0], cfg)
-        res = run_task(task, cfg.methods[0], cfg, "entailment", table)
+        res = run_task((cfg.methods[0], cfg.tasks[0], task, table), cfg)
         assert res.measure == "accuracy"
 
     @pytest.mark.parametrize("kind, synthetic, train", [
@@ -699,7 +699,7 @@ class TestRunTask:
             return fit(X, targets, K, probe_cfg, rows=rows, seed=seed)
 
         monkeypatch.setattr(runner.probe, train, spy)
-        run_task(task, cfg.methods[0], cfg, kind, table)
+        run_task((cfg.methods[0], cfg.tasks[0], task, table), cfg)
         width = 8 if task.pair_ids is None else 16
         seed = stable_seed(cfg.seed, cfg.methods[0].name, "t")
         assert seen == [((n, width), n, list(task.splits["train"]), seed)]
@@ -885,7 +885,8 @@ class TestRunMatrix:
     def test_a_worker_stops_at_its_first_failed_cell(self, tmp_path, monkeypatch):
         log = tmp_path / "calls.txt"
 
-        def run_task(task, method, *args):
+        def run_task(cell, *args):
+            method, _, task, _ = cell
             with open(log, "a", encoding="utf-8") as fh:
                 fh.write(f"{os.getpid()} {method.name} {task.name}\n")
             if (method.name, task.name) == ("m0", "t0"):
@@ -916,7 +917,8 @@ class TestRunMatrix:
             st.integers(0, n - 1), st.sampled_from([ConfigError, ParseError, RuntimeError])))
         cfg = self.small_matrix(methods, tasks)
 
-        def run_task(task, method, *args):
+        def run_task(cell, *args):
+            method, _, task, _ = cell
             i = int(method.name[1:]) * tasks + int(task.name[1:])
             if i in failing:
                 raise failing[i](f"fault {i}")
@@ -950,7 +952,7 @@ class TestSifAndSentenceVectors:
                       "sif_a": 0.001}],
         )
         task, table = load_task(cfg.tasks[0], cfg)
-        res = run_task(task, cfg.methods[0], cfg, "classification", table)
+        res = run_task((cfg.methods[0], cfg.tasks[0], task, table), cfg)
         assert 0.0 <= res.value <= 1.0
 
     @settings(max_examples=15)
@@ -1184,12 +1186,33 @@ class TestRunMetadata:
             {"name": "cls", "synthetic": dict(SYN_CLS)},
             {"name": "rel", "kind": "relatedness", "synthetic": dict(SYN_REL)},
         ])
+        file = {"kind": "classification", "path": str(p), "synthetic": None}
         assert runner.run_metadata(cfg)["tasks"] == [
-            {"name": "file", "kind": "classification", "label_set": ["b", "a"]},
-            {"name": "file-plain", "kind": "classification"},
-            {"name": "cls", "kind": "classification"},
-            {"name": "rel", "kind": "relatedness"},
+            {"name": "file", **file, "label_set": ["b", "a"]},
+            {"name": "file-plain", **file, "label_set": None},
+            {"name": "cls", "kind": "classification", "path": None, "synthetic": SYN_CLS,
+             "label_set": None},
+            {"name": "rel", "kind": "relatedness", "path": None, "synthetic": SYN_REL,
+             "label_set": None},
         ]
+
+    def test_every_spec_key_recorded(self):
+        """Each method and task is recorded with every key of its spec, so
+        runs that differ only in a frequency file or a synthetic count write
+        different metadata."""
+        cfg = base_config(methods=[{"name": "s", "strategy": "sif", "lexicon": "synthetic",
+                                    "frequencies": "f.txt"}])
+        meta = runner.run_metadata(cfg)
+        assert [list(m) for m in meta["methods"]] == [[f.name for f in fields(MethodSpec)]]
+        assert [list(t) for t in meta["tasks"]] == [[f.name for f in fields(TaskSpec)]]
+        assert (meta["methods"][0]["frequencies"], meta["tasks"][0]["synthetic"]) == (
+            "f.txt", SYN_CLS)
+        for changed in (
+            base_config(methods=[{"name": "s", "strategy": "sif", "lexicon": "synthetic",
+                                  "frequencies": "g.txt"}]),
+            replace(cfg, tasks=(TaskSpec("cls", synthetic={**SYN_CLS, "items": 240}),)),
+        ):
+            assert runner.run_metadata(changed) != meta
 
     def test_label_set_order_shows_in_the_written_metadata(self, tmp_path):
         p = tmp_path / "c.tsv"
@@ -1285,6 +1308,16 @@ class TestCli:
         first = (tmp_path / "out" / "results.csv").read_bytes()
         assert cli.main(["eval", "--config", str(cfg_path), "--workers", "4"]) == 0
         assert (tmp_path / "out" / "results.csv").read_bytes() == first
+
+    def test_seed_and_format_flags_override_the_config(self, tmp_path, capsys):
+        flagged = self.write_config(tmp_path, tmp_path / "flagged")
+        assert cli.main(["eval", "--config", str(flagged), "--seed", "7", "--format", "csv"]) == 0
+        assert sorted(os.listdir(tmp_path / "flagged")) == ["results.csv", "run-metadata.json"]
+        keyed = self.write_config(tmp_path, tmp_path / "keyed", seed=7)
+        assert cli.main(["eval", "--config", str(keyed)]) == 0
+        for name in ("results.csv", "run-metadata.json"):
+            assert (tmp_path / "flagged" / name).read_bytes() == \
+                (tmp_path / "keyed" / name).read_bytes(), name
 
     def test_validate_ok(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path, tmp_path / "out")
@@ -1486,11 +1519,13 @@ class TestCli:
         ({"probe": {"seed": 1}}, "probe: unknown key(s): seed"),
         ({"probe": {"name": 3}}, "probe: unknown key(s): name"),
         ({"name": "run"}, "config: unknown key(s): name"),
+        ({"probe": {"epochs": 0}}, "probe: hidden_units, epochs and batch_size must be positive"),
     ], ids=["float-dim", "float-epochs", "int-name", "string-seed", "string-normalize",
             "bool-hidden_units", "short-split_ratios", "int-path", "string-formats", "int-dir",
             "string-synthetic-items", "directory-path", "synthetic-split_ratios",
             "precomputed-normalize", "precomputed-strategy", "split_ratios-sum",
-            "negative-split_ratios", "probe-seed", "probe-name", "top-level-name"])
+            "negative-split_ratios", "probe-seed", "probe-name", "top-level-name",
+            "zero-epochs"])
     def test_bad_config_value_exit_1_before_a_task_loads(
         self, tmp_path, capsys, monkeypatch, extra, message
     ):
@@ -1637,6 +1672,31 @@ class TestCli:
         assert result[0] == rc
         (line,) = result[1].splitlines()
         assert line.startswith(message.format(cell="cell (method='m', task='file-cls') failed: "))
+
+    @pytest.mark.parametrize("kind", ["entailment", "relatedness"])
+    def test_non_finite_test_row_features_exit_2(self, tmp_path, capsys, kind):
+        """Only the test rows' ``u * v`` overflow: the cell fails as a
+        non-finite train row does, not with a score from NaN features."""
+        pairs = tmp_path / "pairs.tsv"
+        rows = ["pair_ID\tsentence_A\tsentence_B\trelatedness_score\tentailment_judgment"
+                "\tSemEval_set"]
+        vectors = []
+        for i in range(40):
+            split = "TRAIN" if i < 30 else "TRIAL" if i < 35 else "TEST"
+            rows.append(f"{i}\ta b\tb c\t{1 + i % 5}\t{tasks.ENTAILMENT_LABELS[i % 3]}\t{split}")
+            value = "1e200" if split == "TEST" else f"{i % 7}"
+            vectors += [f"{i}_A\t{value} 1 {i % 3}\n", f"{i}_B\t{value} 0 1\n"]
+        pairs.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        (tmp_path / "s.tsv").write_text("".join(vectors), encoding="utf-8")
+        doc = {"tasks": [{"name": "p", "kind": kind, "path": str(pairs)}],
+               "methods": [{"name": "pre", "sentence_vectors": str(tmp_path / "s.tsv")}],
+               "output": {"dir": str(tmp_path / "out")}}
+        (tmp_path / "cfg.json").write_text(json.dumps(doc), encoding="utf-8")
+        with np.errstate(over="ignore"):
+            rc = cli.main(["eval", "--config", str(tmp_path / "cfg.json")])
+        assert (rc, capsys.readouterr().err) == (
+            2, "runtime error: cell (method='pre', task='p') failed: non-finite features\n")
+        assert not (tmp_path / "out").exists()
 
     @staticmethod
     def diverge(*args, **kwargs):
@@ -1810,6 +1870,14 @@ class TestCli:
             "--out", str(tmp_path / "v.tsv"),
         ])
         assert rc == 1
+
+    def test_unknown_method_for_embed_exit_1(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path, tmp_path / "out")
+        out = tmp_path / "v.tsv"
+        rc = cli.main(["embed", "--config", str(cfg_path), "--task", "cls", "--method", "nope",
+                       "--out", str(out)])
+        assert (rc, capsys.readouterr().err) == (1, "error: no method named 'nope'\n")
+        assert not out.exists()
 
 
 class TestBlasThreads:

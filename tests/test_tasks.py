@@ -115,6 +115,16 @@ class TestPairLoader:
         with pytest.raises(ParseError, match="^line 3: unknown SemEval_set 'DEV'$"):
             load_sick_tsv(io.StringIO(text))
 
+    def test_short_row_names_its_line(self):
+        text = SICK_HEADER + "\n1\ta\tb\t2.0\tNEUTRAL\n2\ta\tb\t2.0\n"
+        with pytest.raises(ParseError, match="^line 3: expected 5 columns, found 4$"):
+            load_sick_tsv(io.StringIO(text))
+
+    @pytest.mark.parametrize("rest", ["", "\n", "\n\n\r\n"])
+    def test_header_without_rows(self, rest):
+        with pytest.raises(ParseError, match="^no rows in pair file$"):
+            load_sick_tsv(io.StringIO(SICK_HEADER + rest))
+
     def test_non_numeric_score(self):
         text = SICK_HEADER + "\n1\ta\tb\thigh\tNEUTRAL\n"
         with pytest.raises(ParseError):
