@@ -2,7 +2,7 @@
 
 Three strategies: plain mean, frequency-weighted mean with common-component
 removal (SIF), and mean concatenated with componentwise max. ``embed_corpus``
-runs all three on one path: a (V, d) vocabulary matrix, normalised and
+runs all three on one path: a (V, d) vocabulary matrix, unit-normalised and
 SIF-weighted per row once, whose rows are pooled for all sentences of one
 in-vocabulary length at a time, in blocks of about 1 MB. The per-sentence
 functions (``mean_pool``, ``mean_max_concat``, ``sif_weighted_mean``) are the
@@ -18,7 +18,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .lexicon import FrequencyTable, VectorTable, unigram_probability
+from .lexicon import FrequencyTable, VectorTable, unigram_probability, unit_rows
 
 DEFAULT_SIF_A = 1e-3
 BLOCK_FLOATS = 2**17  # float64 values per pooled block (1 MB)
@@ -147,42 +147,39 @@ def embed_corpus(
 ) -> np.ndarray:
     """One sentence vector per token sequence, stacked as rows.
 
-    A copy of the table's (V, d) matrix has its rows normalised once (and,
-    for SIF, scaled by their word weights); each sentence pools the rows of
-    its in-vocabulary tokens. Sentences with the same number L of such tokens
-    are pooled together, as (k, L, d) blocks of at most ``BLOCK_FLOATS``
-    values (one sentence if L * d alone exceeds it). A reduction over axis 1
-    of a block adds each sentence's rows in the order ``mean_pool`` and
-    ``max_pool`` do, so every row is bitwise equal to theirs; a sentence with
-    no in-vocabulary token is a zero row, and ``fit_rows`` (every row when it
-    is None) with no such token at all are a ConfigError, as a probe or a SIF
-    fit on them would see only zero rows. A used word whose vector is all
-    zeros cannot be normalised: that is a ParseError naming the first such
-    word in corpus order. For SIF the common component is fitted on
-    ``fit_rows`` only (typically the training split) and removed from every
-    row, so held-out rows never influence the fit.
+    Each sentence pools the rows of its in-vocabulary tokens in the table's
+    (V, d) matrix. With ``normalize_tokens`` they are the rows of a copy
+    normalised once by `unit_rows`; without it they are the table's own rows,
+    which are not copied, so a table loaded by ``load_word_vectors(stream,
+    unit=True)`` is pooled unit-normalised in place. For SIF the rows pooled
+    are those rows scaled by their word weights. Sentences with the same
+    number L of such tokens are pooled together, as (k, L, d) blocks of at
+    most ``BLOCK_FLOATS`` values (one sentence if L * d alone exceeds it). A
+    reduction over axis 1 of a block adds each sentence's rows in the order
+    ``mean_pool`` and ``max_pool`` do, so every row is bitwise equal to
+    theirs; a sentence with no in-vocabulary token is a zero row, and
+    ``fit_rows`` (every row when it is None) with no such token at all are a
+    ConfigError, as a probe or a SIF fit on them would see only zero rows. A
+    used word whose row is not finite, an all-zero vector that was
+    normalised, is a ParseError naming the first such word in corpus order;
+    other non-finite output, sums of huge unnormalised rows, is a
+    ValueError. For SIF the common component is fitted on ``fit_rows`` only
+    (typically the training split) and removed from every row, so held-out
+    rows never influence the fit.
     """
     if not isinstance(strat, (Mean, Sif, MeanMaxConcat)):
         raise TypeError(f"unknown strategy {strat!r}")
     if isinstance(strat, Sif) and (fit_rows is None or len(fit_rows) == 0):
         raise ValueError("SIF aggregation needs non-empty fit_rows")
     d, row = table.dim, table.row
-    # Allocate the result before the per-call copy, so freeing the copy leaves
-    # free memory above the result rather than a hole below it that the
-    # allocator keeps resident (about 10 MB of peak RSS at 5k x 300).
+    # Allocate the result before the normalised copy, so freeing the copy
+    # leaves free memory above the result rather than a hole below it that
+    # the allocator keeps resident (about 10 MB of peak RSS at 5k x 300).
     out = np.zeros((len(sentences), output_dim(strat, d)))
-    E = table.vectors.copy()
-    if normalize_tokens:
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms = np.linalg.norm(E, axis=1, keepdims=True)
-            extreme = (norms[:, 0] < 1e-150) | (norms[:, 0] == np.inf)
-            if extreme.any():  # squares under- or overflow: scale by an exact power of two first
-                peak = np.abs(E[extreme]).max(axis=1, keepdims=True)
-                E[extreme] = np.ldexp(E[extreme], -np.frexp(peak)[1])
-                norms[extreme] = np.linalg.norm(E[extreme], axis=1, keepdims=True)
-            E /= norms  # a zero row becomes NaN
+    E = unit_rows(table.vectors.copy()) if normalize_tokens else table.vectors
     if isinstance(strat, Sif):
-        E *= np.array([[sif_weight(strat.a, unigram_probability(strat.freq, w))] for w in row])
+        weights = np.array([[sif_weight(strat.a, unigram_probability(strat.freq, w))] for w in row])
+        E = np.multiply(E, weights, out=E if normalize_tokens else None)  # never the table
     counts = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
     ids = np.fromiter(map(row.get, chain.from_iterable(sentences), repeat(-1)), dtype=np.intp)
     known = ids >= 0  # -1 marks an out-of-vocabulary token
@@ -202,10 +199,10 @@ def embed_corpus(
                 out[part, d:] = block.max(axis=1)
             del block  # before the next gather: one block alive at a time
     if not np.all(np.isfinite(out)):
-        if not normalize_tokens:  # sums of huge rows; normalised rows pool below 1
-            raise ValueError("pooled sentence vectors overflow float64")
-        zero = ids[~table.vectors.any(axis=1)[ids]]  # a normalised zero row is NaN
-        raise ParseError(f"cannot normalize the zero vector of word {table.keys[zero[0]]!r}")
+        used = ids[~np.isfinite(E).all(axis=1)[ids]]  # a normalised zero row is NaN
+        if used.size:
+            raise ParseError(f"cannot normalize the zero vector of word {table.keys[used[0]]!r}")
+        raise ValueError("pooled sentence vectors overflow float64")  # sums of huge rows
     if isinstance(strat, Sif):
         c = fit_common_component(out[fit])
         out -= np.outer(out @ c, c)

@@ -78,6 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> runner.RunConfig:
+    if args.command == "embed":  # before any task loads, so no vector is computed for nowhere
+        if os.path.isdir(args.out):
+            raise ConfigError(f"--out: is a directory: {args.out}")
+        if not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ConfigError(f"--out: no such directory: {os.path.dirname(args.out)}")
     cfg = runner.load_config(args.config)
     if getattr(args, "out", None):
         cfg = replace(cfg, output_dir=args.out)

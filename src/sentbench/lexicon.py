@@ -17,6 +17,7 @@ those ``float()`` gives per token.
 from __future__ import annotations
 
 import itertools
+import sys
 import unicodedata
 from array import array
 from dataclasses import dataclass, field
@@ -37,9 +38,10 @@ class VectorTable:
     read-only (n, d) float64 matrix, and ``row`` maps each key to its row.
 
     The vector loaders check that every component is finite and name the
-    line of the first that is not. A table built in code must hold finite
-    vectors itself; the constructor checks only the shape and that keys are
-    unique."""
+    line of the first that is not; word vectors loaded unit-normalised hold
+    NaN only in the row of an all-zero vector. A table built in code must
+    hold finite vectors itself; the constructor checks only the shape and
+    that keys are unique."""
 
     keys: tuple[str, ...]
     vectors: np.ndarray
@@ -114,6 +116,7 @@ def _vector_table(
     sep: str,
     kind: str,
     count: int | None = None,
+    unit: bool = False,
 ) -> VectorTable:
     """The ``kind`` ("word" or "sentence") vectors of a stream's lines, read
     ``_BLOCK`` non-blank ``strip``ped lines at a time.
@@ -126,7 +129,9 @@ def _vector_table(
     line needs its separator; a word line without one has no components. A
     duplicate word is dropped and counted; a duplicate sentence id is an
     error. ``count`` is the number of lines a header announced. A non-finite
-    component is an error naming its line."""
+    component is an error naming its line. With ``unit`` the rows are
+    divided by their norms in place, by `unit_rows`, before the table is
+    frozen."""
     keys: list[str] = []
     seen: set[str] = set()
     flat, lines, duplicates = array("d"), [], 0
@@ -178,7 +183,24 @@ def _vector_table(
     finite = np.isfinite(vectors).all(axis=1)
     if not finite.all():
         raise ParseError("non-finite vector component", lines[int(finite.argmin())])
-    return VectorTable(keys, vectors, duplicates)
+    return VectorTable(keys, unit_rows(vectors) if unit else vectors, duplicates)
+
+
+def unit_rows(E: np.ndarray) -> np.ndarray:
+    """Divide each row of the writable float64 matrix ``E`` by its Euclidean
+    norm, in place, and return ``E``. A row whose squares under- or overflow
+    is first scaled by an exact power of two, so it normalises like any
+    other; an all-zero row becomes NaN, which `aggregate.embed_corpus`
+    reports when a sentence uses it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(E, axis=1, keepdims=True)
+        extreme = (norms[:, 0] < 1e-150) | (norms[:, 0] == np.inf)
+        if extreme.any():  # squares under- or overflow: scale by an exact power of two first
+            peak = np.abs(E[extreme]).max(axis=1, keepdims=True)
+            E[extreme] = np.ldexp(E[extreme], -np.frexp(peak)[1])
+            norms[extreme] = np.linalg.norm(E[extreme], axis=1, keepdims=True)
+        E /= norms
+    return E
 
 
 def _is_int(tok: str) -> bool:
@@ -189,9 +211,12 @@ def _is_int(tok: str) -> bool:
         return False
 
 
-def load_word_vectors(stream: IO[str]) -> VectorTable:
+def load_word_vectors(stream: IO[str], unit: bool = False) -> VectorTable:
     """Parse word2vec-style text vectors. Fields are separated by one or more
-    spaces; trailing whitespace is ignored.
+    spaces; trailing whitespace is ignored. With ``unit`` every row is
+    divided by its norm (`unit_rows`) as the table is built, so the run holds
+    one unit-normalised copy of the file's vectors; an all-zero row becomes
+    NaN.
 
     A first line consisting of exactly two integer tokens is treated as a
     ``count dim`` header, and the file must then hold ``count`` vector lines
@@ -211,7 +236,7 @@ def load_word_vectors(stream: IO[str]) -> VectorTable:
         count, dim, first = int(parts[0]), header_dim, ""  # a blank line 1 keeps the numbering
     lines = itertools.chain([first], rest)
     # leading spaces go before the partition, as `_fields` drops them
-    return _vector_table(lines, lambda raw: raw.rstrip().lstrip(" "), dim, " ", "word", count)
+    return _vector_table(lines, lambda raw: raw.rstrip().lstrip(" "), dim, " ", "word", count, unit)
 
 
 def load_frequency_table(stream: IO[str]) -> FrequencyTable:
@@ -285,6 +310,7 @@ def tokenize(text: str) -> list[str]:
     """Whitespace tokenizer: NFC-normalize, lowercase, split on Unicode
     whitespace, drop punctuation-only tokens. An ``isalnum`` token is kept
     without a category lookup: no alphanumeric character is in a P or S
-    category."""
+    category. Tokens are interned, so a corpus holds one string per word
+    type."""
     text = unicodedata.normalize("NFC", text).lower()
-    return [tok for tok in text.split() if tok.isalnum() or not _is_punct_only(tok)]
+    return [sys.intern(tok) for tok in text.split() if tok.isalnum() or not _is_punct_only(tok)]

@@ -62,7 +62,8 @@ def pair_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError("dimension mismatch")
-    return np.concatenate([np.abs(u - v), u * v], axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # the probe names non-finite features
+        return np.concatenate([np.abs(u - v), u * v], axis=-1)
 
 
 def score_to_distribution(y: float, K: int) -> np.ndarray:

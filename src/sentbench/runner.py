@@ -265,8 +265,10 @@ class Inputs:
     `_method_tables`, in the first cell that needs them, or before the fork
     when ``run_matrix`` forks workers, so that they share them. A file that
     fails to parse keeps its error, and every read of it raises that error.
-    Word vectors are kept for one dim: ``run_matrix`` calls ``next_dim``
-    first, so a sweep holds one dim's table at a time."""
+    A word-vector file that some methods read unit-normalised and others raw
+    is parsed once under each key. Word vectors are kept for one dim:
+    ``run_matrix`` calls ``next_dim`` first, so a sweep holds one dim's table
+    at a time."""
 
     def __init__(self):
         self._parsed = {}
@@ -296,23 +298,24 @@ def _lexicon_path(method: MethodSpec, dim: int | None) -> str | None:
 
 
 def _method_inputs(m: MethodSpec, dims: Sequence[int | None]) -> list[tuple]:
-    """(field, path, loader) of each input file method ``m`` reads at
-    ``dims``, keyed by the field of ``m`` that names the file: its
-    ``lexicon`` word vectors at each dim, then its ``sentence_vectors`` and
-    word ``frequencies``. The one list of a method's files: `validate_config`
+    """(field, path, loader, *loader arguments) of each input file method
+    ``m`` reads at ``dims``, keyed by the field of ``m`` that names the file:
+    its ``lexicon`` word vectors at each dim, unit-normalised as they are
+    parsed when ``m.normalize``, then its ``sentence_vectors`` and word
+    ``frequencies``. The one list of a method's files: `validate_config`
     checks it, and `_method_tables` is its one reader. Loaders are looked up
     on each call, so a replaced module global is the one that parses."""
-    files = [("lexicon", _lexicon_path(m, d), load_word_vectors) for d in dims] + [
+    files = [("lexicon", _lexicon_path(m, d), load_word_vectors, m.normalize) for d in dims] + [
         ("sentence_vectors", m.sentence_vectors, load_sentence_vector_table),
         ("frequencies", m.frequencies, load_frequency_table)]
-    return [(field, path, loader) for field, path, loader in files if path is not None]
+    return [(field, *read) for field, *read in files if read[0] is not None]
 
 
 def _method_tables(m: MethodSpec, dim: int | None, inputs: Inputs) -> dict:
     """The parsed files of `_method_inputs` for method ``m`` at ``dim``, by
     field, read through ``inputs``: the only code that parses a method's
     files."""
-    return {field: inputs.read(path, loader) for field, path, loader in _method_inputs(m, [dim])}
+    return {field: inputs.read(*read) for field, *read in _method_inputs(m, [dim])}
 
 
 def _strategy_for(method: MethodSpec, task, tables: dict) -> aggregate.AggregationStrategy:
@@ -356,9 +359,10 @@ def sentence_matrix(
     else:
         lex = synthetic_table if method.lexicon == "synthetic" else tables["lexicon"]
     strat = _strategy_for(method, task, tables)
+    normalize = method.normalize and "lexicon" not in tables  # a file is normalised as parsed
     try:
         return aggregate.embed_corpus(task.sentences, lex, strat, task.rows(task.splits["train"]),
-                                      normalize_tokens=method.normalize)
+                                      normalize_tokens=normalize)
     except ParseError as exc:  # a used word has the zero vector
         raise ParseError(f"{_lexicon_path(method, dim)}: {exc}") from exc
     except ConfigError as exc:  # no token of the train split is in the lexicon
@@ -620,7 +624,7 @@ def validate_config(cfg: RunConfig, dims: Sequence[int] | None = None) -> list[s
     # path -> a reader to name, so each missing file is reported once
     reads = {t.path: f"task {t.name!r}: file not found" for t in cfg.tasks}
     for m in cfg.methods:
-        for field, path, _ in _method_inputs(m, [None] if dims is None else dims):
+        for field, path, *_ in _method_inputs(m, [None] if dims is None else dims):
             what = "lexicon file" if field == "lexicon" else "file"
             reads.setdefault(path, f"method {m.name!r}: {what} not found")
     return problems + [

@@ -431,3 +431,15 @@ class TestEmbedCorpusBitwise:
             tracemalloc.stop()
         largest_block = max(BLOCK_FLOATS, long_len * d) * 8
         assert peak - out.nbytes - table.vectors.nbytes < largest_block + 2**19
+        # Pooled without normalising, the table is not copied at all: 1000
+        # unused words make it larger than the bound.
+        unused = tuple(f"u{i}" for i in range(1000))
+        table = VectorTable(table.keys + unused,
+                            np.vstack([table.vectors, rng.standard_normal((len(unused), d))]))
+        tracemalloc.start()
+        try:
+            out = embed_corpus(sents, table, strat, normalize_tokens=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < largest_block + 2**19 < table.vectors.nbytes

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 import weakref
 import zlib
 from dataclasses import fields, replace
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sentbench import cli, runner, tasks
+from sentbench import aggregate, cli, lexicon, runner, tasks
 from sentbench import errors
 from sentbench.aggregate import DEFAULT_SIF_A
 from sentbench.errors import ConfigError, ParseError, ProbeDivergedError
@@ -777,6 +778,46 @@ class TestRunMatrix:
         matrix = run_matrix(cfg, workers=workers)
         assert len(matrix.cells) == 4
         assert calls == [str(lex)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_normalising_file_lexicon_normalised_once_per_run(self, tmp_path, monkeypatch, workers):
+        """The file is parsed once per ``normalize`` value, and the
+        normalising parse is the run's only `unit_rows` call: no cell, in this
+        process or a worker, normalises the table again."""
+        lex = tmp_path / "vectors.txt"
+        cfg = base_config(
+            tasks=[
+                {"name": "cls", "kind": "classification", "synthetic": dict(SYN_CLS)},
+                {"name": "rel", "kind": "relatedness", "synthetic": dict(SYN_REL)},
+            ],
+            methods=[
+                {"name": "file-mean", "lexicon": str(lex)},
+                {"name": "file-sif", "strategy": "sif", "lexicon": str(lex)},
+                {"name": "file-raw", "strategy": "mean_max", "lexicon": str(lex),
+                 "normalize": False},
+            ],
+        )
+        with open(lex, "w", encoding="utf-8") as fh:
+            for spec in cfg.tasks:
+                serialize_word_vectors(load_task(spec, cfg)[1], fh, header=False)
+        parses, normalised, pid, unit_rows = [], [], os.getpid(), lexicon.unit_rows
+
+        def counting_load(stream, *args):
+            parses.append(args)
+            return load_word_vectors(stream, *args)
+
+        def counting_unit_rows(E):
+            assert os.getpid() == pid, "normalised in a worker process"
+            normalised.append(E.shape)
+            return unit_rows(E)
+
+        monkeypatch.setattr(runner, "load_word_vectors", counting_load)
+        for module in (lexicon, aggregate):
+            monkeypatch.setattr(module, "unit_rows", counting_unit_rows)
+        matrix = run_matrix(cfg, workers=workers)
+        assert len(matrix.cells) == 6
+        assert sorted(parses) == [(False,), (True,)]
+        assert len(normalised) == 1
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_shared_frequency_and_sentence_vector_files_parsed_once(
@@ -1697,6 +1738,44 @@ class TestCli:
         assert (rc, capsys.readouterr().err) == (
             2, "runtime error: cell (method='pre', task='p') failed: non-finite features\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["entailment", "relatedness"])
+    def test_overflowing_pair_features_print_one_line(self, tmp_path, capsys, kind):
+        """The ``u * v`` overflow of the TEST rows raises no NumPy warning, so
+        the one error line is all that stderr holds."""
+        pairs = tmp_path / "pairs.tsv"
+        rows = [f"{PAIR_HEADER}\tSemEval_set"]
+        vectors = []
+        for i in range(40):
+            split = "TRAIN" if i < 30 else "TRIAL" if i < 35 else "TEST"
+            rows.append(f"{i}\ta b\tb c\t{1 + i % 5}\t{tasks.ENTAILMENT_LABELS[i % 3]}\t{split}")
+            value = "1e200" if split == "TEST" else f"{i % 7}"
+            vectors += [f"{i}_A\t{value} 1\n", f"{i}_B\t{value} 0\n"]
+        pairs.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        (tmp_path / "s.tsv").write_text("".join(vectors), encoding="utf-8")
+        doc = {"tasks": [{"name": "p", "kind": kind, "path": str(pairs)}],
+               "methods": [{"name": "pre", "sentence_vectors": str(tmp_path / "s.tsv")}]}
+        (tmp_path / "cfg.json").write_text(json.dumps(doc), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["eval", "--config", str(tmp_path / "cfg.json"),
+                           "--out", str(tmp_path / "out")])
+        assert (rc, capsys.readouterr().err) == (
+            2, "runtime error: cell (method='pre', task='p') failed: non-finite features\n")
+
+    @pytest.mark.parametrize("out", ["nodir/x.tsv", "dir"])
+    def test_embed_out_checked_before_any_task_loads(self, tmp_path, capsys, monkeypatch, out):
+        (tmp_path / "dir").mkdir()
+        monkeypatch.setattr(runner, "load_task", no_cell)
+        path = tmp_path / out
+        fault = {"dir": f"is a directory: {path}",
+                 "nodir/x.tsv": f"no such directory: {tmp_path / 'nodir'}"}[out]
+        embed = ["--task", "file-cls", "--method", "m", "--out", str(path)]
+        rc, err = self.run_file_task(tmp_path, capsys, "embed", {"lexicon": "random", "dim": 4},
+                                     args=embed)
+        assert (rc, err) == (1, f"error: --out: {fault}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "cls.tsv", "dir"]
+        assert not any((tmp_path / "dir").iterdir())
 
     @staticmethod
     def diverge(*args, **kwargs):

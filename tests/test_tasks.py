@@ -25,6 +25,12 @@ class TestClassificationLoader:
         assert task.sentences == (("dobry", "hotel"), ("slaby", "hotel"))
         assert task.labels == ("pos", "neg")
 
+    def test_equal_tokens_are_one_object(self):
+        task = load_classification_tsv(io.StringIO("pos\tdobry Hotel\nneg\tslaby hotel"))
+        assert task.sentences[0][1] is task.sentences[1][1]
+        sick = load_sick_tsv(io.StringIO(f"{SICK_HEADER}\n1\tdobry hotel\tslaby HOTEL\t3\tNEUTRAL"))
+        assert sick.sentences[0][1] is sick.sentences[1][1]
+
     def test_labels_in_first_appearance_order(self):
         task = load_classification_tsv(io.StringIO("b\tx\na\ty\nb\tz"))
         assert task.label_set == ("b", "a")
