@@ -4,15 +4,16 @@ Verbs:
   eval      run the method x task evaluation matrix from a config
   sweep     run the matrix once per vector dimensionality and plot the trend
   embed     export sentence vectors for one task/method pair as TSV
-  validate  check a config as `eval` runs it, without running a cell: schema,
-            combinations and input files (a `{dim}` lexicon template fails),
-            then build the cells through `runner.plan`, as `eval` does, which
-            loads every task: it generates the synthetic ones and parses and
-            splits the task files; no vector or frequency file is read
+  validate  check a config as `eval` runs it, without running a cell: build
+            its cells through `runner.plan`, as `eval` does, which makes the
+            combination and input-file checks (a `{dim}` lexicon template
+            fails) and then loads every task: it generates the synthetic ones
+            and parses and splits the task files; no vector or frequency file
+            is read
 
-Every verb makes the schema, combination and input-file checks before it
-loads a task; `sweep` makes them for each of its dims. Every verb then takes
-its cells from `runner.plan`.
+Every verb checks the config's schema as it loads it, and takes its cells
+from `runner.plan`, which makes the combination and input-file checks before
+it loads a task; `sweep` makes them for all of its dims before the first.
 
 On Linux, importing this module sets OPENBLAS_NUM_THREADS=1 before the
 package imports NumPy, so OpenBLAS loads with one thread and forked workers
@@ -79,6 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> runner.RunConfig:
     if args.command == "embed":  # before any task loads, so no vector is computed for nowhere
+        if not args.out:
+            raise ConfigError("--out: the path is empty")
         if os.path.isdir(args.out):
             raise ConfigError(f"--out: is a directory: {args.out}")
         if not os.path.isdir(os.path.dirname(args.out) or "."):
@@ -104,8 +107,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load(args)
         if args.command == "validate":
-            runner.check_config(cfg)
-            runner.plan(cfg, None, runner.Inputs())  # generators, task-file parse and split rules
+            runner.plan(cfg, None, runner.Inputs())  # every check a run makes before its first cell
             print("config ok")
             return 0
         if args.command == "eval":

@@ -412,12 +412,10 @@ def plan(cfg: RunConfig, dim: int | None, inputs: Inputs) -> list[tuple]:
     """The cells of ``cfg`` at ``dim``: one (method, task spec, task,
     synthetic table or None) record per cell, in method-major order, every
     task loaded once through ``inputs``. The one place a run's cells are
-    built, and the only caller of `load_task`. Before any task loads, the
-    config's `_combination_problems` at ``dim`` are raised as one
-    ConfigError, one problem per line."""
-    problems = _combination_problems(cfg, swept=dim is not None)
-    if problems:
-        raise ConfigError("\n".join(problems))
+    built, and the only caller of `load_task`, so the one gate before a
+    run's first cell: before any task loads, `check_config` raises every
+    problem `validate_config` finds at ``dim``."""
+    check_config(cfg, None if dim is None else [dim])
     loaded = [(spec, *load_task(spec, cfg, dim, inputs)) for spec in cfg.tasks]
     return [(method, *cell) for method in cfg.methods for cell in loaded]
 
@@ -429,8 +427,10 @@ def run_matrix(
     loop, `_forked`, runs them at every worker count: in ``workers``
     processes on Linux, and in this process alone at one worker, for a
     single cell or off Linux. Results do not depend on the worker count.
-    The cells come from `plan`, and tasks and input files from ``inputs``,
-    the run's parse cache (a fresh one by default). A method's files are
+    The cells come from `plan`, which first checks the run at ``dim``, so a
+    missing input file is a ConfigError before any task loads; tasks and
+    input files come from ``inputs``, the run's parse cache (a fresh one by
+    default). A method's files are
     parsed by the first cell that needs them, or before the fork when there
     is one, so that no worker parses. Any cell failure aborts the whole run
     with an error naming the cell, the one of the lowest index in
@@ -595,7 +595,6 @@ def export_sentence_vectors(
     if method is None:
         raise ConfigError(f"no method named {method_name!r}")
     cfg = replace(cfg, tasks=(spec,), methods=(method,))
-    check_config(cfg)
     ((_, _, task, table),) = plan(cfg, None, Inputs())
     S = sentence_matrix(task, method, cfg, table)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -604,10 +603,13 @@ def export_sentence_vectors(
 
 
 def validate_config(cfg: RunConfig, dims: Sequence[int] | None = None) -> list[str]:
-    """The `validate` verb, and the check every verb makes before it loads a
-    task: the problems of a run at each of ``dims``, or at no dim for `eval`
-    and `embed`. Each problem and each missing file is reported once. An
-    empty list means the run can start."""
+    """Every rule a run can break before its first cell, at each of ``dims``,
+    or at no dim for `eval` and `embed`: the sweep's dims, the rules on which
+    inputs a cell may combine (the ``"synthetic"`` lexicon needs synthetic
+    tasks, and a lexicon template needs a sweep dim), and its input files.
+    `plan` raises them at its dim before any task loads, and `run_and_write`
+    at all of a sweep's dims first. Each problem and each missing file is
+    reported once. An empty list means the run can start."""
     problems = []
     if dims is not None:
         if not dims:
@@ -620,7 +622,13 @@ def validate_config(cfg: RunConfig, dims: Sequence[int] | None = None) -> list[s
                     f"method {m.name!r}: sweep needs a parametric lexicon "
                     "(random, synthetic, or a path template with {dim})"
                 )
-    problems += _combination_problems(cfg, swept=dims is not None)
+    file_tasks = ", ".join(repr(t.name) for t in cfg.tasks if t.path is not None)
+    for m in cfg.methods:
+        if m.lexicon == "synthetic" and file_tasks:
+            problems.append(f"method {m.name!r}: lexicon 'synthetic' only works with synthetic "
+                            f"tasks, not file task(s) {file_tasks}")
+        if dims is None and "{dim}" in (m.lexicon or ""):
+            problems.append(f"method {m.name!r}: lexicon template needs a sweep dim")
     # path -> a reader to name, so each missing file is reported once
     reads = {t.path: f"task {t.name!r}: file not found" for t in cfg.tasks}
     for m in cfg.methods:
@@ -633,24 +641,10 @@ def validate_config(cfg: RunConfig, dims: Sequence[int] | None = None) -> list[s
     ]
 
 
-def _combination_problems(cfg: RunConfig, swept: bool) -> list[str]:
-    """The rules on which inputs a cell may combine, method by method: the
-    ``"synthetic"`` lexicon needs synthetic tasks, and a lexicon template
-    needs a sweep dim. `validate_config` and `plan` both report them."""
-    file_tasks = ", ".join(repr(t.name) for t in cfg.tasks if t.path is not None)
-    problems = []
-    for m in cfg.methods:
-        if m.lexicon == "synthetic" and file_tasks:
-            problems.append(f"method {m.name!r}: lexicon 'synthetic' only works with synthetic "
-                            f"tasks, not file task(s) {file_tasks}")
-        if not swept and "{dim}" in (m.lexicon or ""):
-            problems.append(f"method {m.name!r}: lexicon template needs a sweep dim")
-    return problems
-
-
 def check_config(cfg: RunConfig, dims: Sequence[int] | None = None) -> None:
     """Raise one ConfigError listing every problem `validate_config` finds,
-    one per line."""
+    one per line: the gate that `plan` keeps at its dim, and `run_and_write`
+    at every dim of a sweep before the first."""
     problems = validate_config(cfg, dims)
     if problems:
         raise ConfigError("\n".join(problems))

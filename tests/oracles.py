@@ -8,13 +8,18 @@ and errors.
 from __future__ import annotations
 
 import unicodedata
+import zlib
 from array import array
+from collections import Counter
 from typing import IO, Sequence
 
 import numpy as np
 
+from sentbench import aggregate, tasks
 from sentbench.errors import ParseError
-from sentbench.lexicon import VectorTable, _fields, _is_int
+from sentbench.lexicon import (
+    FrequencyTable, VectorTable, _fields, _is_int, load_frequency_table, random_table)
+from sentbench.metrics import accuracy, pearson
 from sentbench.probe import Probe, ProbeConfig, loss_gradients
 from sentbench.tasks import ENTAILMENT_LABELS, Task, split
 
@@ -245,3 +250,86 @@ def synthetic_relatedness(
         ENTAILMENT_LABELS, pair_ids=tuple(f"p{i:04d}" for i in range(pairs)), scores=tuple(scores),
     )
     return split(task, seed=seed), VectorTable(vocab, vectors)
+
+
+def cell_seed(base: int, *labels: str) -> int:
+    """The seed of a cell's draws: the run seed and the labels, joined by
+    ``|`` once each ``\\`` and ``|`` in them is escaped."""
+    text = "|".join(label.replace("\\", "\\\\").replace("|", "\\|") for label in labels)
+    return (base * 1_000_003 + zlib.crc32(text.encode("utf-8"))) % 2**31
+
+
+def cell_matrix(cfg, method, spec) -> tuple[Task, np.ndarray]:
+    """The task of a lexicon method's cell, as README defines it, and its
+    sentence matrix, pooled one sentence at a time."""
+    if spec.synthetic is not None:
+        gen = synthetic_classification if spec.kind == "classification" else synthetic_relatedness
+        task, table = gen(**{"seed": cfg.seed, **spec.synthetic})
+    else:
+        with open(spec.path, encoding="utf-8") as fh:
+            task = (tasks.load_sick_tsv(fh) if spec.kind != "classification" else
+                    tasks.load_classification_tsv(fh, spec.label_set))
+        if sum(map(len, task.splits.values())) < len(task.labels):
+            task = split(task, cfg.split_ratios, seed=cell_seed(cfg.seed, spec.name))
+    corpus_train = task.rows(task.splits["train"])
+    if method.lexicon == "random":
+        table = random_table(task.vocabulary(), method.dim,
+                             cell_seed(cfg.seed, "random-lexicon", method.name))
+    elif method.lexicon != "synthetic":
+        with open(method.lexicon, encoding="utf-8") as fh:
+            table = load_word_vectors_by_line(fh)
+    if method.strategy == "sif" and method.frequencies is not None:
+        with open(method.frequencies, encoding="utf-8") as fh:
+            freq = load_frequency_table(fh)
+    else:  # the tokens of the train split, out-of-vocabulary ones included
+        counts = Counter(tok for r in corpus_train for tok in task.sentences[r])
+        freq = FrequencyTable(counts, sum(counts.values()))
+    rows = []
+    for tokens in task.sentences:
+        known = [tok for tok in tokens if tok in table.row]
+        vs = sentence_token_vectors(table, tokens, method.normalize)
+        if method.strategy == "sif":
+            pooled = aggregate.sif_weighted_mean(known, vs, aggregate.Sif(freq, method.sif_a)) \
+                if vs else np.zeros(table.dim)
+        elif method.strategy == "mean":
+            pooled = aggregate.mean_pool(vs, table.dim)
+        else:
+            pooled = aggregate.mean_max_concat(vs, table.dim)
+        rows.append(pooled)
+    S = np.array(rows)
+    if method.strategy == "sif":
+        c = aggregate.fit_common_component(S[corpus_train])
+        S = np.array([aggregate.remove_common_component(v, c) for v in S])
+    return task, S
+
+
+def run_cell(cfg, method, spec) -> float:
+    """The value of the cell of `cell_matrix`: its probe trained on the pair
+    features of the train items, one pair at a time, by `train_probe`, and
+    scored on the test items."""
+    task, S = cell_matrix(cfg, method, spec)
+    train, test = np.array(task.splits["train"]), task.splits["test"]
+    n = len(task.labels)
+    X = S if task.pair_ids is None else np.array(
+        [np.concatenate([np.abs(S[i] - S[n + i]), S[i] * S[n + i]]) for i in range(n)])
+    if spec.kind == "relatedness":  # 5 bins, each score's mass on the two around it
+        gold = np.array(task.scores)
+        targets = np.zeros((len(train), 5))
+        for t, y in zip(targets, gold[train]):
+            lo = int(np.floor(y))
+            if lo == 5:
+                t[4] = 1.0
+            else:
+                t[lo - 1], t[lo] = lo - y + 1.0, y - lo
+    else:  # one-hot, in `label_set` order
+        gold = np.array([task.label_set.index(lab) for lab in task.labels])
+        targets = np.eye(len(task.label_set))[gold[train]]
+    out_kind = "distribution" if spec.kind == "relatedness" else "classifier"
+    probe = train_probe(X, train, targets, out_kind, cfg.probe,
+                        cell_seed(cfg.seed, method.name, spec.name))
+    z = np.tanh(X[test] @ probe.W1 + probe.b1) @ probe.W2 + probe.b2
+    z = np.exp(z - z.max(axis=1, keepdims=True))
+    probs = z / z.sum(axis=1, keepdims=True)
+    if spec.kind == "relatedness":  # the expected bin
+        return pearson([float(np.arange(1, 6) @ p) for p in probs], gold[test])
+    return accuracy([int(np.argmax(p)) for p in probs], gold[test].tolist())

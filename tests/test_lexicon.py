@@ -2,6 +2,7 @@ import io
 import os
 import sys
 import tempfile
+import tracemalloc
 import unicodedata
 import warnings
 
@@ -243,6 +244,25 @@ class TestNormalize:
         once = normalize(v)
         assert np.linalg.norm(once) == pytest.approx(1.0, abs=1e-9)
         assert np.allclose(normalize(once), once, atol=1e-12)
+
+
+class TestUnitRows:
+    def test_norms_over_row_blocks_hold_no_second_table(self):
+        """`unit_rows` never holds a (V, d) array of squares, and its rows
+        have the bits of whole-array norms, rows scaled by e^±5 included."""
+        rng = np.random.default_rng(3)
+        E = rng.standard_normal((20_000, 64)) * np.exp(rng.uniform(-5, 5, (20_000, 1)))
+        want = E / np.linalg.norm(E, axis=1, keepdims=True)
+        lexicon.unit_rows(E[:2].copy())  # warm-up outside the traced call
+        tracemalloc.start()
+        try:
+            out = lexicon.unit_rows(E)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out is E
+        assert peak < E.nbytes // 4
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
 
 class TestSentenceTokenVectors:

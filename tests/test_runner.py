@@ -20,13 +20,14 @@ from hypothesis import given, settings, strategies as st
 from sentbench import aggregate, cli, lexicon, runner, tasks
 from sentbench import errors
 from sentbench.aggregate import DEFAULT_SIF_A
-from sentbench.errors import ConfigError, ParseError, ProbeDivergedError
+from sentbench.errors import ConfigError, DegenerateInputError, ParseError, ProbeDivergedError
 from sentbench.lexicon import (
     load_frequency_table,
     load_sentence_vector_table,
     load_word_vectors,
 )
 from sentbench.metrics import EvalResult, majority_baseline
+import oracles
 from oracles import components, serialize_word_vectors
 from sentbench.runner import (
     MethodSpec,
@@ -99,6 +100,25 @@ def file_runs(draw):
            "methods": [{"name": name, **methods[name]} for name in names],
            "probe": {"hidden_units": 8, "epochs": 2, "batch_size": 16}}
     return files, doc
+
+
+@st.composite
+def synthetic_runs(draw):
+    """A run of one synthetic task of any kind and 1–3 lexicon methods that
+    read the task's generated lexicon or a random one, as a config."""
+    kind = draw(st.sampled_from(runner.TASK_KINDS))
+    size = {"items": 60} if kind == "classification" else {"pairs": 60}
+    synthetic = {**size, "dim": draw(st.integers(2, 6)), "seed": draw(st.integers(0, 99))}
+    methods = draw(st.lists(st.tuples(
+        st.sampled_from(runner.STRATEGY_NAMES), st.sampled_from(["synthetic", "random"]),
+        st.booleans()), min_size=1, max_size=3))
+    return base_config(
+        seed=draw(st.integers(0, 99)),
+        tasks=[{"name": "t", "kind": kind, "synthetic": synthetic}],
+        methods=[{"name": f"m{i}", "strategy": strategy, "lexicon": lexicon, "normalize": normalize,
+                  **({"dim": 5} if lexicon == "random" else {})}
+                 for i, (strategy, lexicon, normalize) in enumerate(methods)],
+        probe={"hidden_units": 8, "epochs": 2, "batch_size": 16})
 
 
 def write_run(root, files, doc, newline="\n", bom=False) -> RunConfig:
@@ -486,6 +506,8 @@ class TestPlan:
             assert cells[1][3].dim == (SYN_REL["dim"] if dim is None else dim)
 
     def test_combination_problems_raised_together_before_a_task_loads(self, monkeypatch):
+        """`plan` raises exactly the problems `validate_config` lists at its
+        dim, before any task loads."""
         cfg = base_config(
             tasks=[{"name": "cls", "synthetic": dict(SYN_CLS)}, {"name": "f", "path": "f.tsv"}],
             methods=[{"name": "s", "lexicon": "synthetic"}, {"name": "ok", "lexicon": "v.txt"},
@@ -495,15 +517,16 @@ class TestPlan:
             monkeypatch.setattr(module, name, no_cell)
         synthetic = "method 's': lexicon 'synthetic' only works with synthetic tasks, " \
                     "not file task(s) 'f'"
-        with pytest.raises(ConfigError) as info:
-            runner.plan(cfg, None, runner.Inputs())
-        assert str(info.value).splitlines() == [
-            synthetic, "method 't': lexicon template needs a sweep dim"]
-        with pytest.raises(ConfigError) as info:  # a sweep dim fills the template
-            runner.plan(cfg, 8, runner.Inputs())
-        assert str(info.value) == synthetic
-        assert validate_config(cfg)[:2] == [
-            synthetic, "method 't': lexicon template needs a sweep dim"]
+        template = "method 't': lexicon template needs a sweep dim"
+        for dim, dims in [(None, None), (8, [8])]:  # a sweep dim fills the template
+            with pytest.raises(ConfigError) as info:
+                runner.plan(cfg, dim, runner.Inputs())
+            assert str(info.value).splitlines() == validate_config(cfg, dims)
+        assert validate_config(cfg)[:2] == [synthetic, template]
+        assert validate_config(cfg, [8])[:2] == [
+            "method 'ok': sweep needs a parametric lexicon "
+            "(random, synthetic, or a path template with {dim})", synthetic]
+        assert "task 'f': file not found: f.tsv" in validate_config(cfg, [8])
 
 
 class TestByteOrderMark:
@@ -977,13 +1000,63 @@ class TestRunMatrix:
         assert str(info.value) == f"cell (method='m{method}', task='t{task}') failed: fault {first}"
 
     def test_cell_failure_names_cell(self, tmp_path):
-        missing = str(tmp_path / "nope.txt")
+        malformed = tmp_path / "bad.txt"
+        malformed.write_text("w0_0 1 0\nw0_1 x 1\n", encoding="utf-8")
         cfg = base_config(
-            methods=[{"name": "broken", "lexicon": missing}],
+            methods=[{"name": "broken", "lexicon": str(malformed)}],
         )
         with pytest.raises(ParseError, match="cell \\(method='broken', task='cls'\\) failed") as info:
             run_matrix(cfg)
-        assert f"{missing}: " in str(info.value)
+        assert f"{malformed}: line 2: " in str(info.value)
+
+    @pytest.mark.parametrize("dim", [None, 8])
+    def test_missing_input_file_refused_before_any_task_loads(self, tmp_path, monkeypatch, dim):
+        """A library call of `run_matrix` meets the checks `validate` makes:
+        a missing file is a ConfigError naming it, not a ParseError from the
+        first cell that reads it."""
+        missing = tmp_path / "v{dim}.txt" if dim else tmp_path / "nope.txt"
+        cfg = base_config(methods=[{"name": "m", "lexicon": str(missing)}])
+        monkeypatch.setattr(runner, "load_task", no_cell)
+        with pytest.raises(ConfigError) as info:
+            run_matrix(cfg, dim=dim)
+        path = str(missing).replace("{dim}", str(dim))
+        assert str(info.value) == f"method 'm': lexicon file not found: {path}"
+
+
+class TestCellOracle:
+    """Every cell against `oracles.cell_matrix` and `oracles.run_cell`, which
+    build it from README's definitions, one sentence and one pair at a time,
+    without `runner`."""
+
+    @staticmethod
+    def value(run, *args):
+        try:
+            return run(*args)
+        except DegenerateInputError as exc:  # a probe that predicts one score on a drawn task
+            return repr(exc)
+
+    def check(self, cfg):
+        for cell in runner.plan(cfg, None, runner.Inputs()):
+            method, spec, task, table = cell
+            want_task, S = oracles.cell_matrix(cfg, method, spec)
+            assert task.splits == want_task.splits
+            got = sentence_matrix(task, method, cfg, table)
+            assert got.shape == S.shape
+            assert np.allclose(got, S, rtol=0, atol=1e-12)
+            with mock.patch.object(runner, "sentence_matrix", lambda *args: S):
+                got = self.value(lambda: run_task(cell, cfg).value)
+            assert got == self.value(oracles.run_cell, cfg, method, spec)
+
+    @settings(max_examples=12, deadline=None)
+    @given(run=file_runs())
+    def test_file_runs(self, run):
+        with tempfile.TemporaryDirectory() as root:
+            self.check(write_run(root, *run))
+
+    @settings(max_examples=12, deadline=None)
+    @given(cfg=synthetic_runs())
+    def test_synthetic_runs(self, cfg):
+        self.check(cfg)
 
 
 class TestSifAndSentenceVectors:
@@ -1763,14 +1836,15 @@ class TestCli:
         assert (rc, capsys.readouterr().err) == (
             2, "runtime error: cell (method='pre', task='p') failed: non-finite features\n")
 
-    @pytest.mark.parametrize("out", ["nodir/x.tsv", "dir"])
+    @pytest.mark.parametrize("out", ["nodir/x.tsv", "dir", ""])
     def test_embed_out_checked_before_any_task_loads(self, tmp_path, capsys, monkeypatch, out):
         (tmp_path / "dir").mkdir()
         monkeypatch.setattr(runner, "load_task", no_cell)
-        path = tmp_path / out
+        path = str(tmp_path / out) if out else ""
         fault = {"dir": f"is a directory: {path}",
-                 "nodir/x.tsv": f"no such directory: {tmp_path / 'nodir'}"}[out]
-        embed = ["--task", "file-cls", "--method", "m", "--out", str(path)]
+                 "nodir/x.tsv": f"no such directory: {tmp_path / 'nodir'}",
+                 "": "the path is empty"}[out]
+        embed = ["--task", "file-cls", "--method", "m", "--out", path]
         rc, err = self.run_file_task(tmp_path, capsys, "embed", {"lexicon": "random", "dim": 4},
                                      args=embed)
         assert (rc, err) == (1, f"error: --out: {fault}\n")
