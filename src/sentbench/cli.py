@@ -79,17 +79,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> runner.RunConfig:
-    if args.command == "embed":  # before any task loads, so no vector is computed for nowhere
-        if not args.out:
-            raise ConfigError("--out: the path is empty")
-        if os.path.isdir(args.out):
-            raise ConfigError(f"--out: is a directory: {args.out}")
-        if not os.path.isdir(os.path.dirname(args.out) or "."):
-            raise ConfigError(f"--out: no such directory: {os.path.dirname(args.out)}")
+    # before any task loads, so no result is computed for nowhere; a flag given as "" is a
+    # value, checked like any other, not the flag left out
+    out = getattr(args, "out", None)
+    if out == "":
+        raise ConfigError("--out: the path is empty")
+    if args.command == "embed":
+        if os.path.isdir(out):
+            raise ConfigError(f"--out: is a directory: {out}")
+        if not os.path.isdir(os.path.dirname(out) or "."):
+            raise ConfigError(f"--out: no such directory: {os.path.dirname(out)}")
     cfg = runner.load_config(args.config)
-    if getattr(args, "out", None):
-        cfg = replace(cfg, output_dir=args.out)
-    if getattr(args, "format", None):
+    if out is not None:
+        cfg = replace(cfg, output_dir=out)
+    if getattr(args, "format", None) is not None:
         formats = tuple(args.format.split(","))
         for f in formats:  # checked here, so that the error names the flag, not a config key
             if f not in runner.FORMATS:

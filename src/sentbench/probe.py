@@ -119,19 +119,21 @@ def kl_loss(probe: Probe, X: np.ndarray, targets: np.ndarray) -> float:
     return cross_entropy_loss(probe, X, targets) + _mean_target_log(targets, targets)
 
 
-def loss_gradients(probe: Probe, X: np.ndarray, targets: np.ndarray):
+def loss_gradients(probe: Probe, X: np.ndarray, targets: np.ndarray, out=None):
     """Analytic gradients of the mean cross-entropy (equivalently KL, same
-    gradient) w.r.t. all four parameter arrays."""
+    gradient) w.r.t. all four parameter arrays, written into ``out``, four
+    arrays shaped like W1, b1, W2 and b2, when it is given. The forward
+    pass's fresh arrays become the output error and hidden delta in place."""
     X = np.atleast_2d(X)
-    n = X.shape[0]
-    h, probs = _forward(probe, X)
-    delta_out = (probs - targets) / n
-    gW2 = h.T @ delta_out
-    gb2 = delta_out.sum(axis=0)
-    delta_h = (delta_out @ probe.W2.T) * (1.0 - h * h)
-    gW1 = X.T @ delta_h
-    gb1 = delta_h.sum(axis=0)
-    return gW1, gb1, gW2, gb2
+    h, delta = _forward(probe, X)  # the probabilities, then the output error
+    delta -= targets
+    delta /= len(X)
+    gW1, gb1, gW2, gb2 = (None,) * 4 if out is None else out
+    gW2 = np.matmul(h.T, delta, out=gW2)
+    gb2 = delta.sum(axis=0, out=gb2)
+    dh = delta @ probe.W2.T
+    dh *= np.subtract(1.0, np.square(h, out=h), out=h)
+    return np.matmul(X.T, dh, out=gW1), dh.sum(axis=0, out=gb1), gW2, gb2
 
 
 def _views(flat: np.ndarray, input_dim: int, hidden: int, out: int):
@@ -180,33 +182,17 @@ def _train(
             raise ValueError("non-finite features")
     probe, flat = _init_probe(X.shape[1], cfg.hidden_units, targets.shape[1], out_kind, seed)
     grad = np.empty_like(flat)  # the gradients, laid out like the parameters
-    gW1, gb1, gW2, gb2 = _views(grad, *probe.W1.shape, len(probe.b2))
+    views = _views(grad, *probe.W1.shape, len(probe.b2))
     rng = np.random.default_rng(seed + 1)
     n = len(rows)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_rows, epoch_targets = rows[order], targets[order]
         for start in range(0, n, cfg.batch_size):
-            # loss_gradients, then p -= lr * g on each array: the same operations in the same
-            # order, so the parameters stay bitwise equal; in place on the batch's temporaries
+            # p -= lr * g on each array, made as one step on the flat vector: the same
+            # operations, so the parameters stay bitwise those of the per-array loop
             batch = slice(start, start + cfg.batch_size)
-            xb, t = X[epoch_rows[batch]], epoch_targets[batch]
-            h = xb @ probe.W1
-            h += probe.b1
-            np.tanh(h, out=h)
-            delta = h @ probe.W2  # the logits, then the probabilities, then the output error
-            delta += probe.b2
-            delta -= delta.max(axis=1, keepdims=True)
-            np.exp(delta, out=delta)
-            delta /= delta.sum(axis=1, keepdims=True)
-            delta -= t
-            delta /= len(t)
-            np.matmul(h.T, delta, out=gW2)
-            delta.sum(axis=0, out=gb2)
-            dh = delta @ probe.W2.T
-            dh *= np.subtract(1.0, np.square(h, out=h), out=h)
-            np.matmul(xb.T, dh, out=gW1)
-            dh.sum(axis=0, out=gb1)
+            loss_gradients(probe, X[epoch_rows[batch]], epoch_targets[batch], out=views)
             grad *= cfg.learning_rate
             flat -= grad
         if not np.isfinite(flat).all():

@@ -389,15 +389,14 @@ def run_task(cell: tuple, cfg: RunConfig, dim: int | None = None,
     if spec.kind == "relatedness":
         gold = np.array(task.scores)
         model = probe.train_relatedness(X, gold, RELATEDNESS_BINS, cfg.probe, **fit)
-        probs = probe.predict_proba(model, X[test_idx])
-        preds = [probe.distribution_to_score(p) for p in probs]
-        value = pearson(preds, gold[test_idx])
     else:
-        labels = np.array([task.label_set.index(lab) for lab in task.labels])
-        model = probe.train_classifier(X, labels, len(task.label_set), cfg.probe, **fit)
-        probs = probe.predict_proba(model, X[test_idx])
-        preds = probs.argmax(axis=1)
-        value = accuracy(list(preds), list(labels[test_idx]))
+        gold = np.array([task.label_set.index(lab) for lab in task.labels])
+        model = probe.train_classifier(X, gold, len(task.label_set), cfg.probe, **fit)
+    probs = probe.predict_proba(model, X[test_idx])
+    if spec.kind == "relatedness":
+        value = pearson([probe.distribution_to_score(p) for p in probs], gold[test_idx])
+    else:
+        value = accuracy(list(probs.argmax(axis=1)), list(gold[test_idx]))
     return EvalResult(
         task_name=task.name, method_name=method.name, measure=_measure_for(spec.kind),
         value=value, n=len(test_idx),
@@ -542,12 +541,14 @@ def run_metadata(cfg: RunConfig, dims: Sequence[int] | None = None) -> dict:
 def run_and_write(
     cfg: RunConfig, dims: Sequence[int] | None = None, workers: int = 1
 ) -> list[ResultMatrix]:
-    """Check the run with `check_config`, then run the matrix once per dim,
-    or once with no dim for `eval`, through one parse cache, and write
+    """Check a sweep at all its dims with `check_config` (`plan` checks each
+    run at its own dim), then run the matrix once per dim, or once with no
+    dim for `eval`, through one parse cache, and write
     ``results{suffix}.{csv,json,md}`` (suffix ``-dim<d>``, empty for `eval`),
     a per-task SVG plot of score vs dim when dims are given, and
     ``run-metadata.json``."""
-    check_config(cfg, dims)
+    if dims is not None:  # dim 3's missing file fails before dim 1 runs
+        check_config(cfg, dims)
     runs = [None] if dims is None else list(dims)
     inputs = Inputs()
     matrices = [run_matrix(cfg, workers, d, inputs) for d in runs]

@@ -20,7 +20,7 @@ from sentbench.errors import ParseError
 from sentbench.lexicon import (
     FrequencyTable, VectorTable, _fields, _is_int, load_frequency_table, random_table)
 from sentbench.metrics import accuracy, pearson
-from sentbench.probe import Probe, ProbeConfig, loss_gradients
+from sentbench.probe import Probe, ProbeConfig
 from sentbench.tasks import ENTAILMENT_LABELS, Task, split
 
 
@@ -152,12 +152,28 @@ def load_sentence_vectors_by_line(stream: IO[str]) -> VectorTable:
     return _table(ids, flat, dim, lines)
 
 
+def loss_gradients(probe: Probe, X: np.ndarray, targets: np.ndarray):
+    """The gradients of the mean cross-entropy w.r.t. W1, b1, W2 and b2,
+    each a fresh array: the forward pass, then the backward pass, one
+    expression per quantity."""
+    h = np.tanh(X @ probe.W1 + probe.b1)
+    z = h @ probe.W2 + probe.b2
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    delta_out = (e / e.sum(axis=1, keepdims=True) - targets) / X.shape[0]
+    gW2 = h.T @ delta_out
+    gb2 = delta_out.sum(axis=0)
+    delta_h = (delta_out @ probe.W2.T) * (1.0 - h * h)
+    gW1 = X.T @ delta_h
+    gb1 = delta_h.sum(axis=0)
+    return gW1, gb1, gW2, gb2
+
+
 def train_probe(
     X: np.ndarray, rows: np.ndarray, targets: np.ndarray, out_kind: str, cfg: ProbeConfig,
     seed: int,
 ) -> Probe:
     """Mini-batch SGD one parameter array at a time: four separately drawn
-    arrays, ``loss_gradients`` on each gathered batch, then ``p -= lr * g``
+    arrays, this module's ``loss_gradients`` on each gathered batch, then ``p -= lr * g``
     for each array. ``targets[i]`` belongs to ``X[rows[i]]``."""
     d, hidden, out = X.shape[1], cfg.hidden_units, targets.shape[1]
     rng = np.random.default_rng(seed)

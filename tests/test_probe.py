@@ -32,6 +32,10 @@ def random_probe(rng, d, hidden, k, out_kind="classifier"):
     )
 
 
+def bits(arrays):
+    return [a.view(np.uint64).tolist() for a in arrays]
+
+
 def numeric_gradients(loss_fn, probe, X, T, step=1e-5):
     """Central finite differences over every parameter array."""
     grads = []
@@ -136,6 +140,23 @@ class TestGradients:
             for a, g in zip(analytic, numeric):
                 denom = max(np.abs(g).max(), np.abs(a).max(), 1e-8)
                 assert np.abs(a - g).max() / denom < 1e-4
+
+    @pytest.mark.parametrize("width", [1, 16, 300, 600])
+    @pytest.mark.parametrize("n", [1, 37])
+    def test_bitwise_equal_to_the_plain_gradient(self, width, n):
+        """With and without ``out``, the gradient that training steps through
+        has the bits of the plain one, against one-hot and soft targets."""
+        rng = np.random.default_rng(width + n)
+        model = random_probe(rng, width, 50, 3)
+        model.W1 /= np.sqrt(width)  # so that tanh does not saturate
+        X = rng.standard_normal((n, width))
+        out = probe_mod._views(np.full((width + 1 + 3) * 50 + 3, np.nan), width, 50, 3)
+        for T in (np.eye(3)[rng.integers(0, 3, n)], softmax(rng.standard_normal((n, 3)))):
+            expected = bits(oracles.loss_gradients(model, X, T))
+            assert bits(loss_gradients(model, X, T)) == expected
+            written = loss_gradients(model, X, T, out=out)
+            assert all(w is o for w, o in zip(written, out))
+            assert bits(out) == expected
 
     def test_full_batch_loss_non_increasing(self):
         rng = np.random.default_rng(5)

@@ -1394,6 +1394,21 @@ class TestValidate:
             f"method 'a': file not found: {freqs}",
         ]
 
+    @pytest.mark.parametrize("dims", [None, [4], [4, 8, 16]])
+    def test_a_run_checks_the_config_once_per_dim(self, tmp_path, monkeypatch, dims):
+        """`plan` checks each run at its dim; a sweep is also checked at all
+        its dims once, before its first dim runs."""
+        calls = []
+
+        def counting(cfg, dims=None):
+            calls.append(dims)
+            return validate_config(cfg, dims)
+
+        monkeypatch.setattr(runner, "validate_config", counting)
+        cfg = base_config(output={"dir": str(tmp_path / "out"), "formats": ["csv"]})
+        runner.run_and_write(cfg, dims)
+        assert calls == ([None] if dims is None else [dims, *([d] for d in dims)])
+
 
 class TestCli:
     def write_config(self, tmp_path, out_dir, **extra):
@@ -1552,10 +1567,12 @@ class TestCli:
 
     def test_unknown_format_flag_names_the_flag(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(runner, "load_task", no_cell)
-        for verb, args in [("eval", []), ("sweep", ["--dims", "4"])]:
-            rc, err = self.run_file_task(tmp_path, capsys, verb, {"lexicon": "random", "dim": 4},
-                                         args=["--format", "csv,xlsx", *args])
-            assert (rc, err) == (1, "error: --format: unknown format 'xlsx'\n"), verb
+        for value, unknown in [("csv,xlsx", "xlsx"), ("", "")]:  # an empty value is a value
+            for verb, args in [("eval", []), ("sweep", ["--dims", "4"])]:
+                rc, err = self.run_file_task(tmp_path, capsys, verb,
+                                             {"lexicon": "random", "dim": 4},
+                                             args=["--format", value, *args])
+                assert (rc, err) == (1, f"error: --format: unknown format {unknown!r}\n"), verb
         assert not (tmp_path / "out").exists()
 
     def test_sif_frequency_file_with_whitespace_only_lines(self, tmp_path, capsys):
@@ -1844,10 +1861,13 @@ class TestCli:
         fault = {"dir": f"is a directory: {path}",
                  "nodir/x.tsv": f"no such directory: {tmp_path / 'nodir'}",
                  "": "the path is empty"}[out]
-        embed = ["--task", "file-cls", "--method", "m", "--out", path]
-        rc, err = self.run_file_task(tmp_path, capsys, "embed", {"lexicon": "random", "dim": 4},
-                                     args=embed)
-        assert (rc, err) == (1, f"error: --out: {fault}\n")
+        verbs = [("embed", ["--task", "file-cls", "--method", "m"])]
+        if not out:  # every verb with --out refuses an empty one, not only embed
+            verbs += [("eval", []), ("sweep", ["--dims", "4"])]
+        for verb, args in verbs:
+            rc, err = self.run_file_task(tmp_path, capsys, verb, {"lexicon": "random", "dim": 4},
+                                         args=[*args, "--out", path])
+            assert (rc, err) == (1, f"error: --out: {fault}\n"), verb
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "cls.tsv", "dir"]
         assert not any((tmp_path / "dir").iterdir())
 
