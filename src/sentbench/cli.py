@@ -12,8 +12,13 @@ Verbs:
             is read
 
 Every verb checks the config's schema as it loads it, and takes its cells
-from `runner.plan`, which makes the combination and input-file checks before
-it loads a task; `sweep` makes them for all of its dims before the first.
+from `runner.plan`, which makes the output-dir, combination and input-file
+checks before it loads a task; `sweep` makes them for all of its dims before
+the first. The output dir must not be empty, and its nearest existing
+ancestor, itself included, must be a directory: `--out` of `eval` and
+`sweep` is checked by that rule (`runner.output_dir_problem`) before the
+config loads, and the error names the flag; `embed --out` names a file in
+a directory that exists.
 
 On Linux, importing this module sets OPENBLAS_NUM_THREADS=1 before the
 package imports NumPy, so OpenBLAS loads with one thread and forked workers
@@ -82,15 +87,15 @@ def _load(args) -> runner.RunConfig:
     # before any task loads, so no result is computed for nowhere; a flag given as "" is a
     # value, checked like any other, not the flag left out
     out = getattr(args, "out", None)
-    if out == "":
-        raise ConfigError("--out: the path is empty")
-    if args.command == "embed":
+    if args.command == "embed" and out:  # embed's --out is a file, in a directory that exists
         if os.path.isdir(out):
             raise ConfigError(f"--out: is a directory: {out}")
         if not os.path.isdir(os.path.dirname(out) or "."):
             raise ConfigError(f"--out: no such directory: {os.path.dirname(out)}")
+    elif out is not None and (problem := runner.output_dir_problem(out)):
+        raise ConfigError(f"--out: {problem}")
     cfg = runner.load_config(args.config)
-    if out is not None:
+    if out is not None and args.command != "embed":
         cfg = replace(cfg, output_dir=out)
     if getattr(args, "format", None) is not None:
         formats = tuple(args.format.split(","))

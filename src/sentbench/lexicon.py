@@ -11,7 +11,8 @@ digits (``%.17g``), so every float64 reads back bit for bit. Both vector
 parsers read the numbers of up to ``_BLOCK`` lines at a time in one
 ``np.loadtxt`` call. A block that does not parse that way is parsed again
 line by line, so an error still names its line, and the values are always
-those ``float()`` gives per token.
+those ``float()`` gives per token. Either way a block's kept rows are
+checked, and normalised when asked, before they join the table.
 """
 
 from __future__ import annotations
@@ -110,6 +111,31 @@ def _block_rows(parts: list[tuple[str, str, str]], dim: int) -> np.ndarray | Non
     return rows if rows.shape == (len(rests), dim) else None
 
 
+def _line_rows(block: list, dim: int, kind: str, fresh: dict[str, int]) -> np.ndarray:
+    """The rows of a block's ``fresh`` lines (new key -> index of its first
+    line), one ``float()`` per token, after every line's checks, made in
+    line order so that the first error names its line. Any other line is a
+    duplicate: an error for a sentence id, and for a word dropped unparsed."""
+    flat = array("d")
+    for i, (lineno, (key, gap, rest)) in enumerate(block):
+        if not gap and kind == "sentence":
+            raise ParseError("expected `id<TAB>components`", lineno)
+        comps = _fields(rest)
+        if len(comps) != dim:
+            raise ParseError(f"expected {dim} components, found {len(comps)}", lineno)
+        if fresh.get(key) != i:
+            if kind == "sentence":
+                raise ParseError(f"duplicate sentence id {key!r}", lineno)
+            continue
+        if not comps:
+            raise ParseError("missing vector components", lineno)
+        try:
+            flat.extend(map(float, comps))
+        except ValueError:
+            raise ParseError("non-numeric vector component", lineno) from None
+    return np.frombuffer(flat).reshape(len(fresh), dim)
+
+
 def _vector_table(
     stream: Iterable[str],
     strip: Callable[[str], str],
@@ -126,16 +152,20 @@ def _vector_table(
     separator and the rest, whose `_fields` are the components. In a block,
     one ``_block_rows`` call parses the numbers of every rest. A block that
     does not parse that way goes through `_fields`, ``float()`` and the
-    checks one line at a time, so the first error names its line. A sentence
-    line needs its separator; a word line without one has no components. A
-    duplicate word is dropped and counted; a duplicate sentence id is an
-    error. ``count`` is the number of lines a header announced. A non-finite
-    component is an error naming its line. With ``unit`` the rows are
-    divided by their norms in place, by `unit_rows`, before the table is
-    frozen."""
+    checks one line at a time, so the first error names its line; a dropped
+    duplicate word is not parsed. A sentence line needs its separator; a
+    word line without one has no components. A duplicate word is dropped
+    and counted; a duplicate sentence id is an error. ``count`` is the
+    number of lines a header announced.
+
+    Either way, one tail keeps the block's fresh rows: it checks them for
+    non-finite components, divides them by their norms with `unit_rows`
+    when ``unit`` is set, and appends them, so no pass over the whole table
+    follows. A non-finite component is an error naming the line of the
+    first such row, raised after the header count is checked."""
     keys: list[str] = []
     seen: set[str] = set()
-    flat, lines, duplicates = array("d"), [], 0
+    flat, duplicates, non_finite = array("d"), 0, None  # line of the first non-finite row
     numbered = ((lineno, strip(raw)) for lineno, raw in enumerate(stream, start=1))
     # only the key and the components of a line are held, not the line too
     split_lines = ((lineno, line.partition(sep)) for lineno, line in numbered if line)
@@ -146,45 +176,24 @@ def _vector_table(
         for i, (_, (key, _, _)) in enumerate(block):
             if key not in seen:
                 fresh.setdefault(key, i)
+        picked = list(fresh.values())
         rows = None
-        if kind == "word" or len(fresh) == len(block):  # else a duplicate id to name
+        if kind == "word" or len(picked) == len(block):  # else a duplicate id to name
             rows = _block_rows([parts for _, parts in block], dim)
-        if rows is not None:
-            flat.frombytes(rows[list(fresh.values())].tobytes())
-            seen.update(fresh)
-            keys += fresh
-            lines += [block[i][0] for i in fresh.values()]
-            duplicates += len(block) - len(fresh)
-            continue
-        for lineno, (key, gap, rest) in block:
-            if not gap and kind == "sentence":
-                raise ParseError("expected `id<TAB>components`", lineno)
-            comps = _fields(rest)
-            if len(comps) != dim:
-                raise ParseError(f"expected {dim} components, found {len(comps)}", lineno)
-            if key in seen and kind == "sentence":
-                raise ParseError(f"duplicate sentence id {key!r}", lineno)
-            if key in seen:
-                duplicates += 1
-                continue
-            if not comps:
-                raise ParseError("missing vector components", lineno)
-            try:
-                flat.extend(map(float, comps))
-            except ValueError:
-                raise ParseError("non-numeric vector component", lineno) from None
-            seen.add(key)
-            keys.append(key)
-            lines.append(lineno)
+        rows = _line_rows(block, dim, kind, fresh) if rows is None else rows[picked]
+        if non_finite is None and not np.isfinite(rows).all():
+            non_finite = block[picked[np.isfinite(rows).all(axis=1).argmin()]][0]
+        flat.frombytes((unit_rows(rows) if unit else rows).tobytes())
+        seen.update(fresh)
+        keys += fresh
+        duplicates += len(block) - len(picked)
     if not keys:
         raise ParseError(f"no {kind} vectors found in input")
     if count is not None and count != len(keys) + duplicates:
         raise ParseError(f"header announces {count} vectors, found {len(keys) + duplicates}")
-    vectors = np.frombuffer(flat, dtype=np.float64).reshape(len(keys), dim)  # no copy
-    finite = np.isfinite(vectors).all(axis=1)
-    if not finite.all():
-        raise ParseError("non-finite vector component", lines[int(finite.argmin())])
-    return VectorTable(keys, unit_rows(vectors) if unit else vectors, duplicates)
+    if non_finite is not None:
+        raise ParseError("non-finite vector component", non_finite)
+    return VectorTable(keys, np.frombuffer(flat).reshape(len(keys), dim), duplicates)  # no copy
 
 
 def unit_rows(E: np.ndarray) -> np.ndarray:
@@ -219,9 +228,11 @@ def _is_int(tok: str) -> bool:
 def load_word_vectors(stream: IO[str], unit: bool = False) -> VectorTable:
     """Parse word2vec-style text vectors. Fields are separated by one or more
     spaces; trailing whitespace is ignored. With ``unit`` every row is
-    divided by its norm (`unit_rows`) as the table is built, so the run holds
-    one unit-normalised copy of the file's vectors; an all-zero row becomes
-    NaN.
+    divided by its norm (`unit_rows`) one block at a time, as it joins the
+    table, so the run holds one unit-normalised copy of the file's vectors
+    and no pass over the whole table follows; an all-zero row becomes NaN.
+    Errors are those of a line-by-line parse: a malformed line first, then
+    a header count that does not match, then the first non-finite row.
 
     A first line consisting of exactly two integer tokens is treated as a
     ``count dim`` header, and the file must then hold ``count`` vector lines

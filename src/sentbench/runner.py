@@ -603,11 +603,23 @@ def export_sentence_vectors(
     return S.shape[0]
 
 
+def output_dir_problem(path: str) -> str | None:
+    """Why `os.makedirs` cannot make ``path`` a run's output dir, or None:
+    the path is empty, or its nearest existing ancestor, the path itself
+    included, is not a directory."""
+    if not path:
+        return "the path is empty"
+    while not os.path.lexists(path):
+        path = os.path.dirname(path) or "."
+    return None if os.path.isdir(path) else f"not a directory: {path}"
+
+
 def validate_config(cfg: RunConfig, dims: Sequence[int] | None = None) -> list[str]:
     """Every rule a run can break before its first cell, at each of ``dims``,
-    or at no dim for `eval` and `embed`: the sweep's dims, the rules on which
-    inputs a cell may combine (the ``"synthetic"`` lexicon needs synthetic
-    tasks, and a lexicon template needs a sweep dim), and its input files.
+    or at no dim for `eval` and `embed`: the sweep's dims, the output dir
+    (`output_dir_problem`, named ``output.dir``), the rules on which inputs
+    a cell may combine (the ``"synthetic"`` lexicon needs synthetic tasks,
+    and a lexicon template needs a sweep dim), and its input files.
     `plan` raises them at its dim before any task loads, and `run_and_write`
     at all of a sweep's dims first. Each problem and each missing file is
     reported once. An empty list means the run can start."""
@@ -623,6 +635,8 @@ def validate_config(cfg: RunConfig, dims: Sequence[int] | None = None) -> list[s
                     f"method {m.name!r}: sweep needs a parametric lexicon "
                     "(random, synthetic, or a path template with {dim})"
                 )
+    if problem := output_dir_problem(cfg.output_dir):
+        problems.append(f"output.dir: {problem}")
     file_tasks = ", ".join(repr(t.name) for t in cfg.tasks if t.path is not None)
     for m in cfg.methods:
         if m.lexicon == "synthetic" and file_tasks:

@@ -265,6 +265,34 @@ class TestUnitRows:
         assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.fixture(scope="module")
+def wide_vector_file(tmp_path_factory):
+    """An 8000 x 256 word-vector file, six decimals per component."""
+    path = tmp_path_factory.mktemp("vectors") / "v.txt"
+    row = " ".join(["%.6f"] * 256)
+    vecs = np.random.default_rng(11).standard_normal((8000, 256))
+    path.write_text("".join(f"w{i} {row % tuple(v)}\n" for i, v in enumerate(vecs)),
+                    encoding="utf-8")
+    return path
+
+
+class TestParseMemory:
+    @pytest.mark.parametrize("unit", [False, True])
+    def test_parse_holds_little_beside_the_table(self, wide_vector_file, unit):
+        """A block's rows are checked, and normalised with ``unit``, as they
+        are kept: no pass over the whole table allocates beside it."""
+        load_word_vectors(io.StringIO("w 1 2\n"), unit=unit)  # warm-up outside the trace
+        tracemalloc.start()
+        try:
+            with open(wide_vector_file, encoding="utf-8") as fh:
+                table = load_word_vectors(fh, unit=unit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.vectors.shape == (8000, 256)
+        assert peak - table.vectors.nbytes < table.vectors.nbytes / 5
+
+
 class TestSentenceTokenVectors:
     TABLE = VectorTable(["kot"], [[3.0, 4.0]])
 

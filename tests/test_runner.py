@@ -1363,6 +1363,22 @@ class TestValidate:
     def test_clean_config(self):
         assert validate_config(base_config()) == []
 
+    @pytest.mark.parametrize("path, problem", [
+        ("", "the path is empty"),
+        ("afile", "not a directory: {afile}"),
+        ("afile/sub/deeper", "not a directory: {afile}"),
+        ("new/sub", None),
+        (".", None),
+    ])
+    def test_output_dir_must_be_makeable(self, tmp_path, monkeypatch, path, problem):
+        """The nearest existing ancestor of the output dir, the dir itself
+        included, is a directory, so the run can make it."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        cfg = base_config(output={"dir": path})
+        want = [] if problem is None else [f"output.dir: {problem.format(afile='afile')}"]
+        assert validate_config(cfg) == want
+
     def test_reports_all_missing_files(self, tmp_path):
         cfg = base_config(
             tasks=[{"name": "t", "kind": "classification", "path": str(tmp_path / "no.tsv")}],
@@ -1870,6 +1886,38 @@ class TestCli:
             assert (rc, err) == (1, f"error: --out: {fault}\n"), verb
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "cls.tsv", "dir"]
         assert not any((tmp_path / "dir").iterdir())
+
+    @pytest.mark.parametrize("flag, path, fault", [
+        ("--out", "afile", "not a directory: {afile}"),
+        ("--out", "afile/sub", "not a directory: {afile}"),
+        ("output.dir", "", "the path is empty"),
+        ("output.dir", "afile", "not a directory: {afile}"),
+        ("output.dir", "afile/sub", "not a directory: {afile}"),
+    ])
+    def test_output_dir_checked_before_any_task_loads(self, tmp_path, capsys, monkeypatch,
+                                                      flag, path, fault):
+        """An output dir that cannot be made, from the flag or the config key,
+        exits 1 before any task loads, not 2 once every cell has run."""
+        (tmp_path / "afile").write_text("kept\n", encoding="utf-8")
+        (tmp_path / "cls.tsv").write_text("a\tw0\n", encoding="utf-8")
+        monkeypatch.setattr(runner, "load_task", no_cell)
+        out = str(tmp_path / path) if path else ""
+        doc = {"tasks": [{"name": "file-cls", "path": str(tmp_path / "cls.tsv")}],
+               "methods": [{"name": "m", "lexicon": "random", "dim": 4}]}
+        if flag == "output.dir":
+            doc["output"] = {"dir": out}
+        (tmp_path / "cfg.json").write_text(json.dumps(doc), encoding="utf-8")
+        verbs = [["eval"], ["sweep", "--dims", "4"]]
+        if flag == "output.dir":  # a config that `eval` refuses is refused by every verb
+            verbs += [["validate"], ["embed", "--task", "file-cls", "--method", "m",
+                                     "--out", str(tmp_path / "e.tsv")]]
+        for verb in verbs:
+            flags = ["--out", out] if flag == "--out" else []
+            rc = cli.main([*verb, "--config", str(tmp_path / "cfg.json"), *flags])
+            assert (rc, capsys.readouterr().err) == (
+                1, f"error: {flag}: {fault.format(afile=tmp_path / 'afile')}\n"), verb
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cfg.json", "cls.tsv"]
+        assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept\n"
 
     @staticmethod
     def diverge(*args, **kwargs):
