@@ -30,8 +30,12 @@ Exit codes: 0 success, 1 validation/config error, 2 runtime error. A
 failed cell keeps the class of its fault and names the cell, so it counts
 the same at any worker count. A missing, unreadable, non-UTF-8 or
 malformed input file, the config included, exits 1 with one error line
-that names the file, and so does a task file whose split annotations cover
-every item but mark no train or no test item.
+that names the file, and so does a config that gives a key twice in one
+object, or a task file whose split annotations cover every item but mark no
+train or no test item. A task its kind cannot score (a classification task
+of one label, a relatedness task whose test split holds fewer than 2
+different scores) exits 1 with one error line that names the task, at
+`validate` too. Output files are written whole or not at all.
 """
 
 from __future__ import annotations

@@ -155,19 +155,23 @@ def _init_probe(input_dim: int, hidden: int, out: int, out_kind: str, seed: int)
     return Probe(W1, b1, W2, b2, out_kind), flat
 
 
-def _train_rows(X: np.ndarray, n_targets: int, what: str, rows) -> np.ndarray:
-    """The train rows of ``X`` as an index array, all rows by default. The
-    labels or scores, ``n_targets`` of them, are indexed like ``X``."""
+def _train_rows(X, K: int, n_targets: int, rows, what: str, unit: str):
+    """``X`` as a 2-D float64 array and its train rows as an index array, all
+    rows by default, once the checks both trainers share pass: first that
+    ``K``, the number of ``unit`` (classes or bins), is at least 2, then that
+    the ``what`` (labels or scores), ``n_targets`` of them, are indexed like
+    ``X``, then the rows."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if K < 2:
+        raise ValueError(f"need at least 2 {unit}")
     if len(X) != n_targets or n_targets < 1:
         raise ValueError(f"features and {what} must have equal nonzero length")
-    if rows is None:
-        return np.arange(len(X))
-    rows = np.asarray(rows)
+    rows = np.arange(len(X)) if rows is None else np.asarray(rows)
     if rows.ndim != 1 or rows.size == 0 or rows.dtype.kind not in "iu":
         raise ValueError("rows must be a non-empty 1-D array of row indices")
     if rows.min() < 0 or rows.max() >= len(X):
         raise ValueError(f"rows outside [0, {len(X)})")
-    return rows
+    return X, rows
 
 
 def _train(
@@ -210,11 +214,8 @@ def train_classifier(
     """Fit the softmax classifier on integer class labels in [0, K), on the
     ``rows`` of ``X`` (all rows by default). ``labels`` are indexed like
     ``X``; the result equals training on ``X[rows]``, ``labels[rows]``."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     labels = np.asarray(labels, dtype=int)
-    if K < 2:
-        raise ValueError("need at least 2 classes")
-    rows = _train_rows(X, len(labels), "labels", rows)
+    X, rows = _train_rows(X, K, len(labels), rows, "labels", "classes")
     labels = labels[rows]
     if labels.min() < 0 or labels.max() >= K:
         raise ValueError("labels outside [0, K)")
@@ -228,10 +229,7 @@ def train_relatedness(
     """Fit the distribution regressor on real scores in [1, K], minimizing KL
     divergence to the binned score distributions, on the ``rows`` of ``X``
     (all rows by default). ``scores`` are indexed like ``X``."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     scores = np.asarray(scores, dtype=np.float64)
-    if K < 2:
-        raise ValueError("need at least 2 bins")
-    rows = _train_rows(X, len(scores), "scores", rows)
+    X, rows = _train_rows(X, K, len(scores), rows, "scores", "bins")
     targets = np.stack([score_to_distribution(y, K) for y in scores[rows]])
     return _train(X, rows, targets, "distribution", cfg, seed)

@@ -4,6 +4,7 @@ line plots. All output is deterministic (no timestamps, fixed float formats)."""
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -67,9 +68,12 @@ def matrix_to_json(matrix: ResultMatrix) -> str:
     return json.dumps({"results": cells}, indent=2) + "\n"
 
 
+_LINE_BREAK = re.compile("\r\n|[\r\n]")  # the line ends Markdown knows
+
+
 def matrix_to_markdown(matrix: ResultMatrix) -> str:
-    def cell(name: str) -> str:
-        return name.replace("|", "\\|")
+    def cell(name: str) -> str:  # one cell on one line: pipes escaped, line breaks as <br>
+        return _LINE_BREAK.sub("<br>", name.replace("|", "\\|"))
 
     header = "| Method | " + " | ".join(map(cell, matrix.tasks)) + " |"
     sep = "|" + "---|" * (len(matrix.tasks) + 1)

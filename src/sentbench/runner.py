@@ -11,6 +11,7 @@ import json
 import os
 import pickle
 import signal
+import stat
 import sys
 import zlib
 from collections import Counter
@@ -202,8 +203,19 @@ def read_input(path: str, loader, *args):
         raise ParseError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """A decoded JSON object's (key, value) pairs as a dict: a key given
+    twice is a ParseError, where ``json.load`` keeps the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str) -> RunConfig:
-    return parse_config(read_input(path, json.load))
+    return parse_config(read_input(path, lambda fh: json.load(fh, object_pairs_hook=_unique_keys)))
 
 
 def stable_seed(base: int, *labels: str) -> int:
@@ -382,41 +394,55 @@ def run_task(cell: tuple, cfg: RunConfig, dim: int | None = None,
     predicted vs gold scores. Pair tasks are probed on ``|u - v| ++ u * v``
     of their A and B sentence vectors."""
     method, spec, task, table = cell
-    test_idx = task.splits["test"]
+    rows, test = task.splits["train"], task.splits["test"]
+    seed = stable_seed(cfg.seed, method.name, task.name)
     S = sentence_matrix(task, method, cfg, table, dim, inputs)
-    fit = {"rows": task.splits["train"], "seed": stable_seed(cfg.seed, method.name, task.name)}
     X = S if task.pair_ids is None else probe.pair_features(*np.split(S, 2))
     if spec.kind == "relatedness":
         gold = np.array(task.scores)
-        model = probe.train_relatedness(X, gold, RELATEDNESS_BINS, cfg.probe, **fit)
+        model = probe.train_relatedness(X, gold, RELATEDNESS_BINS, cfg.probe, rows=rows, seed=seed)
+        predicted = [probe.distribution_to_score(p) for p in probe.predict_proba(model, X[test])]
+        measure, value = "pearson", pearson(predicted, gold[test])
     else:
         gold = np.array([task.label_set.index(lab) for lab in task.labels])
-        model = probe.train_classifier(X, gold, len(task.label_set), cfg.probe, **fit)
-    probs = probe.predict_proba(model, X[test_idx])
-    if spec.kind == "relatedness":
-        value = pearson([probe.distribution_to_score(p) for p in probs], gold[test_idx])
-    else:
-        value = accuracy(list(probs.argmax(axis=1)), list(gold[test_idx]))
-    return EvalResult(
-        task_name=task.name, method_name=method.name, measure=_measure_for(spec.kind),
-        value=value, n=len(test_idx),
-    )
-
-
-def _measure_for(kind: str) -> str:
-    return "pearson" if kind == "relatedness" else "accuracy"
+        model = probe.train_classifier(X, gold, len(task.label_set), cfg.probe,
+                                       rows=rows, seed=seed)
+        predicted = probe.predict_proba(model, X[test]).argmax(axis=1)
+        measure, value = "accuracy", accuracy(list(predicted), list(gold[test]))
+    return EvalResult(task_name=task.name, method_name=method.name, measure=measure, value=value,
+                      n=len(test))
 
 
 def plan(cfg: RunConfig, dim: int | None, inputs: Inputs) -> list[tuple]:
     """The cells of ``cfg`` at ``dim``: one (method, task spec, task,
     synthetic table or None) record per cell, in method-major order, every
     task loaded once through ``inputs``. The one place a run's cells are
-    built, and the only caller of `load_task`, so the one gate before a
-    run's first cell: before any task loads, `check_config` raises every
-    problem `validate_config` finds at ``dim``."""
+    built, so the one gate before a run's first cell: before any task loads,
+    `check_config` raises every problem `validate_config` finds at ``dim``,
+    and each task it loads must pass `_check_scorable`. `embed`, which
+    scores no cell, makes the same checks but the kind rules."""
     check_config(cfg, None if dim is None else [dim])
     loaded = [(spec, *load_task(spec, cfg, dim, inputs)) for spec in cfg.tasks]
+    for spec, task, _ in loaded:
+        _check_scorable(spec, task)
     return [(method, *cell) for method in cfg.methods for cell in loaded]
+
+
+def _check_scorable(spec: TaskSpec, task) -> None:
+    """The kind rules, the one place a task is checked against the measure
+    its cells report: a classification task needs at least 2 labels, and a
+    relatedness task's test split 2 different scores, since Pearson's r is
+    undefined on fewer. A task that breaks one is a config error naming it."""
+    test = task.splits["test"]
+    if spec.kind == "classification" and len(task.label_set) < 2:
+        problem = (f"every item is labelled {task.label_set[0]!r}: "
+                   "classification needs at least 2 labels")
+    elif spec.kind == "relatedness" and len({task.scores[i] for i in test}) < 2:
+        problem = (f"the {len(test)} item(s) of its test split all score "
+                   f"{task.scores[test[0]]}: Pearson's r needs 2 different scores")
+    else:
+        return
+    raise ConfigError(f"task {spec.name!r}: {problem}")
 
 
 def run_matrix(
@@ -546,7 +572,7 @@ def run_and_write(
     dim for `eval`, through one parse cache, and write
     ``results{suffix}.{csv,json,md}`` (suffix ``-dim<d>``, empty for `eval`),
     a per-task SVG plot of score vs dim when dims are given, and
-    ``run-metadata.json``."""
+    ``run-metadata.json``, each whole or not at all (`_write_file`)."""
     if dims is not None:  # dim 3's missing file fails before dim 1 runs
         check_config(cfg, dims)
     runs = [None] if dims is None else list(dims)
@@ -556,8 +582,7 @@ def run_and_write(
     os.makedirs(cfg.output_dir, exist_ok=True)
 
     def emit(name: str, content: str):
-        with open(os.path.join(cfg.output_dir, name), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(content)
+        _write_file(os.path.join(cfg.output_dir, name), lambda fh: fh.write(content))
 
     for matrix, d in zip(matrices, runs):
         suffix = "" if d is None else f"-dim{d}"
@@ -569,8 +594,9 @@ def run_and_write(
             series = {
                 m.name: [mx.get(m.name, spec.name).value for mx in matrices] for m in cfg.methods
             }
-            emit(f"{spec.name}.svg", line_plot_svg(
-                list(dims), series, title=spec.name, ylabel=_measure_for(spec.kind)))
+            measure = matrices[0].get(cfg.methods[0].name, spec.name).measure
+            emit(f"{spec.name}.svg",
+                 line_plot_svg(list(dims), series, title=spec.name, ylabel=measure))
     emit("run-metadata.json", json.dumps(run_metadata(cfg, dims), indent=2) + "\n")
     return matrices
 
@@ -586,9 +612,9 @@ def export_sentence_vectors(
     cfg: RunConfig, task_name: str, method_name: str, out: str | os.PathLike
 ) -> int:
     """The `embed` verb: write the sentence vectors of one task under one
-    method as a sentence-vector TSV at ``out``. The file is opened only once
-    the vectors are computed, so a config or input error leaves it as it
-    was. Returns the number of rows written."""
+    method as a sentence-vector TSV at ``out``, through `_write_file`, once
+    the vectors are computed, so a config, input or write error leaves it as
+    it was. Returns the number of rows written."""
     spec = next((t for t in cfg.tasks if t.name == task_name), None)
     if spec is None:
         raise ConfigError(f"no task named {task_name!r}")
@@ -596,11 +622,36 @@ def export_sentence_vectors(
     if method is None:
         raise ConfigError(f"no method named {method_name!r}")
     cfg = replace(cfg, tasks=(spec,), methods=(method,))
-    ((_, _, task, table),) = plan(cfg, None, Inputs())
+    check_config(cfg)
+    task, table = load_task(spec, cfg)
     S = sentence_matrix(task, method, cfg, table)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        save_sentence_vector_table(VectorTable(task.sentence_ids(), S), fh)
+    _write_file(out, lambda fh: save_sentence_vector_table(VectorTable(task.sentence_ids(), S), fh))
     return S.shape[0]
+
+
+def _write_file(path: str | os.PathLike, write) -> None:
+    """Call ``write`` on a UTF-8 text stream with LF line ends that becomes
+    the file at ``path`` only once it is whole: the stream is a temporary
+    file in the same directory, which ``os.replace`` renames onto ``path``.
+    So a failed write leaves the file that was there, and at most a stray
+    temporary file if the process dies. A path that names something other
+    than a regular file, such as a pipe or a symbolic link (``/dev/stdout``
+    is one), is written in place, through the link to its target."""
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    with suppress(OSError):  # lstat: a link is written through, not replaced
+        if not stat.S_ISREG(os.lstat(path).st_mode):
+            tmp = path
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            write(fh)
+        if tmp != path:
+            os.replace(tmp, path)
+    finally:
+        if tmp != path:
+            with suppress(FileNotFoundError):  # gone once it is renamed
+                os.remove(tmp)
 
 
 def output_dir_problem(path: str) -> str | None:
@@ -658,8 +709,9 @@ def validate_config(cfg: RunConfig, dims: Sequence[int] | None = None) -> list[s
 
 def check_config(cfg: RunConfig, dims: Sequence[int] | None = None) -> None:
     """Raise one ConfigError listing every problem `validate_config` finds,
-    one per line: the gate that `plan` keeps at its dim, and `run_and_write`
-    at every dim of a sweep before the first."""
+    one per line: the gate that `plan` keeps at its dim, `run_and_write`
+    at every dim of a sweep before the first, and `embed` before its task
+    loads."""
     problems = validate_config(cfg, dims)
     if problems:
         raise ConfigError("\n".join(problems))

@@ -130,13 +130,19 @@ class TestMarkdown:
         assert float(row[2]) == pytest.approx(0.693)
 
     def test_pipes_in_names_are_escaped(self):
-        cells = {("m|1", "t|x"): EvalResult("t|x", "m|1", "accuracy", 0.5, 4)}
-        md = matrix_to_markdown(ResultMatrix(methods=("m|1",), tasks=("t|x",), cells=cells))
-        header, sep, row = md.splitlines()
-        assert header == r"| Method | t\|x |"
-        assert row == r"| m\|1 | 50.00 |"
-        unescaped = lambda line: len(line.replace(r"\|", "").split("|")) - 2
-        assert unescaped(header) == unescaped(sep) == unescaped(row) == 2
+        """A pipe is escaped and a line break written as ``<br>``, so the table
+        keeps one line per row and two cells per line for any name."""
+        for method, task, header, row in [
+            ("m|1", "t|x", r"| Method | t\|x |", r"| m\|1 | 50.00 |"),
+            ("m|\n1", "t\nx", "| Method | t<br>x |", r"| m\|<br>1 | 50.00 |"),
+            ("m\r\n1", "t\rx\r", "| Method | t<br>x<br> |", "| m<br>1 | 50.00 |"),
+        ]:
+            cells = {(method, task): EvalResult(task, method, "accuracy", 0.5, 4)}
+            md = matrix_to_markdown(ResultMatrix(methods=(method,), tasks=(task,), cells=cells))
+            # Markdown ends a line at \n, \r or \r\n
+            assert md.replace("\r", "\n").split("\n") == [header, "|---|---|", row, ""]
+            unescaped = lambda line: len(line.replace(r"\|", "").split("|")) - 2
+            assert unescaped(header) == unescaped(row) == 2
 
 
 class TestSvg:

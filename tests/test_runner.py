@@ -3,9 +3,11 @@ import json
 import os
 import re
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import warnings
 import weakref
@@ -669,6 +671,71 @@ class TestSplitRule:
         parsed = runner.read_input(str(task_file), tasks.load_classification_tsv, None, "t")
         seeded = tasks.split(parsed, cfg.split_ratios, seed=stable_seed(cfg.seed, "t"))
         assert load_task(cfg.tasks[0], cfg)[0] == seeded
+
+
+class TestKindRule:
+    """`plan` refuses, after `load_task`'s split rule, a task its kind cannot
+    score: a classification task of one label, and a relatedness task whose
+    test split holds fewer than 2 different scores, Pearson's r being
+    undefined there. So `validate` exits 1 with one error line naming the
+    task, where `eval` used to fail in its cells with exit 2. `embed` scores
+    nothing and still writes such a task's vectors."""
+
+    PAIR_HEADER = ("pair_ID\tsentence_A\tsentence_B\trelatedness_score\tentailment_judgment"
+                   "\tSemEval_set\n")
+
+    def pairs(self, tmp_path, test_scores):
+        """A pair file of 20 TRAIN pairs and one TEST pair per test score."""
+        rows = [f"p{i}\ta w{i}\tb w{i % 4}\t{1 + i % 5}.0\tNEUTRAL\tTRAIN\n" for i in range(20)]
+        rows += [f"q{i}\ta w{i}\tb w{i}\t{y}\tNEUTRAL\tTEST\n" for i, y in enumerate(test_scores)]
+        path = tmp_path / "pairs.tsv"
+        path.write_text(self.PAIR_HEADER + "".join(rows), encoding="utf-8")
+        return {"path": str(path)}
+
+    def outcome(self, tmp_path, capsys, kind, task, verb="validate"):
+        doc = {"tasks": [{"name": "t", "kind": kind, **task}],
+               "methods": [{"name": "m", "lexicon": "random", "dim": 4}],
+               "output": {"dir": str(tmp_path / "out")}}
+        (tmp_path / "cfg.json").write_text(json.dumps(doc), encoding="utf-8")
+        embed = ["--task", "t", "--method", "m", "--out", str(tmp_path / "v.tsv")]
+        rc = cli.main([verb, "--config", str(tmp_path / "cfg.json"),
+                       *(embed if verb == "embed" else [])])
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("label_set", [None, ["a"]])
+    def test_one_label_classification_exit_1(self, tmp_path, capsys, label_set):
+        path = tmp_path / "cls.tsv"
+        path.write_text("".join(f"a\tw{i} w{i % 3}\n" for i in range(40)), encoding="utf-8")
+        task = {"path": str(path), "label_set": label_set}
+        message = ("error: task 't': every item is labelled 'a': "
+                   "classification needs at least 2 labels\n")
+        for verb in ("validate", "eval"):
+            assert self.outcome(tmp_path, capsys, "classification", task, verb) == (1, message)
+        assert not (tmp_path / "out").exists()
+        assert self.outcome(tmp_path, capsys, "classification", task, "embed") == (0, "")
+        assert (tmp_path / "v.tsv").read_text(encoding="utf-8").count("\n") == 40
+        # a second label in the label set is enough, though no item carries it
+        task["label_set"] = ["a", "b"]
+        assert self.outcome(tmp_path, capsys, "classification", task) == (0, "")
+
+    @pytest.mark.parametrize("test_scores, shown", [
+        (["4.0", "4.0"], "the 2 item(s) of its test split all score 4.0"),
+        (["2.5"], "the 1 item(s) of its test split all score 2.5"),
+    ], ids=["one-score", "one-item"])
+    def test_relatedness_file_test_split_pearson_cannot_score_exit_1(
+            self, tmp_path, capsys, test_scores, shown):
+        task = self.pairs(tmp_path, test_scores)
+        message = f"error: task 't': {shown}: Pearson's r needs 2 different scores\n"
+        for verb in ("validate", "eval"):
+            assert self.outcome(tmp_path, capsys, "relatedness", task, verb) == (1, message)
+        assert not (tmp_path / "out").exists()
+        assert self.outcome(tmp_path, capsys, "relatedness", task, "embed") == (0, "")
+        rows = 2 * (20 + len(test_scores))  # an A and a B sentence per pair
+        assert (tmp_path / "v.tsv").read_text(encoding="utf-8").count("\n") == rows
+        # entailment is scored by accuracy, which needs no spread of scores
+        assert self.outcome(tmp_path, capsys, "entailment", task) == (0, "")
+        task = self.pairs(tmp_path, [*test_scores, "1.5"])
+        assert self.outcome(tmp_path, capsys, "relatedness", task) == (0, "")
 
 
 class TestRunTask:
@@ -1504,6 +1571,86 @@ class TestCli:
         p.write_text("{not json", encoding="utf-8")
         assert cli.main(["eval", "--config", str(p)]) == 1
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"seed": 1, "seed": 2, "tasks": [{"name": "c", "synthetic": {}}],'
+         ' "methods": [{"name": "m", "lexicon": "synthetic"}]}', "seed"),
+        ('{"tasks": [{"name": "c", "synthetic": {"items": 200, "items": 100}}],'
+         ' "methods": [{"name": "m", "lexicon": "synthetic"}]}', "items"),
+        ('{"tasks": [{"name": "c", "synthetic": {}}],'
+         ' "methods": [{"name": "m", "lexicon": "random", "dim": 4, "dim": 8}]}', "dim"),
+    ], ids=["top-level", "synthetic", "method"])
+    def test_duplicate_key_exit_1(self, tmp_path, capsys, monkeypatch, text, key):
+        """``json.load`` alone would keep the last value without a word."""
+        monkeypatch.chdir(tmp_path)  # the default output directory is "out"
+        (tmp_path / "cfg.json").write_text(text, encoding="utf-8")
+        for verb in ("validate", "eval"):
+            assert cli.main([verb, "--config", "cfg.json"]) == 1, verb
+            assert capsys.readouterr().err == f"error: cfg.json: duplicate key {key!r}\n", verb
+        assert not (tmp_path / "out").exists()
+        # a decoded dict holds each key once, and `parse_config` takes it as before
+        assert isinstance(parse_config(json.loads(text)), RunConfig)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="a file size limit that write() reports")
+    @pytest.mark.parametrize("verb", ["eval", "embed"])
+    def test_failed_write_leaves_the_previous_file(self, tmp_path, verb):
+        """A write that fails part way, here at a 64-byte file size limit,
+        leaves each output file as the previous run wrote it, whole, and
+        leaves no temporary file behind."""
+        cfg_path = self.write_config(tmp_path, tmp_path / "out")
+        (tmp_path / "out").mkdir()
+        args = {"eval": ["eval"],
+                "embed": ["embed", "--task", "cls", "--method", "clustered-mean",
+                          "--out", str(tmp_path / "out" / "v.tsv")]}[verb]
+        assert cli.main([*args, "--config", str(cfg_path)]) == 0
+        before = {f.name: f.read_bytes() for f in (tmp_path / "out").iterdir()}
+        script = ("import resource, signal, sys\n"
+                  "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+                  "resource.setrlimit(resource.RLIMIT_FSIZE, (64, 64))\n"
+                  "from sentbench import cli\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        run = subprocess.run([sys.executable, "-c", script, *args, "--config", str(cfg_path),
+                              "--seed", "12"], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True)
+        assert run.returncode == 2 and run.stderr.startswith("runtime error: "), run.stderr
+        assert {f.name: f.read_bytes() for f in (tmp_path / "out").iterdir()} == before
+        assert max(map(len, before.values())) > 64
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_embed_writes_a_named_pipe_in_place(self, tmp_path, capsys):
+        """Only a regular file is replaced by a renamed temporary file: a pipe,
+        as ``/dev/stdout`` may be, is written as it is."""
+        cfg_path = self.write_config(tmp_path, tmp_path / "out")
+        fifo = tmp_path / "v.fifo"
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        rc = cli.main(["embed", "--config", str(cfg_path), "--task", "cls",
+                       "--method", "clustered-mean", "--out", str(fifo)])
+        reader.join(timeout=30)
+        assert rc == 0 and not reader.is_alive()
+        assert read[0].count(b"\n") == SYN_CLS["items"]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "v.fifo"]
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symbolic links")
+    def test_embed_writes_through_a_symlink(self, tmp_path):
+        """A symbolic link, as ``/dev/stdout`` is, stays a link: its target,
+        here in another directory, is written in place, and no temporary
+        file is left in either directory."""
+        cfg_path = self.write_config(tmp_path, tmp_path / "out")
+        (tmp_path / "links").mkdir()
+        (tmp_path / "files").mkdir()
+        target, link = tmp_path / "files" / "v.tsv", tmp_path / "links" / "v.tsv"
+        target.write_text("old\n", encoding="utf-8")
+        link.symlink_to(target)
+        rc = cli.main(["embed", "--config", str(cfg_path), "--task", "cls",
+                       "--method", "clustered-mean", "--out", str(link)])
+        assert rc == 0 and link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes().count(b"\n") == SYN_CLS["items"]
+        assert os.listdir(tmp_path / "links") == os.listdir(tmp_path / "files") == ["v.tsv"]
+
     def test_missing_config_exit_1(self, tmp_path):
         assert cli.main(["eval", "--config", str(tmp_path / "nope.json")]) == 1
 
@@ -1718,7 +1865,10 @@ class TestCli:
         ({"seed": -1}, "task 'cls': expected non-negative integer"),
         ({"tasks": [{"name": "cls", "synthetic": {"items": 4}}]},
          "task 'cls': ratios (0.8, 0.1, 0.1) leave the test split empty for 4 items"),
-    ], ids=["negative-seed", "too-few-items"])
+        ({"tasks": [{"name": "cls", "kind": "relatedness", "synthetic": {"pairs": 10}}]},
+         "task 'cls': the 1 item(s) of its test split all score 1.3: "
+         "Pearson's r needs 2 different scores"),
+    ], ids=["negative-seed", "too-few-items", "too-few-pairs"])
     def test_validate_loads_every_task(self, tmp_path, capsys, extra, message):
         doc = {"tasks": [{"name": "cls", "synthetic": {}}],
                "methods": [{"name": "m", "lexicon": "synthetic"}], **extra}
