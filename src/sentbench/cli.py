@@ -18,7 +18,9 @@ the first. The output dir must not be empty, and its nearest existing
 ancestor, itself included, must be a directory: `--out` of `eval` and
 `sweep` is checked by that rule (`runner.output_dir_problem`) before the
 config loads, and the error names the flag; `embed --out` names a file in
-a directory that exists.
+a directory that exists. Only `sweep` draws plots, so `eval --format svg`
+is refused before any task loads; a config's `output.formats` may list
+`svg` under every verb.
 
 On Linux, importing this module sets OPENBLAS_NUM_THREADS=1 before the
 package imports NumPy, so OpenBLAS loads with one thread and forked workers
@@ -58,7 +60,7 @@ from . import runner
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="path to the JSON run config")
     p.add_argument("--out", help="output directory (overrides config)")
-    p.add_argument("--format", help="comma-separated output formats: csv,json,md,svg")
+    p.add_argument("--format", help="comma-separated output formats: csv,json,md; sweep also svg")
     p.add_argument("--seed", type=int, help="run seed (overrides config)")
     p.add_argument("--workers", type=int, default=1,
                    help="processes that run cells, this one included (default 1)")
@@ -106,6 +108,8 @@ def _load(args) -> runner.RunConfig:
         for f in formats:  # checked here, so that the error names the flag, not a config key
             if f not in runner.FORMATS:
                 raise ConfigError(f"--format: unknown format {f!r}")
+            if f == "svg" and args.command == "eval":  # a plot is drawn over a sweep's dims
+                raise ConfigError("--format: svg is only written by sweep")
         cfg = replace(cfg, formats=formats)
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)

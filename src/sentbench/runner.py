@@ -38,7 +38,6 @@ from .report import ResultMatrix, line_plot_svg, matrix_to_csv, matrix_to_json, 
 TASK_KINDS = ("classification", "entailment", "relatedness")
 STRATEGY_NAMES = ("mean", "sif", "mean_max")
 FORMATS = ("csv", "json", "md", "svg")
-RELATEDNESS_BINS = 5
 
 
 @dataclass(frozen=True)
@@ -237,33 +236,34 @@ def _generator(kind: str):
 
 
 def load_task(spec: TaskSpec, cfg: RunConfig, dim: int | None = None, inputs: Inputs | None = None):
-    """Resolve a task spec to (task, lexicon-or-None). Synthetic tasks carry
+    """Resolve a task spec to (task, lexicon-or-None), the task named after
+    the spec: the one place a task gets its name. Synthetic tasks carry
     their own generated lexicon and are parametric in the vector dim, which a
     sweep overrides. File tasks have no lexicon; their file is parsed through
-    ``inputs``, the run's parse cache (a fresh one by default). Split
-    annotations that cover every item are used as given and must hold train
-    and test items; a task with fewer gets the seeded split on every call.
-    This is the one place a split is checked: every task it returns has train
-    and test items. A task whose generator, split or annotations reject its
+    ``inputs``, the run's parse cache (a fresh one by default), keyed by
+    path, loader and label set but not by task, so every task that reads a
+    file shares one parse. Split annotations that cover every item are used
+    as given and must hold train and test items; a task with fewer gets its
+    own seeded split of that parse, from its name, on every call. This is
+    the one place a split is checked: every task it returns has train and
+    test items. A task whose generator, split or annotations reject its
     parameters is a config error naming the task."""
     try:
-        if spec.synthetic is not None:
+        table = None
+        if spec.synthetic is not None:  # generated with a split of every item
             dims = {} if dim is None else {"dim": dim}
             task, table = _generator(spec.kind)(**{"seed": cfg.seed, **spec.synthetic, **dims})
-            return replace(task, name=spec.name), table
-        if spec.kind == "classification":
+        elif spec.kind == "classification":
             label_set = None if spec.label_set is None else tuple(spec.label_set)
-            parse = (tasks_mod.load_classification_tsv, label_set, spec.name)
+            task = (inputs or Inputs()).read(spec.path, tasks_mod.load_classification_tsv, label_set)
         else:
-            parse = (tasks_mod.load_sick_tsv, spec.name)
-        task = (inputs or Inputs()).read(spec.path, *parse)
+            task = (inputs or Inputs()).read(spec.path, tasks_mod.load_sick_tsv)
         if sum(map(len, task.splits.values())) < len(task.labels):
-            return tasks_mod.split(task, cfg.split_ratios, seed=stable_seed(cfg.seed, spec.name)), None
-        missing = " or ".join(s for s in ("train", "test") if not task.splits.get(s))
-        if missing:
+            task = tasks_mod.split(task, cfg.split_ratios, seed=stable_seed(cfg.seed, spec.name))
+        elif missing := " or ".join(s for s in ("train", "test") if not task.splits.get(s)):
             raise ValueError(f"{spec.path}: its split annotations cover every item "
                              f"but mark no {missing} item")
-        return task, None
+        return replace(task, name=spec.name), table
     except ParseError:
         raise
     except ValueError as exc:  # e.g. "classes": 1, or too few items to split
@@ -277,10 +277,12 @@ class Inputs:
     `_method_tables`, in the first cell that needs them, or before the fork
     when ``run_matrix`` forks workers, so that they share them. A file that
     fails to parse keeps its error, and every read of it raises that error.
-    A word-vector file that some methods read unit-normalised and others raw
-    is parsed once under each key. Word vectors are kept for one dim:
-    ``run_matrix`` calls ``next_dim`` first, so a sweep holds one dim's table
-    at a time."""
+    No key holds a task's name, so a pair file that a relatedness and an
+    entailment task read is parsed once. A word-vector file that some
+    methods read unit-normalised and others raw, and a classification file
+    read under two label sets, are parsed once under each key. Word vectors
+    are kept for one dim: ``run_matrix`` calls ``next_dim`` first, so a
+    sweep holds one dim's table at a time."""
 
     def __init__(self):
         self._parsed = {}
@@ -400,7 +402,8 @@ def run_task(cell: tuple, cfg: RunConfig, dim: int | None = None,
     X = S if task.pair_ids is None else probe.pair_features(*np.split(S, 2))
     if spec.kind == "relatedness":
         gold = np.array(task.scores)
-        model = probe.train_relatedness(X, gold, RELATEDNESS_BINS, cfg.probe, rows=rows, seed=seed)
+        model = probe.train_relatedness(X, gold, tasks_mod.MAX_SCORE, cfg.probe,
+                                        rows=rows, seed=seed)
         predicted = [probe.distribution_to_score(p) for p in probe.predict_proba(model, X[test])]
         measure, value = "pearson", pearson(predicted, gold[test])
     else:
@@ -603,8 +606,8 @@ def run_and_write(
 
 def dim_sweep(cfg: RunConfig, dims: Sequence[int], workers: int = 1) -> list[ResultMatrix]:
     """The `sweep` verb: `run_and_write` over ``dims``. Methods must be
-    parametric in the dim: random lexicons or lexicon path templates
-    containing ``{dim}``."""
+    parametric in the dim: random or synthetic lexicons, or lexicon path
+    templates containing ``{dim}``."""
     return run_and_write(cfg, dims, workers)
 
 

@@ -26,6 +26,7 @@ from .lexicon import VectorTable, tokenize
 SPLIT_NAMES = ("train", "dev", "test")
 ENTAILMENT_LABELS = ("entailment", "neutral", "contradiction")
 DEFAULT_RATIOS = (0.8, 0.1, 0.1)
+MAX_SCORE = 5  # relatedness runs from 1 to MAX_SCORE; its probe has one bin per point
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,8 @@ class Task:
     the program. A pair task's labels are its entailment judgments.
 
     The loaders check the rules a file can break, each at its line: every
-    label is in ``label_set``, every score in [1, 5], pair ids are unique
-    and split names known. ``TaskSpec`` keeps ``label_set`` free of
+    label is in ``label_set``, every score in [1, MAX_SCORE], pair ids are
+    unique and split names known. ``TaskSpec`` keeps ``label_set`` free of
     duplicates. A task built in code must meet these rules itself; the
     constructor checks only the layout: one or two sentences, one score and
     one pair id per item, and split indices in range, each in one split.
@@ -99,14 +100,18 @@ def _check_splits(splits: dict[str, list[int]], n: int) -> None:
             seen.add(i)
 
 
-def _nfc(text: str) -> str:
-    return unicodedata.normalize("NFC", text)
+def _rows(lines: IO[str], start: int = 1):
+    """(line number, tab-split columns) of each non-empty line, its LF or
+    CRLF dropped, numbered from ``start``."""
+    for lineno, raw in enumerate(lines, start):
+        line = raw.rstrip("\r\n")
+        if line:
+            yield lineno, line.split("\t")
 
 
-def load_classification_tsv(
-    stream: IO[str], label_set: Sequence[str] | None = None, name: str = "task"
-) -> Task:
-    """Parse ``label<TAB>sentence`` lines with an optional split column.
+def load_classification_tsv(stream: IO[str], label_set: Sequence[str] | None = None) -> Task:
+    """Parse ``label<TAB>sentence`` lines with an optional split column into
+    a task named ``"task"``; a run names it after its spec.
 
     Without a label_set the labels are collected in order of first appearance.
     Rows without a split column stay unassigned, pending :func:`split`.
@@ -115,16 +120,12 @@ def load_classification_tsv(
     sentences: list[tuple[str, ...]] = []
     labels: list[str] = []
     splits: dict[str, list[int]] = {}
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\r\n")
-        if not line:
-            continue
-        cols = line.split("\t")
+    for lineno, cols in _rows(stream):
         if len(cols) < 2:
             raise ParseError("expected `label<TAB>sentence`", lineno)
         if len(cols) > 3:
             raise ParseError(f"too many columns ({len(cols)})", lineno)
-        label = _nfc(cols[0])
+        label = unicodedata.normalize("NFC", cols[0])
         if known is not None and label not in known:
             raise ParseError(f"unknown label {label!r}", lineno)
         if len(cols) == 3:
@@ -136,15 +137,17 @@ def load_classification_tsv(
     if not labels:
         raise ParseError("no rows in classification file")
     final_labels = tuple(known) if known is not None else tuple(dict.fromkeys(labels))
-    return Task(name, tuple(sentences), tuple(labels), final_labels, splits=splits)
+    return Task("task", tuple(sentences), tuple(labels), final_labels, splits=splits)
 
 
 _SEMEVAL_SPLITS = {"TRAIN": "train", "TRIAL": "dev", "TEST": "test"}
 _PAIR_COLUMNS = ("pair_ID", "sentence_A", "sentence_B", "relatedness_score", "entailment_judgment")
 
 
-def load_sick_tsv(stream: IO[str], name: str = "sick") -> Task:
-    """Parse the sentence-pair TSV with a named-column header."""
+def load_sick_tsv(stream: IO[str]) -> Task:
+    """Parse the sentence-pair TSV with a named-column header into a task
+    named ``"sick"``; a run names it after its spec, and scores it as a
+    relatedness or an entailment task from one parse."""
     header_line = stream.readline()
     if not header_line:
         raise ParseError("empty pair file")
@@ -160,11 +163,7 @@ def load_sick_tsv(stream: IO[str], name: str = "sick") -> Task:
     scores: list[float] = []
     labels: list[str] = []
     splits: dict[str, list[int]] = {}
-    for lineno, raw in enumerate(stream, start=2):
-        line = raw.rstrip("\r\n")
-        if not line:
-            continue
-        cols = line.split("\t")
+    for lineno, cols in _rows(stream, start=2):
         if len(cols) < len(header):
             raise ParseError(f"expected {len(header)} columns, found {len(cols)}", lineno)
         pid = cols[col["pair_ID"]]
@@ -175,8 +174,8 @@ def load_sick_tsv(stream: IO[str], name: str = "sick") -> Task:
             score = float(cols[col["relatedness_score"]])
         except ValueError:
             raise ParseError("non-numeric relatedness score", lineno) from None
-        if not 1.0 <= score <= 5.0:
-            raise ParseError(f"relatedness {score} outside [1, 5]", lineno)
+        if not 1.0 <= score <= MAX_SCORE:
+            raise ParseError(f"relatedness {score} outside [1, {MAX_SCORE}]", lineno)
         entailment = cols[col["entailment_judgment"]].lower()
         if entailment not in ENTAILMENT_LABELS:
             raise ParseError(f"unknown entailment label {cols[col['entailment_judgment']]!r}", lineno)
@@ -191,8 +190,8 @@ def load_sick_tsv(stream: IO[str], name: str = "sick") -> Task:
         labels.append(entailment)
     if not labels:
         raise ParseError("no rows in pair file")
-    return Task(name, tuple(sentences_a + sentences_b), tuple(labels), ENTAILMENT_LABELS,
-                pair_ids=tuple(ids), scores=tuple(scores), splits=splits)
+    return Task("sick", tuple(sentences_a + sentences_b), tuple(labels),
+                ENTAILMENT_LABELS, pair_ids=tuple(ids), scores=tuple(scores), splits=splits)
 
 
 def split(task, ratios: tuple[float, float, float] = DEFAULT_RATIOS, seed: int = 0):

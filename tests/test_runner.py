@@ -668,9 +668,83 @@ class TestSplitRule:
             assert result == (0, ""), run
         assert self.cell_counts(tmp_path) == {round(self.N * 0.1)}
         cfg = load_config(str(tmp_path / "cfg.json"))
-        parsed = runner.read_input(str(task_file), tasks.load_classification_tsv, None, "t")
+        parsed = runner.read_input(str(task_file), tasks.load_classification_tsv, None)
         seeded = tasks.split(parsed, cfg.split_ratios, seed=stable_seed(cfg.seed, "t"))
-        assert load_task(cfg.tasks[0], cfg)[0] == seeded
+        assert load_task(cfg.tasks[0], cfg)[0] == replace(seeded, name="t")
+
+
+class TestSharedParse:
+    """A task file is parsed once per run, however many tasks read it: the
+    loaders take no task name, so the parse cache keys a file by path, loader
+    and label set. `load_task` names each task after its spec and gives it
+    its own seeded split of the shared parse."""
+
+    @staticmethod
+    def count_parses(monkeypatch, log):
+        """Make both task loaders append the loader and file of each parse
+        to the file ``log``, so that a forked worker's parses count too."""
+        def counting(loader):
+            def load(stream, *args):
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{loader.__name__}\t{stream.name}\n")
+                return loader(stream, *args)
+            return load
+
+        for loader in (tasks.load_classification_tsv, tasks.load_sick_tsv):
+            monkeypatch.setattr(tasks, loader.__name__, counting(loader))
+
+    @staticmethod
+    def classification_file(tmp_path):
+        path = tmp_path / "cls.tsv"
+        path.write_text("".join(f"{'ab'[i % 2]}\tw{i % 7} w{i % 5}\n" for i in range(40)),
+                        encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pair_file_parsed_once_for_relatedness_and_entailment(self, tmp_path, monkeypatch,
+                                                                   workers):
+        pairs = tmp_path / "pairs.tsv"
+        judgments = tasks.ENTAILMENT_LABELS
+        pairs.write_text(PAIR_HEADER + "\n" + "".join(
+            f"p{i}\ta w{i % 7}\tb w{i % 5}\t{1 + i * 7 % 40 / 10}\t{judgments[i % 3]}\n"
+            for i in range(60)), encoding="utf-8")
+        cfg = base_config(tasks=[{"name": "rel", "kind": "relatedness", "path": str(pairs)},
+                                 {"name": "ent", "kind": "entailment", "path": str(pairs)}],
+                          methods=[{"name": "rand", "lexicon": "random", "dim": 4}])
+        log = tmp_path / "parses.log"
+        self.count_parses(monkeypatch, log)
+        matrix = run_matrix(cfg, workers=workers)
+        assert [matrix.get("rand", t).measure for t in ("rel", "ent")] == ["pearson", "accuracy"]
+        assert log.read_text(encoding="utf-8").splitlines() == [f"load_sick_tsv\t{pairs}"]
+
+    def test_classification_tasks_over_one_file_keep_their_names_and_splits(self, tmp_path,
+                                                                              monkeypatch):
+        path = self.classification_file(tmp_path)
+        parsed = runner.read_input(str(path), tasks.load_classification_tsv, None)
+        cfg = base_config(tasks=[{"name": name, "path": str(path)} for name in ("one", "two")],
+                          methods=[{"name": "rand", "lexicon": "random", "dim": 4}])
+        log = tmp_path / "parses.log"
+        self.count_parses(monkeypatch, log)
+        cells = runner.plan(cfg, None, runner.Inputs())
+        assert log.read_text(encoding="utf-8").splitlines() == [
+            f"load_classification_tsv\t{path}"]
+        for (_, spec, task, _), name in zip(cells, ("one", "two"), strict=True):
+            seeded = tasks.split(parsed, cfg.split_ratios, seed=stable_seed(cfg.seed, name))
+            assert (spec.name, task) == (name, replace(seeded, name=name))
+        assert cells[0][2].splits != cells[1][2].splits  # a split is not kept with the parse
+
+    def test_each_label_set_parses_the_file_once(self, tmp_path, monkeypatch):
+        path = self.classification_file(tmp_path)
+        label_sets = {"ab": ["a", "b"], "ba": ["b", "a"], "ab-again": ["a", "b"]}
+        cfg = base_config(tasks=[{"name": name, "path": str(path), "label_set": labels}
+                                 for name, labels in label_sets.items()],
+                          methods=[{"name": "rand", "lexicon": "random", "dim": 4}])
+        log = tmp_path / "parses.log"
+        self.count_parses(monkeypatch, log)
+        cells = runner.plan(cfg, None, runner.Inputs())
+        assert log.read_text(encoding="utf-8").splitlines() == [
+            f"load_classification_tsv\t{path}"] * 2
+        assert [task.label_set for _, _, task, _ in cells] == [("a", "b"), ("b", "a"), ("a", "b")]
 
 
 class TestKindRule:
@@ -1737,6 +1811,27 @@ class TestCli:
                                              args=["--format", value, *args])
                 assert (rc, err) == (1, f"error: --format: unknown format {unknown!r}\n"), verb
         assert not (tmp_path / "out").exists()
+
+    def test_svg_format_flag_is_refused_by_eval(self, tmp_path, capsys, monkeypatch):
+        # only sweep draws plots, so eval would write none of them
+        monkeypatch.setattr(runner, "load_task", no_cell)
+        for value in ["svg", "csv,svg"]:
+            rc, err = self.run_file_task(tmp_path, capsys, "eval", {"lexicon": "random", "dim": 4},
+                                         args=["--format", value])
+            assert (rc, err) == (1, "error: --format: svg is only written by sweep\n"), value
+        assert not (tmp_path / "out").exists()
+
+    def test_svg_in_config_formats_runs_under_eval_and_validate(self, tmp_path, capsys):
+        # one config serves every verb: eval and validate accept svg in output.formats
+        doc = {"tasks": [{"name": "cls", "synthetic": dict(SYN_CLS)}],
+               "methods": [{"name": "m", "lexicon": "random", "dim": 4}],
+               "output": {"dir": str(tmp_path / "out"), "formats": ["csv", "svg"]}}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        for verb in ("validate", "eval"):
+            assert cli.main([verb, "--config", str(p)]) == 0, verb
+        assert capsys.readouterr().err == ""
+        assert sorted(os.listdir(tmp_path / "out")) == ["results.csv", "run-metadata.json"]
 
     def test_sif_frequency_file_with_whitespace_only_lines(self, tmp_path, capsys):
         lex, freqs = tmp_path / "v.txt", tmp_path / "freq.txt"
