@@ -3,7 +3,7 @@
 its ``synthetic`` block."""
 
 import math
-from collections.abc import Sequence
+from dataclasses import is_dataclass
 from functools import cache
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
@@ -35,8 +35,9 @@ def check_types(owner: str, values: dict, hints: dict, section: str = "") -> Non
     """Raise a ConfigError naming ``owner`` and the key unless every key of
     ``values`` has a hint and every value has the JSON type its hint names. A
     bool is not a number, a float may be given as an int and is kept as
-    given, and numbers are finite. A tuple or ``Sequence`` hint takes a list
-    or a tuple, never a string. ``section`` names the block the keys belong
+    given, and numbers are finite. A tuple hint takes a list or a tuple,
+    never a string. The message names the JSON type, as in "dim must be an
+    integer or null, not 4.5". ``section`` names the block the keys belong
     to, as in "unknown synthetic key(s)"."""
     label = f"{section} " if section else ""
     unknown = sorted(set(values) - set(hints))
@@ -55,10 +56,10 @@ def _conforms(value, hint) -> bool:
     origin, args = get_origin(hint), get_args(hint)
     if origin in (Union, UnionType):
         return any(_conforms(value, arg) for arg in args)
-    if origin in (tuple, Sequence):
+    if origin is tuple:
         if not isinstance(value, (list, tuple)):
             return False
-        if origin is Sequence or args[-1] is Ellipsis:
+        if args[-1] is Ellipsis:
             args = args[:1] * len(value)
         return len(value) == len(args) and all(map(_conforms, value, args))
     if hint in (int, float):  # a bool is not a number; NaN fails both comparisons
@@ -67,11 +68,19 @@ def _conforms(value, hint) -> bool:
     return isinstance(value, hint)
 
 
+_JSON_TYPES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean",
+               type(None): "null", dict: "an object"}
+
+
 def _shown(hint) -> str:
-    """``hint`` as it is written in an annotation, e.g. ``tuple[str, ...]``."""
-    args = [_shown(arg) for arg in get_args(hint)]
-    if get_origin(hint) in (Union, UnionType):
-        return " | ".join(args)
-    if args:
-        return f"{get_origin(hint).__name__}[{', '.join(args)}]"
-    return "..." if hint is Ellipsis else "None" if hint is type(None) else hint.__name__
+    """The JSON type ``hint`` names: ``int | None`` is "an integer or null",
+    ``tuple[str, ...]`` "an array of strings", ``tuple[float, float, float]``
+    "an array of 3 numbers" (a fixed-length tuple holds one type), and a
+    config dataclass "an object"."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):
+        return " or ".join(map(_shown, args))
+    if origin is tuple:
+        count = "" if args[-1] is Ellipsis else f"{len(args)} "
+        return f"an array of {count}{_shown(args[0]).split(' ', 1)[1]}s"
+    return "an object" if is_dataclass(hint) else _JSON_TYPES[hint]

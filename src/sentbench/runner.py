@@ -46,7 +46,7 @@ class TaskSpec:
     kind: str = "classification"
     path: str | None = None
     synthetic: dict | None = None
-    label_set: Sequence[str] | None = None
+    label_set: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if "/" in self.name or "\0" in self.name:  # it names the task's SVG plot file

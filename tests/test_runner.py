@@ -281,7 +281,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("strategy", ["sif", "mean"])
     def test_sif_a_must_be_a_positive_number(self, sif_a, strategy):
         method = {"name": "s", "strategy": strategy, "lexicon": "synthetic", "sif_a": sif_a}
-        shown = "a positive number" if sif_a in (-1, 0, -1e-9) else "float"  # else a wrong type
+        shown = "a positive number" if sif_a in (-1, 0, -1e-9) else "a number"  # else a wrong type
         with pytest.raises(ConfigError, match=f"^method 's': sif_a must be {shown}, not "):
             base_config(methods=[method])
 
@@ -331,7 +331,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("learning_rate", [float("nan"), float("inf"), -float("inf"), 0, -0.1])
     def test_learning_rate_must_be_positive_and_finite(self, learning_rate):
-        shown = "a positive number" if learning_rate in (0, -0.1) else "float"  # else not finite
+        shown = "a positive number" if learning_rate in (0, -0.1) else "a number"  # else not finite
         with pytest.raises(ConfigError, match=f"^probe: learning_rate must be {shown}, not "):
             base_config(probe={"learning_rate": learning_rate})
 
@@ -380,7 +380,7 @@ class TestParseConfig:
         ({"tasks": [{"name": "t", "synthetic": {}}]}, "config: missing key(s): methods"),
         ({}, "config: missing key(s): tasks, methods"),
         ({"tasks": {"name": "t"}, "methods": []},
-         "config: tasks must be tuple[TaskSpec, ...], not {'name': 't'}"),
+         "config: tasks must be an array of objects, not {'name': 't'}"),
         ({"tasks": [{"synthetic": {}, "knd": 1}], "methods": []}, "task: unknown key(s): knd"),
     ], ids=["root-list", "no-methods", "empty", "tasks-object", "unknown-before-missing"])
     def test_block_shape_and_missing_keys(self, doc, message):
@@ -1589,11 +1589,15 @@ class TestCli:
             assert (tmp_path / "out" / name).exists()
 
     def test_eval_rerun_byte_identical(self, tmp_path):
-        cfg_path = self.write_config(tmp_path, tmp_path / "out")
-        assert cli.main(["eval", "--config", str(cfg_path)]) == 0
-        first = (tmp_path / "out" / "results.csv").read_bytes()
+        # the second run writes over every file of the first, run-metadata.json included
+        out = tmp_path / "out"
+        cfg_path = self.write_config(tmp_path, out)
+        assert cli.main(["eval", "--config", str(cfg_path), "--workers", "1"]) == 0
+        first = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert sorted(first) == ["results.csv", "results.json", "results.md",
+                                 "run-metadata.json"]
         assert cli.main(["eval", "--config", str(cfg_path), "--workers", "4"]) == 0
-        assert (tmp_path / "out" / "results.csv").read_bytes() == first
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == first
 
     def test_seed_and_format_flags_override_the_config(self, tmp_path, capsys):
         flagged = self.write_config(tmp_path, tmp_path / "flagged")
@@ -1605,10 +1609,15 @@ class TestCli:
             assert (tmp_path / "flagged" / name).read_bytes() == \
                 (tmp_path / "keyed" / name).read_bytes(), name
 
-    def test_validate_ok(self, tmp_path, capsys):
-        cfg_path = self.write_config(tmp_path, tmp_path / "out")
-        assert cli.main(["validate", "--config", str(cfg_path)]) == 0
-        assert "config ok" in capsys.readouterr().out
+    def test_validate_ok(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the bundled configs write to a relative dir
+        bundled = os.path.join(os.path.dirname(TESTS_DIR), "configs")
+        for cfg_path in (self.write_config(tmp_path, tmp_path / "out"),
+                         os.path.join(bundled, "synthetic-eval.json"),
+                         os.path.join(bundled, "synthetic-sweep.json")):
+            assert cli.main(["validate", "--config", str(cfg_path)]) == 0, cfg_path
+            assert "config ok" in capsys.readouterr().out, cfg_path
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     def test_validate_missing_file_exit_1(self, tmp_path, capsys):
         doc = {
@@ -1845,7 +1854,7 @@ class TestCli:
         ({"strategy": "sif", "lexicon": "random", "dim": 4, "sif_a": -1},
          "error: method 'm': sif_a must be a positive number, not -1\n"),
         ({"strategy": "sif", "lexicon": "random", "dim": 4, "sif_a": "1e-3"},
-         "error: method 'm': sif_a must be float, not '1e-3'\n"),
+         "error: method 'm': sif_a must be a number, not '1e-3'\n"),
         ({"lexicon": "random", "dim": 4, "frequencies": "freq.txt"},
          "error: method 'm': frequencies is only for sif methods, not strategy 'mean'\n"),
         ({"lexicon": "random", "dim": 4, "sif_a": 0.01},
@@ -1872,26 +1881,26 @@ class TestCli:
         for verb in ("validate", "eval"):
             assert cli.main([verb, "--config", str(cfg_path)]) == 1, verb
             assert capsys.readouterr().err == (
-                f"error: probe: learning_rate must be float, not {learning_rate!r}\n"), verb
+                f"error: probe: learning_rate must be a number, not {learning_rate!r}\n"), verb
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("extra, message", [
         ({"methods": [{"name": "m", "lexicon": "random", "dim": 4.5}]},
-         "method 'm': dim must be int | None, not 4.5"),
-        ({"probe": {"epochs": 1.5}}, "probe: epochs must be int, not 1.5"),
-        ({"methods": [{"name": 7, "lexicon": "synthetic"}]}, "method 7: name must be str, not 7"),
-        ({"seed": "1"}, "config: seed must be int, not '1'"),
+         "method 'm': dim must be an integer or null, not 4.5"),
+        ({"probe": {"epochs": 1.5}}, "probe: epochs must be an integer, not 1.5"),
+        ({"methods": [{"name": 7, "lexicon": "synthetic"}]}, "method 7: name must be a string, not 7"),
+        ({"seed": "1"}, "config: seed must be an integer, not '1'"),
         ({"methods": [{"name": "m", "lexicon": "synthetic", "normalize": "no"}]},
-         "method 'm': normalize must be bool | None, not 'no'"),
-        ({"probe": {"hidden_units": True}}, "probe: hidden_units must be int, not True"),
+         "method 'm': normalize must be a boolean or null, not 'no'"),
+        ({"probe": {"hidden_units": True}}, "probe: hidden_units must be an integer, not True"),
         ({"split_ratios": [0.8, 0.2], "tasks": [{"name": "t", "path": "t.tsv"}]},
-         "config: split_ratios must be tuple[float, float, float], not [0.8, 0.2]"),
-        ({"tasks": [{"name": "t", "path": 0}]}, "task 't': path must be str | None, not 0"),
+         "config: split_ratios must be an array of 3 numbers, not [0.8, 0.2]"),
+        ({"tasks": [{"name": "t", "path": 0}]}, "task 't': path must be a string or null, not 0"),
         ({"output": {"formats": "csv"}},
-         "config: output.formats must be tuple[str, ...], not 'csv'"),
-        ({"output": {"dir": 3}}, "config: output.dir must be str, not 3"),
+         "config: output.formats must be an array of strings, not 'csv'"),
+        ({"output": {"dir": 3}}, "config: output.dir must be a string, not 3"),
         ({"tasks": [{"name": "t", "synthetic": {"items": "200"}}]},
-         "task 't': synthetic items must be int, not '200'"),
+         "task 't': synthetic items must be an integer, not '200'"),
         ({"tasks": [{"name": "t", "path": TESTS_DIR}],
           "methods": [{"name": "m", "lexicon": "random", "dim": 4}]},
          f"task 't': file not found: {TESTS_DIR}"),
@@ -1941,7 +1950,7 @@ class TestCli:
         ({"output": []}, "output: must be an object, not []"),
         ({"sed": 1}, "config: unknown key(s): sed"),
         ({"output": {"format": ["csv"]}}, "config: unknown key(s): output.format"),
-        ({"methods": "m"}, "config: methods must be tuple[MethodSpec, ...], not 'm'"),
+        ({"methods": "m"}, "config: methods must be an array of objects, not 'm'"),
     ], ids=["string-task", "nameless-task", "nameless-method", "null-probe",
             "list-output", "unknown-top-level", "unknown-output", "string-methods"])
     def test_malformed_block_exit_1_naming_it(self, tmp_path, capsys, monkeypatch, extra,
