@@ -4,9 +4,10 @@ Three strategies: plain mean, frequency-weighted mean with common-component
 removal (SIF), and mean concatenated with componentwise max. ``embed_corpus``
 runs all three on one path: a (V, d) vocabulary matrix, unit-normalised and
 SIF-weighted per row once, whose rows are pooled for all sentences of one
-in-vocabulary length at a time, in blocks of about 1 MB. The per-sentence
-functions (``mean_pool``, ``mean_max_concat``, ``sif_weighted_mean``) are the
-reference definitions; its rows are bitwise equal to theirs.
+in-vocabulary length at a time, in blocks of about ``BLOCK_FLOATS`` values.
+The per-sentence functions (``mean_pool``, ``mean_max_concat``,
+``sif_weighted_mean``) are the reference definitions; its rows are bitwise
+equal to theirs.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .lexicon import FrequencyTable, VectorTable, unigram_probability, unit_rows
+from .lexicon import BLOCK_FLOATS, FrequencyTable, VectorTable, unigram_probability, unit_rows
 
 DEFAULT_SIF_A = 1e-3
-BLOCK_FLOATS = 2**17  # float64 values per pooled block (1 MB)
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,9 @@ def _stack(vs: Sequence[np.ndarray], dim: int | None):
         if dim is None:
             raise ValueError("empty sequence needs an explicit dim")
         return None
+    if len({np.shape(v) for v in vs}) != 1 or np.ndim(vs[0]) != 1:
+        raise ValueError("items must be vectors of one dim")  # NumPy would refuse ragged ones first
     arr = np.asarray(vs, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("mixed vector dimensions")
     if dim is not None and arr.shape[1] != dim:
         raise ValueError(f"vectors have dim {arr.shape[1]}, expected {dim}")
     return arr

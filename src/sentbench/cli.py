@@ -96,8 +96,9 @@ def _load(args) -> runner.RunConfig:
     if args.command == "embed" and out:  # embed's --out is a file, in a directory that exists
         if os.path.isdir(out):
             raise ConfigError(f"--out: is a directory: {out}")
-        if not os.path.isdir(os.path.dirname(out) or "."):
-            raise ConfigError(f"--out: no such directory: {os.path.dirname(out)}")
+        if not os.path.isdir(parent := os.path.dirname(out) or "."):
+            fault = "not a directory" if os.path.exists(parent) else "no such directory"
+            raise ConfigError(f"--out: {fault}: {parent}")
     elif out is not None and (problem := runner.output_dir_problem(out)):
         raise ConfigError(f"--out: {problem}")
     cfg = runner.load_config(args.config)
@@ -134,9 +135,10 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "sweep":
             try:
-                dims = [int(d) for d in args.dims.split(",") if d]
+                dims = [int(d) for d in args.dims.split(",")]
             except ValueError:
-                raise ConfigError(f"bad --dims value {args.dims!r}") from None
+                raise ConfigError(
+                    f"--dims: not a comma-separated list of integers: {args.dims!r}") from None
             runner.dim_sweep(cfg, dims, workers=args.workers)
             print(f"wrote {len(dims)} matrices to {cfg.output_dir}")
             return 0

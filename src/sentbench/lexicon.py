@@ -30,7 +30,7 @@ from .errors import ParseError
 
 _PUNCT_CATEGORIES = ("P", "S")
 _BLOCK = 128  # lines per np.loadtxt call: bounds the memory a block holds
-_NORM_ROWS = 1024  # rows per block of squares in `unit_rows`
+BLOCK_FLOATS = 2**17  # float64 values (1 MB) per temporary row block, here and in `aggregate`
 _LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"  # loadtxt strips them around a number, float() does not
 
 
@@ -201,13 +201,15 @@ def unit_rows(E: np.ndarray) -> np.ndarray:
     norm, in place, and return ``E``. A row whose squares under- or overflow
     is first scaled by an exact power of two, so it normalises like any
     other; an all-zero row becomes NaN, which `aggregate.embed_corpus`
-    reports when a sentence uses it. Norms are taken ``_NORM_ROWS`` rows at
-    a time, so the squares they sum never fill a second (V, d) array; each
-    row reduces alone, so its norm has the same bits either way."""
+    reports when a sentence uses it. Norms are taken over blocks of about
+    ``BLOCK_FLOATS`` values, so the squares they sum never fill a second
+    (V, d) array; each row reduces alone, so its norm has the same bits
+    either way."""
+    k = max(1, BLOCK_FLOATS // E.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.empty((len(E), 1))
-        for s in range(0, len(E), _NORM_ROWS):
-            norms[s : s + _NORM_ROWS] = np.linalg.norm(E[s : s + _NORM_ROWS], axis=1, keepdims=True)
+        for s in range(0, len(E), k):
+            norms[s : s + k] = np.linalg.norm(E[s : s + k], axis=1, keepdims=True)
         extreme = (norms[:, 0] < 1e-150) | (norms[:, 0] == np.inf)
         if extreme.any():  # squares under- or overflow: scale by an exact power of two first
             peak = np.abs(E[extreme]).max(axis=1, keepdims=True)

@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import ConfigError, ProbeDivergedError
 
-_CHECK_FLOATS = 2**17  # float64 values per block of the non-finite check (1 MB)
-
 
 @dataclass(frozen=True)
 class ProbeConfig:
@@ -178,12 +176,10 @@ def _train(
     X: np.ndarray, rows: np.ndarray, targets: np.ndarray, out_kind: str, cfg: ProbeConfig, seed: int
 ) -> Probe:
     """SGD on ``X[rows]`` without copying it: each mini-batch gathers its own
-    rows, and ``targets[i]`` belongs to ``X[rows[i]]``. ``seed`` draws the
-    initial weights and ``seed + 1`` the per-epoch shuffles."""
-    block = max(1, _CHECK_FLOATS // max(1, X.shape[1]))
-    for start in range(0, len(rows), block):
-        if not np.isfinite(X[rows[start : start + block]]).all():
-            raise ValueError("non-finite features")
+    rows, and ``targets[i]`` belongs to ``X[rows[i]]``. The first epoch's
+    batches gather every train row once, so they are where a non-finite
+    feature is found. ``seed`` draws the initial weights and ``seed + 1``
+    the per-epoch shuffles."""
     probe, flat = _init_probe(X.shape[1], cfg.hidden_units, targets.shape[1], out_kind, seed)
     grad = np.empty_like(flat)  # the gradients, laid out like the parameters
     views = _views(grad, *probe.W1.shape, len(probe.b2))
@@ -193,10 +189,13 @@ def _train(
         order = rng.permutation(n)
         epoch_rows, epoch_targets = rows[order], targets[order]
         for start in range(0, n, cfg.batch_size):
+            batch = slice(start, start + cfg.batch_size)
+            xb = X[epoch_rows[batch]]
+            if epoch == 0 and not np.isfinite(xb).all():
+                raise ValueError("non-finite features")
             # p -= lr * g on each array, made as one step on the flat vector: the same
             # operations, so the parameters stay bitwise those of the per-array loop
-            batch = slice(start, start + cfg.batch_size)
-            loss_gradients(probe, X[epoch_rows[batch]], epoch_targets[batch], out=views)
+            loss_gradients(probe, xb, epoch_targets[batch], out=views)
             grad *= cfg.learning_rate
             flat -= grad
         if not np.isfinite(flat).all():

@@ -463,7 +463,10 @@ def run_matrix(
     is one, so that no worker parses. Any cell failure aborts the whole run
     with an error naming the cell, the one of the lowest index in
     method-major order: a ConfigError or ParseError as its own class,
-    anything else as a RuntimeError."""
+    anything else as a RuntimeError. Fewer than one worker is a
+    ValueError."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
     inputs = inputs or Inputs()
     inputs.next_dim()
     cells_in = plan(cfg, dim, inputs)

@@ -64,8 +64,11 @@ class TestPooling:
         assert np.array_equal(mean_max_concat([], dim=1), [0, 0])
 
     def test_mixed_dims_rejected(self):
-        with pytest.raises(ValueError):
-            mean_pool([np.array([1.0]), np.array([1.0, 2.0])])
+        for vs in ([np.array([1.0]), np.array([1.0, 2.0])], [1.0, 2.0]):  # numbers are no vectors
+            with pytest.raises(ValueError, match="^items must be vectors of one dim$"):
+                mean_pool(vs)
+        with pytest.raises(ValueError, match="^vectors have dim 2, expected 3$"):
+            mean_pool([np.array([1.0, 2.0])], dim=3)
 
     @given(st.lists(st.lists(st.floats(-100, 100), min_size=3, max_size=3), min_size=1, max_size=6),
            st.randoms())
@@ -157,6 +160,8 @@ class TestFitCommonComponent:
     def test_all_zero_matrix_rejected(self):
         with pytest.raises(ValueError):
             fit_common_component(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="at least one row"):
+            fit_common_component(np.zeros((0, 2)))
 
     def test_matches_dense_oracle_at_scale(self):
         # a small eigengap, as in real sentence matrices, where an iterative
@@ -283,6 +288,8 @@ class TestEmbedCorpus:
         strat = Sif(freq=FrequencyTable(counts={"a": 1}, total=2))
         with pytest.raises(ValueError):
             embed_corpus([("a",)], self.TABLE, strat)
+        with pytest.raises(TypeError, match="unknown strategy"):  # not a strategy at all
+            embed_corpus([("a",)], self.TABLE, "sif", [0])
 
     def test_sif_component_fitted_on_train_only(self):
         rng = np.random.default_rng(3)

@@ -45,6 +45,8 @@ class TestPearson:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             pearson([1.0], [2.0])
+        with pytest.raises(ValueError, match="equal length"):
+            pearson([1.0, 2.0], [2.0, 3.0, 4.0])
 
     def test_self_correlation(self):
         x = [0.5, 1.5, -2.0, 3.0]

@@ -348,16 +348,15 @@ class TestTrainRows:
         with pytest.raises(ValueError, match="outside"):
             train_relatedness(X, scores, 5, cfg, rows=rows + [7])
 
-    @pytest.mark.parametrize("check_floats", [7, 20, 2**17])  # 1 row, 2 rows, all rows a block
-    def test_non_finite_train_row_found_in_any_block(self, data, monkeypatch, check_floats):
+    @pytest.mark.parametrize("batch_size", [1, 7, 20, 64, 2**17])  # 150 batches down to one
+    def test_non_finite_train_row_found_in_any_block(self, data, batch_size):
         X, labels, _ = data
-        monkeypatch.setattr(probe_mod, "_CHECK_FLOATS", check_floats)
         rows = list(range(150))[::-1]
-        for bad in (149, 75, 0):  # the first, a middle and the last train row
+        for bad in range(150):  # every train row, so the first, a middle and the last batch
             Xb = X.copy()
             Xb[bad, 6] = np.inf
             with pytest.raises(ValueError, match="non-finite features"):
-                train_classifier(Xb, labels, 3, ProbeConfig(), rows=rows)
+                train_classifier(Xb, labels, 3, ProbeConfig(batch_size=batch_size), rows=rows)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_predicted_row_rejected(self, data, bad):
@@ -367,6 +366,12 @@ class TestTrainRows:
         Xb[9, 0] = bad
         with pytest.raises(ValueError, match="non-finite features"):
             predict_proba(model, Xb)
+
+    def test_predicted_rows_of_another_dim_rejected(self, data):
+        X, labels, _ = data
+        model = train_classifier(X, labels, 3, ProbeConfig(epochs=1))
+        with pytest.raises(ValueError, match="^feature dim 6 != probe input 7$"):
+            predict_proba(model, X[:10, :6])
 
     def test_train_rows_are_not_copied(self):
         X = np.random.default_rng(0).standard_normal((4000, 600))

@@ -11,6 +11,7 @@ import threading
 import time
 import warnings
 import weakref
+import xml.etree.ElementTree as ET
 import zlib
 from dataclasses import fields, replace
 from unittest import mock
@@ -1087,6 +1088,12 @@ class TestRunMatrix:
         assert len(matrix.cells) == methods
         assert matrix.cells == run_matrix(cfg, workers=2).cells
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_refused_before_the_plan(self, monkeypatch, workers):
+        monkeypatch.setattr(runner, "plan", no_cell)
+        with pytest.raises(ValueError, match=f"^workers must be at least 1, not {workers}$"):
+            run_matrix(self.small_matrix(2, 1), workers=workers)
+
     def test_a_worker_stops_at_its_first_failed_cell(self, tmp_path, monkeypatch):
         log = tmp_path / "calls.txt"
 
@@ -1741,6 +1748,11 @@ class TestCli:
         cfg_path = self.write_config(tmp_path, tmp_path / "out")
         assert cli.main(["sweep", "--config", str(cfg_path), "--dims", "4,8"]) == 0
         assert (tmp_path / "out" / "results-dim4.csv").exists()
+        # a one-dim plot: its x range is one value, whose point sits at the centre
+        assert cli.main(["sweep", "--config", str(cfg_path), "--dims", "16",
+                         "--format", "svg", "--out", str(tmp_path / "one")]) == 0
+        svg = ET.parse(tmp_path / "one" / "cls.svg").getroot()
+        assert [c.get("cx") for c in svg.iter("{http://www.w3.org/2000/svg}circle")] == ["255.0"]
         vec_path = tmp_path / "vecs.tsv"
         assert cli.main([
             "embed", "--config", str(cfg_path),
@@ -1748,9 +1760,13 @@ class TestCli:
         ]) == 0
         assert load_sentence_vector_table(open(vec_path, encoding="utf-8")).dim == 8
 
-    def test_bad_dims_exit_1(self, tmp_path):
+    def test_bad_dims_exit_1(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path, tmp_path / "out")
-        assert cli.main(["sweep", "--config", str(cfg_path), "--dims", "4,x"]) == 1
+        for dims in ("4,x", "4,", "4,,16", ""):  # an empty element is no dim, as in --format
+            assert cli.main(["sweep", "--config", str(cfg_path), "--dims", dims]) == 1
+            assert capsys.readouterr().err == (
+                f"error: --dims: not a comma-separated list of integers: {dims!r}\n"), dims
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("dims, message", [
         ("4,4", "error: sweep dim 4 is given 2 times"),
@@ -2123,13 +2139,15 @@ class TestCli:
         assert (rc, capsys.readouterr().err) == (
             2, "runtime error: cell (method='pre', task='p') failed: non-finite features\n")
 
-    @pytest.mark.parametrize("out", ["nodir/x.tsv", "dir", ""])
+    @pytest.mark.parametrize("out", ["nodir/x.tsv", "afile/x.tsv", "dir", ""])
     def test_embed_out_checked_before_any_task_loads(self, tmp_path, capsys, monkeypatch, out):
         (tmp_path / "dir").mkdir()
+        (tmp_path / "afile").write_text("", encoding="utf-8")
         monkeypatch.setattr(runner, "load_task", no_cell)
         path = str(tmp_path / out) if out else ""
         fault = {"dir": f"is a directory: {path}",
                  "nodir/x.tsv": f"no such directory: {tmp_path / 'nodir'}",
+                 "afile/x.tsv": f"not a directory: {tmp_path / 'afile'}",
                  "": "the path is empty"}[out]
         verbs = [("embed", ["--task", "file-cls", "--method", "m"])]
         if not out:  # every verb with --out refuses an empty one, not only embed
@@ -2138,8 +2156,9 @@ class TestCli:
             rc, err = self.run_file_task(tmp_path, capsys, verb, {"lexicon": "random", "dim": 4},
                                          args=[*args, "--out", path])
             assert (rc, err) == (1, f"error: --out: {fault}\n"), verb
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "cls.tsv", "dir"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cfg.json", "cls.tsv", "dir"]
         assert not any((tmp_path / "dir").iterdir())
+        assert (tmp_path / "afile").read_text(encoding="utf-8") == ""
 
     @pytest.mark.parametrize("flag, path, fault", [
         ("--out", "afile", "not a directory: {afile}"),

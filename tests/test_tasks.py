@@ -164,6 +164,9 @@ class TestDataclassValidation:
     def test_overlapping_splits_rejected(self):
         with pytest.raises(ValueError, match="two splits"):
             Task("t", (("x",), ("y",)), ("a", "a"), ("a",), splits={"train": [0], "test": [0]})
+        for i in (-1, 2):  # an index that is no item's
+            with pytest.raises(ValueError, match=f"^split index {i} out of range$"):
+                Task("t", (("x",), ("y",)), ("a", "a"), ("a",), splits={"train": [0], "test": [i]})
 
     @pytest.mark.parametrize("sentences, labels, pair_ids", [
         ((("x",),), ("a", "a"), None),
