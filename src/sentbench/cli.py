@@ -28,7 +28,10 @@ inherit it: `--workers` alone sets how many CPUs a run keeps busy. A
 process that loaded NumPy before it imported this module keeps its BLAS
 threads.
 
-Exit codes: 0 success, 1 validation/config error, 2 runtime error. A
+Exit codes: 0 success, 1 validation/config error, 2 runtime error. Every
+flag fault (a bad value, an unknown or missing flag, no verb) exits 1 with
+one error line and no usage block. `--seed`, `--workers` and each `--dims`
+element are plain decimal integers: ASCII digits after an optional `-`. A
 failed cell keeps the class of its fault and names the cell, so it counts
 the same at any worker count. A missing, unreadable, non-UTF-8 or
 malformed input file, the config included, exits 1 with one error line
@@ -57,17 +60,41 @@ from .report import format_value
 from . import runner
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """A flag fault is a ConfigError, so `main` exits 1 with one line."""
+        raise ConfigError(message.removeprefix("argument "))
+
+
+def _integer(text: str) -> int:
+    """``text`` as a plain decimal integer: ASCII digits after an optional
+    ``-``. `int` alone also reads ``1_0``, ``+1``, `` 1`` and other
+    scripts' digits."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def _dims(text: str) -> list[int]:
+    try:
+        return [_integer(d) for d in text.split(",")]
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}") from None
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="path to the JSON run config")
     p.add_argument("--out", help="output directory (overrides config)")
     p.add_argument("--format", help="comma-separated output formats: csv,json,md; sweep also svg")
-    p.add_argument("--seed", type=int, help="run seed (overrides config)")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--seed", type=_integer, help="run seed (overrides config)")
+    p.add_argument("--workers", type=_integer, default=1,
                    help="processes that run cells, this one included (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sentbench", description=__doc__)
+    parser = _Parser(prog="sentbench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="run the evaluation matrix")
@@ -75,14 +102,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a dimensionality sweep")
     _add_common(p_sweep)
-    p_sweep.add_argument("--dims", required=True, help="comma-separated dims, e.g. 100,300,500,800")
+    p_sweep.add_argument("--dims", required=True, type=_dims,
+                         help="comma-separated dims, e.g. 100,300,500,800")
 
     p_embed = sub.add_parser("embed", help="export sentence vectors")
     p_embed.add_argument("--config", required=True)
     p_embed.add_argument("--task", required=True, help="task name from the config")
     p_embed.add_argument("--method", required=True, help="method name from the config")
     p_embed.add_argument("--out", required=True, help="output TSV file")
-    p_embed.add_argument("--seed", type=int)
+    p_embed.add_argument("--seed", type=_integer)
 
     p_val = sub.add_parser("validate", help="check a config without running it")
     p_val.add_argument("--config", required=True)
@@ -120,8 +148,8 @@ def _load(args) -> runner.RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _load(args)
         if args.command == "validate":
             runner.plan(cfg, None, runner.Inputs())  # every check a run makes before its first cell
@@ -134,13 +162,8 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{m}\t{t}\t{format_value(matrix.get(m, t))}")
             return 0
         if args.command == "sweep":
-            try:
-                dims = [int(d) for d in args.dims.split(",")]
-            except ValueError:
-                raise ConfigError(
-                    f"--dims: not a comma-separated list of integers: {args.dims!r}") from None
-            runner.dim_sweep(cfg, dims, workers=args.workers)
-            print(f"wrote {len(dims)} matrices to {cfg.output_dir}")
+            runner.dim_sweep(cfg, args.dims, workers=args.workers)
+            print(f"wrote {len(args.dims)} matrices to {cfg.output_dir}")
             return 0
         n = runner.export_sentence_vectors(cfg, args.task, args.method, args.out)  # embed
         print(f"wrote {n} sentence vectors to {args.out}")

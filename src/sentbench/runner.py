@@ -13,6 +13,7 @@ import pickle
 import signal
 import stat
 import sys
+import tempfile
 import zlib
 from collections import Counter
 from contextlib import suppress
@@ -452,8 +453,9 @@ def run_matrix(
     cfg: RunConfig, workers: int = 1, dim: int | None = None, inputs: Inputs | None = None
 ) -> ResultMatrix:
     """Evaluate every method on every task. Cells are independent, and one
-    loop, `_forked`, runs them at every worker count: in ``workers``
-    processes on Linux, and in this process alone at one worker, for a
+    loop, `_forked`, runs them at every worker count, each free worker
+    taking the next cell in method-major order: in ``workers`` processes on
+    Linux, and in this process alone at one worker, for a
     single cell or off Linux. Results do not depend on the worker count.
     The cells come from `plan`, which first checks the run at ``dim``, so a
     missing input file is a ConfigError before any task loads; tasks and
@@ -463,8 +465,9 @@ def run_matrix(
     is one, so that no worker parses. Any cell failure aborts the whole run
     with an error naming the cell, the one of the lowest index in
     method-major order: a ConfigError or ParseError as its own class,
-    anything else as a RuntimeError. Fewer than one worker is a
-    ValueError."""
+    anything else as a RuntimeError. A failed cell stops every worker from
+    taking another cell, and the run waits for the cells that other workers
+    already hold. Fewer than one worker is a ValueError."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
     inputs = inputs or Inputs()
@@ -501,55 +504,56 @@ def _attempt(fn, *args):
         return exc
 
 
-def _stride(compute, k: int, n: int, workers: int):
-    """(i, ``compute(i)`` or its exception) for cells i = k, k + workers, …
-    below ``n``, up to and including the first exception."""
-    for i in range(k, n, workers):
-        yield i, (record := _attempt(compute, i))
-        if isinstance(record, Exception):
-            return
-
-
 def _forked(compute, names: list[str], workers: int) -> list:
     """``[compute(i) for i, _ in enumerate(names)]`` in ``workers`` processes:
     this one and ``workers - 1`` forked children, so none at one worker.
-    Worker k runs its `_stride`, cells k, k + workers, …, and stops at its
-    first failed cell. Each child pickles one (i, result or exception) record
-    per cell it ran into its own pipe and exits. Once this process's stride
-    ends, the children are read in turn, each only while it owes a cell
-    below the lowest failed one so far, and then killed: a later cell cannot
-    change the error. The exception of the lowest index is raised, since
-    every cell left unread or skipped by a stopped stride comes after a
-    failure. A cell that no record reports otherwise, because its worker
-    died, is a RuntimeError under its name in ``names``. Every child is
-    reaped before this returns or raises."""
+    The cell indices wait in order in one queue that every worker shares.
+    Each worker takes the next untaken index and runs its cell, until the
+    queue is empty or its own cell fails; a failed cell empties the queue,
+    so no worker takes another, and the cells other workers hold run to
+    their end. Each child pickles one (i, result or exception) record per
+    cell it ran into its own pipe and exits; once the queue is empty for
+    this process, it reads each child's pipe to its end and reaps the
+    child. Indices go out in order, so every cell below the lowest failed
+    one was taken and run: the exception of the lowest index is raised, the
+    same at every worker count. A cell that no record reports, because its
+    worker died, is a RuntimeError under its name in ``names``. Every child
+    is reaped before this returns or raises."""
     records, children = {}, []
-    try:
-        for k in range(1, workers):
-            r, w = os.pipe()
-            if (pid := os.fork()) == 0:  # the child: it never returns
-                try:
-                    for record in _stride(compute, k, len(names), workers):
-                        os.write(w, pickle.dumps(record))
-                finally:
-                    os._exit(0)
-            os.close(w)
-            children.append((pid, open(r, "rb")))
-        records.update(_stride(compute, 0, len(names), workers))
-        lowest = min((i for i, r in records.items() if isinstance(r, Exception)),
-                     default=len(names))
-        for k, (pid, pipe) in enumerate(children, 1):
-            with pipe, suppress(EOFError, pickle.UnpicklingError):  # the end, or a cut record
-                for _ in range(k, lowest, workers):  # the cells it owes below `lowest`
-                    i, record = pickle.load(pipe)
-                    records[i] = record
-                    if isinstance(record, Exception):
-                        lowest = i
-            os.kill(pid, signal.SIGKILL)
-    finally:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)  # a no-op unless this process raised early
-            os.waitpid(pid, 0)
+    with tempfile.TemporaryFile() as queue:  # one 4-byte record per cell index
+        queue.write(np.arange(len(names), dtype="<u4").tobytes())
+        queue.seek(0)
+
+        def pulled():
+            """(i, ``compute(i)`` or its exception) for each index this worker
+            takes, up to and including the first exception."""
+            # a read is atomic: on Linux, processes that share a regular file's open
+            # description, as forked ones do, update its offset under a lock
+            while index := os.read(queue.fileno(), 4):
+                i = int.from_bytes(index, "little")
+                if isinstance(record := _attempt(compute, i), Exception):
+                    os.lseek(queue.fileno(), 0, os.SEEK_END)  # empty for every worker, this one too
+                yield i, record
+
+        try:
+            for _ in range(1, workers):
+                r, w = os.pipe()
+                if (pid := os.fork()) == 0:  # the child: it never returns
+                    try:
+                        for record in pulled():
+                            os.write(w, pickle.dumps(record))
+                    finally:
+                        os._exit(0)
+                os.close(w)
+                children.append((pid, open(r, "rb")))
+            records.update(pulled())
+            for _, pipe in children:
+                with pipe, suppress(EOFError, pickle.UnpicklingError):  # the end, or a cut record
+                    records.update(iter(lambda: pickle.load(pipe), None))
+        finally:
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)  # a no-op unless this process raised early
+                os.waitpid(pid, 0)
     for i, name in enumerate(names):
         records.setdefault(i, RuntimeError(f"{name}: its worker process died before reporting it"))
         if isinstance(records[i], Exception):

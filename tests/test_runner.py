@@ -1095,30 +1095,51 @@ class TestRunMatrix:
             run_matrix(self.small_matrix(2, 1), workers=workers)
 
     def test_a_worker_stops_at_its_first_failed_cell(self, tmp_path, monkeypatch):
+        """Once cell 0 fails, no worker takes a new cell: the failed worker
+        takes none, and each other one finishes the cell it holds and may
+        have taken one more before the queue emptied."""
+        log = tmp_path / "calls.txt"
+
+        def note(line):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {line}\n")
+
+        def run_task(cell, *args):
+            method, _, task, _ = cell
+            note(f"{method.name} {task.name}")
+            if (method.name, task.name) == ("m0", "t0"):
+                note("failed")
+                raise ConfigError("fault")
+            time.sleep(0.5)  # far longer than the failed worker takes to empty the queue
+            return EvalResult(task.name, method.name, "accuracy", 0.5, 1)
+
+        monkeypatch.setattr(runner, "run_task", run_task)
+        with pytest.raises(ConfigError, match=r"^cell \(method='m0', task='t0'\) failed: fault$"):
+            run_matrix(self.small_matrix(4, 3), workers=3)
+        lines = log.read_text(encoding="utf-8").splitlines()
+        failed = lines.index(next(line for line in lines if line.endswith(" failed")))
+        later = [line.split()[0] for line in lines[failed + 1:]]  # the pids of later cells
+        assert lines[failed].split()[0] not in later
+        assert len(later) == len(set(later)) <= 2, lines
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_every_cell_runs_once(self, tmp_path, monkeypatch, workers):
+        """Up to twice as many workers as CPUs take 40 cells from the shared
+        queue, and each cell runs exactly once."""
         log = tmp_path / "calls.txt"
 
         def run_task(cell, *args):
             method, _, task, _ = cell
             with open(log, "a", encoding="utf-8") as fh:
                 fh.write(f"{os.getpid()} {method.name} {task.name}\n")
-            if (method.name, task.name) == ("m0", "t0"):
-                raise ConfigError("fault")
-            if (method.name, task.name) == ("m0", "t1"):  # outlasts the failure of cell 0
-                time.sleep(10)
             return EvalResult(task.name, method.name, "accuracy", 0.5, 1)
 
         monkeypatch.setattr(runner, "run_task", run_task)
-        with pytest.raises(ConfigError, match=r"^cell \(method='m0', task='t0'\) failed: fault$"):
-            run_matrix(self.small_matrix(2, 2), workers=2)
-        calls = {}
-        for line in log.read_text(encoding="utf-8").splitlines():
-            pid, cell = line.split(" ", 1)
-            calls.setdefault(int(pid) == os.getpid(), []).append(cell)
-        # cells in order (m0, t0), (m0, t1), (m1, t0), (m1, t1): the main
-        # process's stride is 0, 2 and the forked worker's 1, 3. Once cell 0
-        # has failed, the worker owes no cell below it and is killed in cell 1.
-        assert calls[True] == ["m0 t0"]
-        assert "m1 t1" not in calls.get(False, [])
+        assert len(run_matrix(self.small_matrix(8, 5), workers=workers).cells) == 40
+        pids, cells = zip(*(line.split(" ", 1)
+                            for line in log.read_text(encoding="utf-8").splitlines()))
+        assert sorted(cells) == sorted(f"m{i} t{j}" for i in range(8) for j in range(5))
+        assert len(set(pids)) <= workers
 
     @settings(max_examples=40)
     @given(methods=st.integers(1, 3), tasks=st.integers(1, 3), workers=st.integers(1, 4),
@@ -1762,11 +1783,38 @@ class TestCli:
 
     def test_bad_dims_exit_1(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path, tmp_path / "out")
-        for dims in ("4,x", "4,", "4,,16", ""):  # an empty element is no dim, as in --format
+        # an empty element is no dim, as in --format; int() alone reads the last four
+        for dims in ("4,x", "4,", "4,,16", "", "1_6", "+16", "\u0661\u0666", " 4"):
             assert cli.main(["sweep", "--config", str(cfg_path), "--dims", dims]) == 1
             assert capsys.readouterr().err == (
                 f"error: --dims: not a comma-separated list of integers: {dims!r}\n"), dims
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        ("eval --config {cfg} --out {out} --workers x", "--workers"),
+        ("sweep --config {cfg} --out {out} --dims 4 --workers 0_2", "--workers"),
+        ("eval --config {cfg} --out {out} --seed 1.5", "--seed"),
+        ("sweep --config {cfg} --out {out} --dims 4 --seed 1_0", "--seed"),
+        ("embed --config {cfg} --task cls --method clustered-mean --out {out}/v.tsv --seed +1",
+         "--seed"),
+        ("eval --config {cfg} --out {out} --bogus", "--bogus"),
+        ("eval --out {out}", "--config"),
+        ("", "command"),
+        ("evaluate --config {cfg} --out {out}", "command"),
+    ], ids=["workers-x", "workers-0_2", "seed-1.5", "seed-1_0", "embed-seed-+1", "unknown-flag",
+            "no-config", "no-verb", "unknown-verb"])
+    def test_flag_fault_exit_1(self, tmp_path, capsys, argv, flag):
+        cfg_path = self.write_config(tmp_path, tmp_path / "out")
+        assert cli.main(argv.format(cfg=cfg_path, out=tmp_path / "out").split()) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {flag}: ") or line.endswith(f": {flag}"), line
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exit_0(self, capsys):
+        for argv in (["--help"], ["sweep", "--help"]):
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv)
+            assert info.value.code == 0 and capsys.readouterr().out.startswith("usage: ")
 
     @pytest.mark.parametrize("dims, message", [
         ("4,4", "error: sweep dim 4 is given 2 times"),
@@ -2300,18 +2348,28 @@ class TestCli:
         assert not (tmp_path / "out-w1").exists()
 
     def test_killed_worker_exit_2_naming_its_cell(self, tmp_path, capsys, monkeypatch):
-        pid, real = os.getpid(), runner.run_task
+        """A worker that dies in its cell leaves the cell unreported: the run
+        exits 2 with one line naming it, a cell this process did not run."""
+        method = {"lexicon": "random", "dim": 4}
+        assert self.run_cells(tmp_path, capsys, method, ["1"]) == {"1": (0, "")}
+        pid, real, marker, ran = os.getpid(), runner.run_task, tmp_path / "taken", []
 
-        def run_task(*args, **kwargs):
+        def run_task(cell, *args, **kwargs):
             if os.getpid() != pid:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return real(*args, **kwargs)
+                marker.touch()
+                os._exit(1)
+            deadline = time.monotonic() + 60
+            while not marker.exists():  # so that the child is sure to take a cell
+                assert time.monotonic() < deadline, "no worker took a cell"
+                time.sleep(0.01)
+            ran.append(f"cell (method={cell[0].name!r}, task={cell[2].name!r})")
+            return real(cell, *args, **kwargs)
 
         monkeypatch.setattr(runner, "run_task", run_task)
-        results = self.run_cells(tmp_path, capsys, {"lexicon": "random", "dim": 4}, ["2", "1"])
-        assert results["2"] == (2, "runtime error: cell (method='a', task='file-cls') failed: "
-                                   "its worker process died before reporting it\n")
-        assert results["1"] == (0, "")
+        ((rc, err),) = self.run_cells(tmp_path, capsys, method, ["2"]).values()
+        cell, _, rest = err.partition(" failed: ")
+        assert (rc, rest) == (2, "its worker process died before reporting it\n"), err
+        assert cell.removeprefix("runtime error: ") not in ran and len(ran) == 3
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
