@@ -2,9 +2,10 @@
 
 Three strategies: plain mean, frequency-weighted mean with common-component
 removal (SIF), and mean concatenated with componentwise max. ``embed_corpus``
-runs all three on one path: a (V, d) vocabulary matrix, unit-normalised and
-SIF-weighted per row once, whose rows are pooled for all sentences of one
-in-vocabulary length at a time, in blocks of about ``BLOCK_FLOATS`` values.
+runs all three on one path: a (V, d) vocabulary matrix, unit-normalised per
+row once, whose rows are gathered for all sentences of one in-vocabulary
+length at a time, in blocks of about ``BLOCK_FLOATS`` values, and pooled; for
+SIF each gathered block is first scaled by its words' weights.
 The per-sentence functions (``mean_pool``, ``mean_max_concat``,
 ``sif_weighted_mean``) are the reference definitions; its rows are bitwise
 equal to theirs.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -95,6 +96,11 @@ def sif_weight(a: float, p: float) -> float:
     return a / (a + p)
 
 
+def _word_weights(strat: Sif, words: Iterable[str]) -> np.ndarray:
+    """The SIF weight of each word, as one vector."""
+    return np.array([sif_weight(strat.a, unigram_probability(strat.freq, w)) for w in words])
+
+
 def sif_weighted_mean(
     tokens: Sequence[str], vs: Sequence[np.ndarray], strat: Sif
 ) -> np.ndarray:
@@ -105,10 +111,7 @@ def sif_weighted_mean(
     if len(tokens) != len(vs):
         raise ValueError("tokens and vectors must have equal length")
     arr = _stack(vs, None)
-    weights = np.array(
-        [sif_weight(strat.a, unigram_probability(strat.freq, tok)) for tok in tokens]
-    )
-    return (weights[:, None] * arr).sum(axis=0) / len(vs)
+    return (_word_weights(strat, tokens)[:, None] * arr).sum(axis=0) / len(vs)
 
 
 def fit_common_component(M: np.ndarray) -> np.ndarray:
@@ -151,10 +154,12 @@ def embed_corpus(
     (V, d) matrix. With ``normalize_tokens`` they are the rows of a copy
     normalised once by `unit_rows`; without it they are the table's own rows,
     which are not copied, so a table loaded by ``load_word_vectors(stream,
-    unit=True)`` is pooled unit-normalised in place. For SIF the rows pooled
-    are those rows scaled by their word weights. Sentences with the same
-    number L of such tokens are pooled together, as (k, L, d) blocks of at
-    most ``BLOCK_FLOATS`` values (one sentence if L * d alone exceeds it). A
+    unit=True)`` is pooled unit-normalised in place. Either way no table is
+    written: for SIF the word weights are one (V,) vector, and each gathered
+    block is scaled by the weights of its rows before it is pooled, so SIF
+    makes no (V, d) array either. Sentences with the same number L of such
+    tokens are pooled together, as (k, L, d) blocks of at most
+    ``BLOCK_FLOATS`` values (one sentence if L * d alone exceeds it). A
     reduction over axis 1 of a block adds each sentence's rows in the order
     ``mean_pool`` and ``max_pool`` do, so every row is bitwise equal to
     theirs; a sentence with no in-vocabulary token is a zero row, and
@@ -177,9 +182,7 @@ def embed_corpus(
     # the allocator keeps resident (about 10 MB of peak RSS at 5k x 300).
     out = np.zeros((len(sentences), output_dim(strat, d)))
     E = unit_rows(table.vectors.copy()) if normalize_tokens else table.vectors
-    if isinstance(strat, Sif):
-        weights = np.array([[sif_weight(strat.a, unigram_probability(strat.freq, w))] for w in row])
-        E = np.multiply(E, weights, out=E if normalize_tokens else None)  # never the table
+    weights = _word_weights(strat, row) if isinstance(strat, Sif) else None
     counts = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
     ids = np.fromiter(map(row.get, chain.from_iterable(sentences), repeat(-1)), dtype=np.intp)
     known = ids >= 0  # -1 marks an out-of-vocabulary token
@@ -194,6 +197,8 @@ def embed_corpus(
         k = max(1, BLOCK_FLOATS // (L * d))
         for s in range(0, len(members), k):
             block, part = E[idx[s : s + k]], members[s : s + k]
+            if weights is not None:  # each product E[r, j] * w[r], as `sif_weighted_mean` makes
+                block *= weights[idx[s : s + k], None]
             out[part, :d] = block.mean(axis=1)
             if isinstance(strat, MeanMaxConcat):
                 out[part, d:] = block.max(axis=1)

@@ -61,6 +61,10 @@ from . import runner
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        """Flags are given in full, in the parser and in each subparser."""
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message: str):
         """A flag fault is a ConfigError, so `main` exits 1 with one line."""
         raise ConfigError(message.removeprefix("argument "))

@@ -421,23 +421,32 @@ class TestEmbedCorpusBitwise:
         with pytest.raises(ValueError, match="zero vector"):
             embed_corpus(sents, table, strat)
 
-    @pytest.mark.parametrize("strat", [Mean(), MeanMaxConcat()])
-    def test_blocks_bounded_by_bytes(self, strat):
+    @pytest.mark.parametrize("strat", [
+        Mean(), MeanMaxConcat(),
+        Sif(freq=FrequencyTable(counts={f"w{i}": i for i in range(40)}, total=900), a=0.01)])
+    def test_blocks_bounded_by_bytes(self, strat, monkeypatch):
         # 26 MB of gathered rows in all, mostly 20 sentences that each exceed
-        # the cap alone. One block is alive at a time, of at most one of them.
+        # the cap alone. One block is alive at a time, of at most one of them;
+        # SIF scales each block in place rather than weighting a table.
         d, long_len = 512, BLOCK_FLOATS // 512 + 44
         sents, table = bucketed_corpus(d)
         rng = np.random.default_rng(1)
         sents += [tuple(rng.choice(table.keys, long_len).tolist()) for _ in range(20)]
-        embed_corpus(sents[:2], table, strat)  # warm-up outside the traced call
+        fit = list(range(len(sents))) if isinstance(strat, Sif) else None
+        embed_corpus(sents, table, strat, fit)  # warm-up outside the traced call
+        # SIF's own sentence-sized arrays, out[fit] and then the component's
+        # outer product, are each the size of out here. A fixed component
+        # stands in for the fit, whose (d, d) arrays are not the pooling's.
+        monkeypatch.setattr("sentbench.aggregate.fit_common_component", lambda M: np.eye(1, d)[0])
+        sif_bytes = len(sents) * d * 8 if fit else 0
         tracemalloc.start()
         try:
-            out = embed_corpus(sents, table, strat)
+            out = embed_corpus(sents, table, strat, fit)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         largest_block = max(BLOCK_FLOATS, long_len * d) * 8
-        assert peak - out.nbytes - table.vectors.nbytes < largest_block + 2**19
+        assert peak - out.nbytes - table.vectors.nbytes - sif_bytes < largest_block + 2**19
         # Pooled without normalising, the table is not copied at all: 1000
         # unused words make it larger than the bound.
         unused = tuple(f"u{i}" for i in range(1000))
@@ -445,8 +454,8 @@ class TestEmbedCorpusBitwise:
                             np.vstack([table.vectors, rng.standard_normal((len(unused), d))]))
         tracemalloc.start()
         try:
-            out = embed_corpus(sents, table, strat, normalize_tokens=False)
+            out = embed_corpus(sents, table, strat, fit, normalize_tokens=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - out.nbytes < largest_block + 2**19 < table.vectors.nbytes
+        assert peak - out.nbytes - sif_bytes < largest_block + 2**19 < table.vectors.nbytes

@@ -1801,8 +1801,15 @@ class TestCli:
         ("eval --out {out}", "--config"),
         ("", "command"),
         ("evaluate --config {cfg} --out {out}", "command"),
+        # a flag is given in full: argparse would take any unambiguous prefix
+        ("validate --conf {cfg}", "--config"),
+        ("sweep --conf {cfg} --dim 4 --work 2 --o {out}", "--config, --dims"),
+        ("eval --config {cfg} --out {out} --work 2", "--work 2"),
+        ("eval --config {cfg} --out {out} --see=2", "--see=2"),
+        ("embed --config {cfg} --ta cls --method clustered-mean --out {out}/v.tsv", "--task"),
     ], ids=["workers-x", "workers-0_2", "seed-1.5", "seed-1_0", "embed-seed-+1", "unknown-flag",
-            "no-config", "no-verb", "unknown-verb"])
+            "no-config", "no-verb", "unknown-verb", "prefix-validate", "prefix-sweep",
+            "prefix-workers", "prefix-seed", "prefix-embed"])
     def test_flag_fault_exit_1(self, tmp_path, capsys, argv, flag):
         cfg_path = self.write_config(tmp_path, tmp_path / "out")
         assert cli.main(argv.format(cfg=cfg_path, out=tmp_path / "out").split()) == 1
